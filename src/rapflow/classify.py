@@ -182,7 +182,8 @@ def tail_sup(traj: Trajectory, tau: float, window: tuple[float, float],
     stay inside the sampled span.  With clamp=True the window is shrunk to
     fit instead of raising.  Discrete trajectories only accept whole-number
     shifts.  Off-grid comparison points of continuous trajectories are
-    evaluated with the trajectory's own dense interpolant.
+    evaluated with the trajectory's own dense interpolant
+    (:meth:`Trajectory.shift_sup`).
     """
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -207,17 +208,7 @@ def tail_sup(traj: Trajectory, tau: float, window: tuple[float, float],
     i0, i1 = _index_range(traj, lo, hi)
     if i1 < i0:
         raise ValueError("window contains no grid points")
-    vals = traj.values
-    k = tau / traj.dt
-    if abs(k - round(k)) <= _POS_TOL * max(1.0, abs(k)):
-        k = int(round(k))
-        j1 = min(i1, len(vals) - 1 - k)
-        if j1 < i0:
-            raise ValueError("window contains no comparable grid points")
-        return float(np.max(np.abs(vals[i0 + k:j1 + 1 + k] - vals[i0:j1 + 1])))
-    ts = traj.t0 + traj.dt * np.arange(i0, i1 + 1)
-    shifted = traj.values_at(ts + tau)
-    return float(np.max(np.abs(shifted - vals[i0:i1 + 1])))
+    return traj.shift_sup(tau, i0, i1)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +456,6 @@ def almost_period_scan(traj: Trajectory, eps: float, tau_range,
             raise ValueError("discrete trajectories need whole-number shifts")
     else:
         taus = _scan_grid(traj, tau_range, tau_step)
-    vals = traj.values
-    n = len(vals)
     t_end = traj.t_end
     sups = np.full(taus.shape, np.nan)
     assessable = np.zeros(taus.shape, dtype=bool)
@@ -482,21 +471,9 @@ def almost_period_scan(traj: Trajectory, eps: float, tau_range,
         if hi <= w_lo:
             continue
         i0, i1 = _index_range(traj, w_lo, hi)
-        if i1 < i0:
+        if i1 - i0 + 1 < 2:
             continue
-        k = tau / traj.dt
-        if abs(k - round(k)) <= _POS_TOL * max(1.0, abs(k)):
-            k = int(round(k))
-            j1 = min(i1, n - 1 - k)
-            if j1 - i0 + 1 < 2:
-                continue
-            sup = float(np.max(np.abs(vals[i0 + k:j1 + 1 + k] - vals[i0:j1 + 1])))
-        else:
-            if i1 - i0 + 1 < 2:
-                continue
-            ts = traj.t0 + traj.dt * np.arange(i0, i1 + 1)
-            sup = float(np.max(np.abs(traj.values_at(ts + tau) - vals[i0:i1 + 1])))
-        sups[idx] = sup
+        sups[idx] = traj.shift_sup(tau, i0, i1)
         assessable[idx] = True
     admitted = assessable & (np.nan_to_num(sups, nan=np.inf) <= eps)
     return AlmostPeriodSet(mode=mode, eps=float(eps), taus=taus, sups=sups,
@@ -767,27 +744,37 @@ class ClassificationResult:
         return "\n".join(lines)
 
 
-def _geometric_windows(start: float, stop: float,
+def _geometric_windows(start: float, stop: float, origin: float = 0.0,
                        factor: float = 10.0) -> tuple[tuple[float, float], ...]:
-    wins = []
-    lo = start
-    while lo * factor < stop:
-        wins.append((lo, lo * factor))
-        lo *= factor
-    wins.append((lo, stop))
-    return tuple(wins)
+    """Windows [start, stop] cut at origin + (start - origin)*factor**j.
+
+    The rungs grow geometrically in the offset from origin, so the ladder
+    is finite for any origin.  A last rung that rounding leaves as a
+    sliver is folded into the rung before it.
+    """
+    lo, hi = start - origin, stop - origin
+    if not 0 < lo < hi:
+        raise ValueError("window ladder needs origin < start < stop")
+    n_max = math.ceil(math.log(hi / lo) / math.log(factor)) + 1
+    edges = [lo]
+    while len(edges) < n_max and edges[-1] * factor < hi:
+        edges.append(edges[-1] * factor)
+    if len(edges) > 1 and hi - edges[-1] <= _POS_TOL * hi:
+        edges.pop()
+    bounds = [origin + e for e in edges] + [stop]
+    return tuple(zip(bounds[:-1], bounds[1:]))
 
 
 def _auto_windows(traj: Trajectory, tau_big: float):
     """Geometric window ladder leaving room for the largest probe shift."""
-    t_end = traj.t_end
-    end = t_end - tau_big
-    if end <= traj.t0 + 20.0 * traj.dt:
+    t0 = traj.t0
+    end = traj.t_end - tau_big
+    if end <= t0 + 20.0 * traj.dt:
         return None
-    start = max(traj.t0 + 10.0 * traj.dt, traj.t0 + (end - traj.t0) / 100.0)
-    if start >= end / 2.0:
-        return ((max(traj.t0 + traj.dt, end / 2.0), end),)
-    return _geometric_windows(start, end)
+    first = max(10.0 * traj.dt, (end - t0) / 100.0)
+    if first >= (end - t0) / 2.0:
+        return ((t0 + max(traj.dt, (end - t0) / 2.0), end),)
+    return _geometric_windows(t0 + first, end, origin=t0)
 
 
 def _refine_candidate(traj: Trajectory, tau: float, step: float,
@@ -809,15 +796,14 @@ def _refine_candidate(traj: Trajectory, tau: float, step: float,
     if i1 - i0 + 1 < 2:
         return tau
     stride = max(1, (i1 - i0 + 1) // 50_000)
-    base = traj.values[i0:i1 + 1:stride]
-    ts = traj.t0 + traj.dt * np.arange(i0, i1 + 1, stride)
+    t_last = traj.t0 + traj.dt * (i0 + stride * ((i1 - i0) // stride))
     best_tau, best = tau, math.inf
     centre, width = tau, step
     for _ in range(2):
         for cand in centre + np.linspace(-width, width, 41):
-            if cand <= 0 or ts[-1] + cand > t_end + _POS_TOL:
+            if cand <= 0 or t_last + cand > t_end + _POS_TOL:
                 continue
-            s = float(np.max(np.abs(traj.values_at(ts + cand) - base)))
+            s = traj.shift_sup(cand, i0, i1, stride)
             if s < best:
                 best, best_tau = s, float(cand)
         centre, width = best_tau, width / 20.0

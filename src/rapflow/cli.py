@@ -924,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _VALUE_FLAGS = ("--ode", "--map", "--fn", "--bh", "--u0", "--tau",
-                "--bound", "--horizon")
+                "--bound", "--horizon", "--span", "--window")
 
 
 def _glue_flag_values(argv):

@@ -31,6 +31,9 @@ from .expr import EvalError, Expression, parse
 
 BLOWUP_GUARD = 1e12
 _MIN_STEP_FACTOR = 1e-13
+# a shift within this many steps (times max(1, steps)) of a whole number of
+# steps counts as on the sampling grid
+_GRID_TOL = 1e-9
 
 
 class DynamicsError(RuntimeError):
@@ -321,6 +324,52 @@ class Trajectory:
 
     def value_at(self, t: float) -> float:
         return float(self.values_at(np.array([t]))[0])
+
+    def shift_sup(self, tau: float, i0: int, i1: int, stride: int = 1) -> float:
+        """sup of |phi(t_i + tau) - phi(t_i)| over i = i0, i0 + stride, ... <= i1.
+
+        On a uniform grid every t_i + tau sits at the same fractional cell
+        offset s = frac(tau/dt), so the four cubic Hermite weights are
+        scalars for the whole shift and the shifted series is four slice
+        sums over ``values`` and the derivatives; it agrees with
+        :meth:`values_at` up to round-off.  A shift of k = tau/dt steps
+        within 1e-9*max(1, k) of a whole number compares stored values
+        exactly.  Indices whose shifted time falls past the last sample are
+        left out; ValueError when none remains.  Discrete trajectories raise
+        :class:`DynamicsError` on a shift off the integer grid.
+        """
+        n = len(self.values)
+        tau = float(tau)
+        if not (tau >= 0 and math.isfinite(tau)):
+            raise ValueError("tau must be finite and non-negative")
+        if not (0 <= i0 and i1 <= n - 1 and stride >= 1):
+            raise ValueError(f"bad index range {i0}..{i1} step {stride}")
+        v = self.values
+        k = tau / self.dt
+        whole = round(k)
+        if abs(k - whole) <= _GRID_TOL * max(1.0, k):
+            i1 = min(i1, n - 1 - whole)
+            if i1 < i0:
+                raise ValueError("window contains no comparable grid points")
+            shifted = v[i0 + whole:i1 + whole + 1:stride]
+        else:
+            if self.kind == "discrete":
+                raise DynamicsError(
+                    "discrete trajectories are sampled at integer steps only")
+            m = math.floor(k)
+            s = k - m
+            # the last compared point needs the cell [i + m, i + m + 1]
+            i1 = min(i1, n - 2 - m)
+            if i1 < i0:
+                raise ValueError("window contains no comparable grid points")
+            d = self._hermite_derivs()
+            a, b = i0 + m, i1 + m + 1
+            shifted = ((2 * s - 3) * s * s + 1) * v[a:b:stride]
+            shifted += (3 - 2 * s) * s * s * v[a + 1:b + 1:stride]
+            shifted += (self.dt * ((s - 2) * s + 1) * s) * d[a:b:stride]
+            shifted += (self.dt * (s - 1) * s * s) * d[a + 1:b + 1:stride]
+        diff = shifted - v[i0:i1 + 1:stride]
+        return float(np.max(np.abs(diff, out=diff)))
 
     def interp_budget(self) -> float:
         """Crude bound on the cubic Hermite dense-output error.

@@ -521,7 +521,7 @@ class Expression:
         return isinstance(other, Expression) and self.root == other.root
 
     def __hash__(self):
-        return hash(self.source)
+        return hash(self.root)
 
     def __repr__(self):
         return f"Expression({self.source!r})"
@@ -536,10 +536,3 @@ def parse(source: str) -> Expression:
     if not isinstance(source, str):
         raise TypeError("expression source must be str")
     return Expression(_Parser(source).parse(), source)
-
-
-def evaluate(source_or_expr, t: float = 0.0, x: float = 0.0,
-             params: dict | None = None) -> float:
-    """Parse (if needed) and evaluate at a single point."""
-    e = source_or_expr if isinstance(source_or_expr, Expression) else parse(source_or_expr)
-    return float(e.bind(params or {})(float(t), float(x)))

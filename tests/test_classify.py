@@ -7,6 +7,7 @@ at the stated resolution), and structural properties checked over
 randomized inputs.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from rapflow.classify import (
     separation_constancy_test,
     tail_sup,
 )
+from rapflow.classify import _auto_windows, _geometric_windows
 from rapflow.dynamics import ScalarField, Trajectory, integrate, iterate, sample_function
 
 TWO_PI = 2.0 * math.pi
@@ -268,6 +270,19 @@ class TestAlmostPeriodScan:
         dens = scan.density()
         assert dens.n_admitted == 0 and dens.verdict == "fail"
         assert dens.largest_gap == pytest.approx(19.0)
+
+    @pytest.mark.parametrize("mode,window", [("global", None),
+                                             ("remote", (20.0, 45.0))])
+    def test_chunked_scan_reproduces_single_scan(self, mode, window):
+        tr = sample_function("sin(t)+0.3*sin(3.7*t)", (-5.0, 50.0), 0.01)
+        whole = almost_period_scan(tr, 0.25, (0.0, 20.0), 0.0137, mode=mode,
+                                   window=window)
+        parts = [almost_period_scan(tr, 0.25, None, None, mode=mode,
+                                    window=window, taus=chunk)
+                 for chunk in np.array_split(whole.taus, 7)]
+        for name in ("taus", "sups", "admitted", "assessable"):
+            joined = np.concatenate([getattr(p, name) for p in parts])
+            assert np.array_equal(joined, getattr(whole, name), equal_nan=True)
 
     def test_mode_validation(self):
         tr = discrete_traj(np.arange(50.0))
@@ -536,12 +551,45 @@ class TestClassifyTrajectory:
             assert name in text
         assert "hierarchy consistency: ok" in text
 
+    def test_sine_probe_seed_eight_is_tau_periodic(self):
+        # this probe seed once left a sliver as the last window rung
+        ex = catalog.get("sine")
+        cfg = dataclasses.replace(catalog.recommended_config(ex), seed=8)
+        res = classify_trajectory(ex.trajectory(), cfg)
+        assert res.label == "tau-periodic"
+        assert res.hierarchy_ok()
+        lo, hi = res.windows[-1]
+        assert hi - lo > 1.0
+
     def test_pinned_shift_beyond_half_span_is_dropped(self):
         tr = sample_function("sin(t)", (0.0, 40.0), 0.01)
         res = classify_trajectory(tr, ClassifyConfig(tau=30.0,
                                                      tau_range=(0.0, 15.0)))
         assert any("half the span" in n for n in res.notes)
         assert res.candidate_tau != 30.0
+
+
+class TestWindowLadder:
+    def test_negative_start_ladder_is_finite_and_covers_the_range(self):
+        # rungs at offsets 2 and 20 from the origin, then the stop at 183
+        wins = _geometric_windows(-98.0, 83.0, origin=-100.0)
+        assert wins == ((-98.0, -80.0), (-80.0, 83.0))
+
+    def test_auto_ladder_for_negative_origin(self):
+        tr = sample_function("sin(t)", (-100.0, 100.0), 0.01)
+        wins = _auto_windows(tr, 17.3)
+        assert wins[0][0] > tr.t0 and wins[-1][1] == pytest.approx(100.0 - 17.3)
+        assert all(wins[j][1] == wins[j + 1][0] for j in range(len(wins) - 1))
+
+    def test_rounding_sliver_is_folded(self):
+        # 3.827 * 10 * 10 rounds to just below 382.7
+        assert 3.827 * 10.0 * 10.0 < 382.7
+        wins = _geometric_windows(3.827, 382.7)
+        assert len(wins) == 2 and wins[-1][1] == 382.7
+
+    def test_ladder_needs_start_after_origin(self):
+        with pytest.raises(ValueError):
+            _geometric_windows(-5.0, 10.0)
 
 
 # ---------------------------------------------------------------------------

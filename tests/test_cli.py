@@ -1,11 +1,13 @@
 """End-to-end checks of the command line tool."""
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import rapflow
 from rapflow.cli import main
 
 
@@ -216,7 +218,24 @@ class TestClassifyCommand:
         assert "candidate shift: 6.283185307" in out
 
 
+    def test_negative_span_start_parses_and_terminates(self, capsys):
+        code, out, err = run(capsys, "classify", "--fn", "sin(t)",
+                             "--span", "-100:100")
+        assert code == 0, err
+        assert "hierarchy consistency: ok" in out
+        code_eq, out_eq, _ = run(capsys, "classify", "--fn", "sin(t)",
+                                 "--span=-100:100")
+        assert code_eq == 0 and out_eq == out
+
+
 class TestScanCommand:
+    def test_negative_window_start_parses(self, capsys):
+        code, out, err = run(capsys, "scan", "--fn", "sin(t)", "--span",
+                             "-100:100", "--mode", "remote", "--window",
+                             "-50:0", "--tau-max", "20", "--tau-step", "0.05")
+        assert code == 0, err
+        assert "window -50:0" in out
+
     def test_threaded_scan_is_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ("scan", "--fn", "sin(t)", "--span", "0:120", "--eps", "0.5",
@@ -311,8 +330,12 @@ class TestExamplesCommand:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_works(self):
+        # the child imports the same rapflow as this test, installed or not
+        src = os.path.dirname(os.path.dirname(rapflow.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "rapflow", "--version"],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert proc.stdout.startswith("rapflow ")

@@ -209,6 +209,77 @@ def test_discrete_values_at_integer_only():
         traj.value_at(3.5)
 
 
+def _shift_reference(traj, tau, i0, i1):
+    ts = traj.t0 + traj.dt * np.arange(i0, i1 + 1)
+    return float(np.max(np.abs(traj.values_at(ts + tau)
+                               - traj.values[i0:i1 + 1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(t0=st.floats(-100.0, 100.0), dt=st.floats(0.05, 1.0),
+       n=st.integers(8, 300), amp=st.floats(0.01, 100.0),
+       level=st.floats(-100.0, 100.0), rate=st.floats(0.01, 1.0),
+       phase=st.floats(0.0, 6.3), whole=st.floats(0.0, 1.0),
+       place=st.sampled_from(["on", "near", "off"]),
+       off=st.floats(1e-6, 1.0 - 1e-6), near=st.floats(-1e-10, 1e-10),
+       lo=st.floats(0.0, 1.0), length=st.floats(0.0, 1.0),
+       stride=st.integers(1, 4))
+def test_shift_sup_matches_values_at(t0, dt, n, amp, level, rate, phase,
+                                     whole, place, off, near, lo, length,
+                                     stride):
+    # shifts within 1e-9*max(1, k) steps of a whole number k of steps are
+    # compared on the grid, so "near" stays inside that band and "off"
+    # well outside it; values_at decides per point and agrees there
+    i = np.arange(n)
+    traj = Trajectory(kind="continuous", t0=t0, dt=dt,
+                      values=level + amp * np.sin(rate * i + phase),
+                      derivs=amp * rate / dt * np.cos(rate * i + phase))
+    k = math.floor(whole * (n - 3))
+    k = {"on": k, "near": max(0.0, k + near), "off": k + off}[place]
+    tau = k * dt
+    last = n - 1 - math.ceil(k - 1e-9)
+    i0 = math.floor(lo * last)
+    i1 = i0 + math.floor(length * (last - i0))
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(traj.values))))
+    got = traj.shift_sup(tau, i0, i1)
+    assert abs(got - _shift_reference(traj, tau, i0, i1)) <= tol
+    strided = traj.shift_sup(tau, i0, i1, stride)
+    ts = traj.t0 + traj.dt * np.arange(i0, i1 + 1, stride)
+    ref = float(np.max(np.abs(traj.values_at(ts + tau)
+                              - traj.values[i0:i1 + 1:stride])))
+    assert abs(strided - ref) <= tol
+
+
+def test_shift_sup_on_grid_is_exact():
+    traj = sample_function("sin(t)+0.3*sin(3.7*t)", (-20.0, 30.0), 0.01)
+    for k in (0, 1, 628, 2000):
+        direct = np.max(np.abs(traj.values[k:] - traj.values[:len(traj) - k]))
+        assert traj.shift_sup(k * 0.01, 0, len(traj) - 1 - k) == direct
+
+
+def test_shift_sup_drops_points_past_the_span():
+    traj = sample_function("sin(t)", (0.0, 10.0), 0.1)
+    n = len(traj)
+    # the shifted times of the last points fall past t_end; they are left
+    # out rather than raising, on and off the grid
+    assert traj.shift_sup(0.5, 0, n - 1) == traj.shift_sup(0.5, 0, n - 6)
+    assert traj.shift_sup(0.55, 0, n - 1) == traj.shift_sup(0.55, 0, n - 7)
+    with pytest.raises(ValueError, match="comparable"):
+        traj.shift_sup(9.95, n - 1, n - 1)
+    with pytest.raises(ValueError):
+        traj.shift_sup(-0.1, 0, 10)
+    with pytest.raises(ValueError):
+        traj.shift_sup(0.1, 0, n)
+
+
+def test_discrete_shift_sup_rejects_off_grid_shifts():
+    traj = iterate(bh_const_field(), 1.0, 40)
+    assert traj.shift_sup(3.0, 0, 30) == float(
+        np.max(np.abs(traj.values[3:34] - traj.values[:31])))
+    with pytest.raises(DynamicsError, match="integer"):
+        traj.shift_sup(2.5, 0, 30)
+
+
 def test_interp_budget():
     smooth = sample_function("sin(t)", (0.0, 6.3), 0.05)
     assert 0.0 < smooth.interp_budget() < 1e-7

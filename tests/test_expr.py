@@ -47,6 +47,13 @@ def test_precedence(a, b):
     assert parse(a) == parse(b), f"{a!r} should parse like {b!r}"
 
 
+def test_equal_expressions_hash_alike():
+    a, b = parse("x+1"), parse("(x + 1)")
+    assert a == b and a.source != b.source
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_power_right_associative_value():
     assert parse("2^3^2").eval() == 512.0
     assert parse("2^-3").eval() == 0.125
