@@ -393,34 +393,33 @@ class Trajectory:
 # Runge-Kutta-Fehlberg 4(5) with bisection refinement inside grid cells
 # ---------------------------------------------------------------------------
 
-_RKF_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-# difference between the fifth and fourth order weights; h * |sum(TR_i k_i)|
-# is the embedded local error estimate
-_RKF_TR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
-
-
 def _rkf45_step(f, t, y, h, k1=None):
-    """One Fehlberg step: returns (y5, error_estimate, k)."""
-    k = [0.0] * 6
-    k[0] = f(t, y) if k1 is None else k1
-    for i in range(1, 6):
-        acc = 0.0
-        a = _RKF_A[i]
-        for j in range(i):
-            acc += a[j] * k[j]
-        k[i] = f(t + _RKF_C[i] * h, y + h * acc)
-    y5 = y + h * sum(b * ki for b, ki in zip(_RKF_B5, k))
-    err = abs(h * sum(c * ki for c, ki in zip(_RKF_TR, k)))
-    return y5, err, k
+    """One Fehlberg step: returns (y5, error_estimate).
+
+    The tableau is written out stage by stage.  Every weighted sum starts
+    from 0.0 and adds its terms left to right, zero weights included, so a
+    step rounds exactly as the loop over the tableau does.
+    """
+    if k1 is None:
+        k1 = f(t, y)
+    k2 = f(t + 1 / 4 * h, y + h * (0.0 + 1 / 4 * k1))
+    k3 = f(t + 3 / 8 * h, y + h * (0.0 + 3 / 32 * k1 + 9 / 32 * k2))
+    k4 = f(t + 12 / 13 * h,
+           y + h * (0.0 + 1932 / 2197 * k1 + -7200 / 2197 * k2
+                    + 7296 / 2197 * k3))
+    k5 = f(t + 1.0 * h,
+           y + h * (0.0 + 439 / 216 * k1 + -8.0 * k2 + 3680 / 513 * k3
+                    + -845 / 4104 * k4))
+    k6 = f(t + 1 / 2 * h,
+           y + h * (0.0 + -8 / 27 * k1 + 2.0 * k2 + -3544 / 2565 * k3
+                    + 1859 / 4104 * k4 + -11 / 40 * k5))
+    y5 = y + h * (0.0 + 16 / 135 * k1 + 0.0 * k2 + 6656 / 12825 * k3
+                  + 28561 / 56430 * k4 + -9 / 50 * k5 + 2 / 55 * k6)
+    # the weights are the differences between the fifth- and fourth-order
+    # weights, so this is the embedded local error estimate
+    err = abs(h * (0.0 + 1 / 360 * k1 + 0.0 * k2 + -128 / 4275 * k3
+                   + -2197 / 75240 * k4 + 1 / 50 * k5 + 2 / 55 * k6))
+    return y5, err
 
 
 def _rk4_step(f, t, y, h):
@@ -500,7 +499,7 @@ def _advance_cell(f, t_cell, t_target, y, k_start, cfg):
         while t < t_target - 1e-12 * max(1.0, abs(t_target)):
             h = min(cfg.max_step, t_target - t)
             while True:
-                y_new, err, _ = _rkf45_step(f, t, y, h, k1=k1)
+                y_new, err = _rkf45_step(f, t, y, h, k1=k1)
                 tol = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y_new))
                 if math.isfinite(err) and err <= tol:
                     break
@@ -532,18 +531,7 @@ def iterate(fld: ScalarField, u0: float, n_steps: int) -> Trajectory:
 
     values = np.empty(n_steps + 1)
     values[0] = float(u0)
-    if fld.seq_params:
-        rhs = fld.rhs
-        base = dict(fld.params)
-        seq = fld.seq_params
-
-        def f(n, x):
-            p = dict(base)
-            for key, fn in seq.items():
-                p[key] = float(fn(n))
-            return rhs.bind(p)(float(n), x)
-    else:
-        f = fld.bind()
+    f = fld.bind()
 
     x = float(u0)
     for n in range(n_steps):

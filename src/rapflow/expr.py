@@ -17,6 +17,10 @@ Errors carry 0-based byte offsets into the source text.  Evaluation raises
 root of a negative value, division by zero, fractional powers of negative
 bases, zero to a negative power); the offending node's source span is
 reported.
+
+Each expression is compiled once per backend into straight-line Python
+source: :meth:`Expression.bind` returns a scalar evaluator built on
+:mod:`math`, and :meth:`Expression.eval_array` evaluates over numpy arrays.
 """
 
 from __future__ import annotations
@@ -259,8 +263,12 @@ def _respan(node: Node, span: tuple) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: compiled scalar closures and a vectorized numpy walker share the
-# same domain guards.
+# Evaluation: one emitter writes an expression as straight-line Python source,
+# one temporary per node, for two backends: "scalar" computes on floats with
+# math, "array" on broadcast numpy arrays.  Both keep the domain guards,
+# messages, spans and evaluation order of the tree.  The source is compiled
+# once per expression and backend as a factory whose arguments are the
+# parameter values; binding parameters only calls the factory.
 # ---------------------------------------------------------------------------
 
 def _pow_scalar(b: float, e: float, span: tuple) -> float:
@@ -278,135 +286,218 @@ def _pow_scalar(b: float, e: float, span: tuple) -> float:
         return -math.inf if neg else math.inf
 
 
-def _compile(node: Node, params: dict) -> Callable[[float, float], float]:
-    if isinstance(node, Const):
-        v = node.value
-        return lambda t, x: v
-    if isinstance(node, Var):
-        if node.name == "t":
-            return lambda t, x: t
-        return lambda t, x: x
-    if isinstance(node, Param):
-        if node.name not in params:
-            raise EvalError(f"unbound parameter {node.name!r}", node.span)
-        v = float(params[node.name])
-        return lambda t, x: v
-    if isinstance(node, Neg):
-        f = _compile(node.arg, params)
-        return lambda t, x: -f(t, x)
-    if isinstance(node, Call):
-        a = _compile(node.args[0], params)
-        span = node.span
-        if node.func == "sin":
-            return lambda t, x: math.sin(a(t, x))
-        if node.func == "cos":
-            return lambda t, x: math.cos(a(t, x))
-        if node.func == "abs":
-            return lambda t, x: abs(a(t, x))
-        if node.func == "exp":
-            def _exp(t, x):
-                try:
-                    return math.exp(a(t, x))
-                except OverflowError:
-                    return math.inf
-            return _exp
-        if node.func == "floor":
-            return lambda t, x: float(math.floor(a(t, x)))
-        if node.func == "ln":
-            def _ln(t, x):
-                v = a(t, x)
-                if v <= 0.0:
-                    raise EvalError(f"log of non-positive value {v!r}", span)
-                return math.log(v)
-            return _ln
-        if node.func == "sqrt":
-            def _sqrt(t, x):
-                v = a(t, x)
-                if v < 0.0:
-                    raise EvalError(f"square root of negative value {v!r}", span)
-                return math.sqrt(v)
-            return _sqrt
-        raise AssertionError(node.func)
-    if isinstance(node, BinOp):
-        lf = _compile(node.left, params)
-        rf = _compile(node.right, params)
-        span = node.span
-        if node.op == "+":
-            return lambda t, x: lf(t, x) + rf(t, x)
-        if node.op == "-":
-            return lambda t, x: lf(t, x) - rf(t, x)
-        if node.op == "*":
-            return lambda t, x: lf(t, x) * rf(t, x)
-        if node.op == "/":
-            def _div(t, x):
-                d = rf(t, x)
-                if d == 0.0:
-                    raise EvalError("division by zero", span)
-                return lf(t, x) / d
-            return _div
-        if node.op == "^":
-            return lambda t, x: _pow_scalar(lf(t, x), rf(t, x), span)
-    raise AssertionError(node)
+_UNBOUND = object()  # stands in for a missing parameter in the array backend
+
+_COMMON = {"_EvalError": EvalError, "_inf": math.inf, "_nan": math.nan}
+_NAMESPACES = {
+    "scalar": dict(_COMMON, _sin=math.sin, _cos=math.cos, _abs=abs,
+                   _exp=math.exp, _log=math.log, _sqrt=math.sqrt,
+                   _floor=math.floor, _float=float, _pow=_pow_scalar),
+    "array": dict(_COMMON, _sin=np.sin, _cos=np.cos, _abs=np.abs,
+                  _exp=np.exp, _log=np.log, _sqrt=np.sqrt, _floor=np.floor,
+                  _power=np.power, _any=np.any, _asarray=np.asarray,
+                  _errstate=np.errstate, _UNBOUND=_UNBOUND),
+}
 
 
-def _eval_np(node: Node, t, x, params: dict):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return t if node.name == "t" else x
-    if isinstance(node, Param):
-        if node.name not in params:
-            raise EvalError(f"unbound parameter {node.name!r}", node.span)
-        return float(params[node.name])
+def _has_vars(node: Node) -> bool:
+    if isinstance(node, (Var, Param)):
+        return True
     if isinstance(node, Neg):
-        return -_eval_np(node.arg, t, x, params)
+        return _has_vars(node.arg)
     if isinstance(node, Call):
-        a = _eval_np(node.args[0], t, x, params)
-        if node.func == "sin":
-            return np.sin(a)
-        if node.func == "cos":
-            return np.cos(a)
-        if node.func == "abs":
-            return np.abs(a)
-        if node.func == "exp":
-            with np.errstate(over="ignore"):
-                return np.exp(a)
-        if node.func == "floor":
-            return np.floor(a)
-        if node.func == "ln":
-            if np.any(np.asarray(a) <= 0.0):
-                raise EvalError("log of non-positive value", node.span)
-            return np.log(a)
-        if node.func == "sqrt":
-            if np.any(np.asarray(a) < 0.0):
-                raise EvalError("square root of negative value", node.span)
-            return np.sqrt(a)
-        raise AssertionError(node.func)
+        return any(_has_vars(a) for a in node.args)
     if isinstance(node, BinOp):
-        l = _eval_np(node.left, t, x, params)
-        r = _eval_np(node.right, t, x, params)
-        if node.op == "+":
-            return l + r
-        if node.op == "-":
-            return l - r
-        if node.op == "*":
-            with np.errstate(over="ignore", invalid="ignore"):
-                return l * r
+        return _has_vars(node.left) or _has_vars(node.right)
+    return False
+
+
+def _always_float(node: Node) -> bool:
+    """Whether the scalar backend yields a Python float here for any t and x.
+
+    t and x pass through unchanged, so ints or numpy scalars given for them
+    survive negation, abs, +, -, * and /.
+    """
+    if isinstance(node, Var):
+        return False
+    if isinstance(node, Neg):
+        return _always_float(node.arg)
+    if isinstance(node, Call):
+        return node.func != "abs" or _always_float(node.args[0])
+    if isinstance(node, BinOp) and node.op != "^":
+        return _always_float(node.left) and _always_float(node.right)
+    return True
+
+
+def _literal(value) -> str:
+    value = float(value)
+    if math.isnan(value):
+        return "_nan"
+    if math.isinf(value):
+        return "_inf" if value > 0 else "(-_inf)"
+    text = repr(value)
+    return f"({text})" if text.startswith("-") else text
+
+
+class _Emitter:
+    """Statements of one backend's evaluator, one temporary per inner node.
+
+    With ``fold`` set, a subtree without t, x or parameters is evaluated
+    once at compile time by this same backend and emitted as a literal;
+    one that raises is left in place to raise when evaluation reaches it.
+    """
+
+    def __init__(self, backend: str, args: dict, fold: bool):
+        self.backend = backend
+        self.array = backend == "array"
+        self.args = args  # parameter name -> argument name in the source
+        self.fold = fold
+        self.lines: list = []
+        self.count = 0
+        self.live: list = []  # temporaries not yet consumed, oldest first
+
+    def temp(self) -> str:
+        self.count += 1
+        self.live.append(f"v{self.count}")
+        return self.live[-1]
+
+    def guard(self, test: str, message: str, span: tuple):
+        """Raise EvalError(message, span) when test holds; message is source."""
+        self.lines += [f"if {test}:", f"    raise _EvalError({message}, {span!r})"]
+
+    def emit(self, node: Node) -> str:
+        """Append the statements computing node; return the text of its value."""
+        if isinstance(node, Const):
+            return _literal(node.value)
+        if isinstance(node, Var):
+            return node.name
+        if isinstance(node, Param):
+            arg = self.args[node.name]
+            if self.array:
+                self.guard(f"{arg} is _UNBOUND",
+                           repr(f"unbound parameter {node.name!r}"), node.span)
+            return arg
+        if self.fold and not _has_vars(node):
+            try:
+                value = _build(node, self.backend, fold=False)[0]()(0.0, 0.0)
+            except (ArithmeticError, ValueError):
+                pass
+            else:
+                return _literal(value)
+        out = self.temp()
+        depth = len(self.live)
+        if isinstance(node, Neg):
+            arg = self.emit(node.arg)
+            self.lines.append(f"{out} = -{arg}")
+        elif isinstance(node, Call):
+            self.call(out, node)
+        elif self.array:
+            self.array_binop(out, node)
+        else:
+            self.scalar_binop(out, node)
+        spent, self.live[depth:] = self.live[depth:], []
+        if self.array and spent:
+            # free consumed arrays at once, so no more of them are alive
+            # together than a recursive walk of the tree would hold
+            self.lines.append(f"del {', '.join(spent)}")
+        return out
+
+    def call(self, out: str, node: Call):
+        func, span = node.func, node.span
+        if func == "exp" and not self.array:
+            # the handler covers the argument too: an OverflowError raised
+            # anywhere inside it also gives inf
+            outer, self.lines = self.lines, []
+            a = self.emit(node.args[0])
+            inner, self.lines = self.lines, outer
+            self.lines += ["try:", *("    " + line for line in inner),
+                           f"    {out} = _exp({a})",
+                           "except OverflowError:", f"    {out} = _inf"]
+            return
+        a = self.emit(node.args[0])
+        lines = self.lines
+        if func in ("ln", "sqrt"):
+            test, what, fn = (("<= 0.0", "log of non-positive value", "_log")
+                              if func == "ln" else
+                              ("< 0.0", "square root of negative value", "_sqrt"))
+            if self.array:
+                self.guard(f"_any(_asarray({a}) {test})", repr(what), span)
+            else:
+                self.guard(f"{a} {test}", f"{what + ' '!r} + repr({a})", span)
+            lines.append(f"{out} = {fn}({a})")
+        elif func == "exp":
+            lines += ['with _errstate(over="ignore"):', f"    {out} = _exp({a})"]
+        elif func == "floor" and not self.array:
+            lines.append(f"{out} = _float(_floor({a}))")
+        else:
+            lines.append(f"{out} = _{func}({a})")
+
+    def scalar_binop(self, out: str, node: BinOp):
+        lines, span = self.lines, node.span
         if node.op == "/":
-            if np.any(np.asarray(r) == 0.0):
-                raise EvalError("division by zero", node.span)
-            with np.errstate(over="ignore"):
-                return l / r
-        if node.op == "^":
-            lb, rb = np.asarray(l, float), np.asarray(r, float)
-            if np.any((lb == 0.0) & (rb < 0.0)):
-                raise EvalError("zero raised to a negative power", node.span)
-            if np.any((lb < 0.0) & (rb != np.floor(rb))):
-                raise EvalError("fractional power of a negative base", node.span)
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = np.power(lb, rb)
-            return out
-    raise AssertionError(node)
+            # the denominator is evaluated and checked before the numerator
+            r = self.emit(node.right)
+            self.guard(f"{r} == 0.0", repr("division by zero"), span)
+            l = self.emit(node.left)
+            lines.append(f"{out} = {l} / {r}")
+            return
+        l = self.emit(node.left)
+        r = self.emit(node.right)
+        if node.op != "^":
+            lines.append(f"{out} = {l} {node.op} {r}")
+        elif _always_float(node.left) and _always_float(node.right):
+            # a positive float base cannot fail a guard; overflow goes to inf
+            # as in _pow_scalar
+            lines += [f"if {l} > 0.0:", "    try:", f"        {out} = {l} ** {r}",
+                      "    except OverflowError:", f"        {out} = _inf",
+                      "else:", f"    {out} = _pow({l}, {r}, {span!r})"]
+        else:
+            lines.append(f"{out} = _pow({l}, {r}, {span!r})")
+
+    def array_binop(self, out: str, node: BinOp):
+        lines, span = self.lines, node.span
+        l = self.emit(node.left)
+        r = self.emit(node.right)
+        if node.op in "+-":
+            lines.append(f"{out} = {l} {node.op} {r}")
+        elif node.op == "*":
+            lines += ['with _errstate(over="ignore", invalid="ignore"):',
+                      f"    {out} = {l} * {r}"]
+        elif node.op == "/":
+            self.guard(f"_any(_asarray({r}) == 0.0)", repr("division by zero"),
+                       span)
+            lines += ['with _errstate(over="ignore"):', f"    {out} = {l} / {r}"]
+        else:
+            lb, rb = self.temp(), self.temp()
+            lines += [f"{lb} = _asarray({l}, float)", f"{rb} = _asarray({r}, float)"]
+            self.guard(f"_any(({lb} == 0.0) & ({rb} < 0.0))",
+                       repr("zero raised to a negative power"), span)
+            self.guard(f"_any(({lb} < 0.0) & ({rb} != _floor({rb})))",
+                       repr("fractional power of a negative base"), span)
+            lines += ['with _errstate(over="ignore", invalid="ignore"):',
+                      f"    {out} = _power({lb}, {rb})"]
+
+
+def _build(root: Node, backend: str, fold: bool = True):
+    """Compile root for a backend: (factory, parameter names, their spans).
+
+    ``factory(*values)`` takes the parameter values in the order of the
+    names and returns the evaluator ``f(t, x)``.  Names are in order of
+    first occurrence, left to right, and each span is that occurrence's.
+    """
+    first: dict = {}
+    for p in _param_nodes(root):
+        first.setdefault(p.name, p.span)
+    args = {name: f"p{i}" for i, name in enumerate(first)}
+    em = _Emitter(backend, args, fold)
+    result = em.emit(root)
+    body = "".join(f"        {line}\n" for line in em.lines)
+    source = (f"def _make({', '.join(args.values())}):\n"
+              f"    def f(t, x):\n{body}        return {result}\n"
+              f"    return f\n")
+    namespace = dict(_NAMESPACES[backend])
+    exec(compile(source, f"<expression, {backend}>", "exec"), namespace)
+    return namespace["_make"], tuple(first), tuple(first.values())
 
 
 def _print(node: Node) -> str:
@@ -429,17 +520,18 @@ def _print(node: Node) -> str:
     raise AssertionError(node)
 
 
-def _param_names(node: Node, out: set):
+def _param_nodes(node: Node):
+    """Param nodes in preorder, left to right."""
     if isinstance(node, Param):
-        out.add(node.name)
+        yield node
     elif isinstance(node, Neg):
-        _param_names(node.arg, out)
+        yield from _param_nodes(node.arg)
     elif isinstance(node, Call):
         for a in node.args:
-            _param_names(a, out)
+            yield from _param_nodes(a)
     elif isinstance(node, BinOp):
-        _param_names(node.left, out)
-        _param_names(node.right, out)
+        yield from _param_nodes(node.left)
+        yield from _param_nodes(node.right)
 
 
 def _transform(node: Node, fn) -> Node:
@@ -458,23 +550,34 @@ def _transform(node: Node, fn) -> Node:
 class Expression:
     """An immutable parsed expression in the variables t and x."""
 
-    __slots__ = ("root", "source", "_params")
+    __slots__ = ("root", "source", "_params", "_code")
 
     def __init__(self, root: Node, source: str):
         self.root = root
         self.source = source
-        names: set = set()
-        _param_names(root, names)
-        self._params = frozenset(names)
+        self._params = frozenset(p.name for p in _param_nodes(root))
+        self._code = {}  # backend -> what _build returns
 
     @property
     def params(self) -> frozenset:
         """Names of free parameters (everything that is not t, x, pi or e)."""
         return self._params
 
+    def _compiled(self, backend: str):
+        built = self._code.get(backend)
+        if built is None:
+            built = self._code[backend] = _build(self.root, backend)
+        return built
+
     def bind(self, params: dict | None = None) -> Callable[[float, float], float]:
-        """Compile to a scalar callable ``f(t, x)`` with all parameters fixed."""
-        return _compile(self.root, dict(params or {}))
+        """Scalar callable ``f(t, x)`` with all parameters fixed."""
+        make, names, spans = self._compiled("scalar")
+        params = params or {}
+        try:
+            return make(*[float(params[n]) for n in names])
+        except KeyError:
+            i = next(i for i, n in enumerate(names) if n not in params)
+            raise EvalError(f"unbound parameter {names[i]!r}", spans[i]) from None
 
     def eval(self, t: float = 0.0, x: float = 0.0, **params) -> float:
         return float(self.bind(params)(float(t), float(x)))
@@ -483,7 +586,10 @@ class Expression:
         """Vectorized evaluation; t and x broadcast against each other."""
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        out = _eval_np(self.root, t, x, dict(params or {}))
+        make, names, _ = self._compiled("array")
+        params = params or {}
+        out = make(*[float(params[n]) if n in params else _UNBOUND
+                     for n in names])(t, x)
         return np.broadcast_to(np.asarray(out, dtype=float),
                                np.broadcast_shapes(t.shape, x.shape)).copy()
 
@@ -522,6 +628,10 @@ class Expression:
 
     def __hash__(self):
         return hash(self.root)
+
+    def __reduce__(self):
+        # the compiled code does not pickle; it is rebuilt on first use
+        return Expression, (self.root, self.source)
 
     def __repr__(self):
         return f"Expression({self.source!r})"

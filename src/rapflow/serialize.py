@@ -86,6 +86,8 @@ def canonical_hash(obj) -> str:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # the bulk of every table
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (np.floating, float)):
@@ -97,8 +99,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# no rendering of these needs CSV quoting
+_PLAIN = (float, int, bool, type(None))
+
+
 def csv_text(header, rows, config_hash: str, extra_meta: dict | None = None) -> str:
-    """Render a CSV document with embedded metadata comment lines."""
+    """Render a CSV document with embedded metadata comment lines.
+
+    Rows of floats, ints, bools and None are joined directly; csv.writer
+    renders any other row, and a row that is one empty field, which it
+    writes as "".
+    """
     buf = io.StringIO()
     buf.write(f"# config_hash: {config_hash}\n")
     buf.write(f"# tool_version: {VERSION}\n")
@@ -107,7 +118,11 @@ def csv_text(header, rows, config_hash: str, extra_meta: dict | None = None) -> 
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        if (all(isinstance(v, _PLAIN) for v in row)
+                and not (len(row) == 1 and row[0] is None)):
+            buf.write(",".join([_fmt(v) for v in row]) + "\n")
+        else:
+            writer.writerow([_fmt(v) for v in row])
     return buf.getvalue()
 
 

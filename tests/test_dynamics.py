@@ -16,6 +16,7 @@ from rapflow.dynamics import (
     ScalarField,
     StepUnderflowError,
     Trajectory,
+    _rkf45_step,
     boundedness,
     check_lipschitz_one,
     check_monotone_in_x,
@@ -120,6 +121,106 @@ def test_pole_in_rhs_aborts():
     assert isinstance(err.value, (StepUnderflowError, DynamicsError))
 
 
+# The Fehlberg tableau and a step driven by it, kept as the reference for
+# the written-out step in rapflow.dynamics.
+_A = ((), (1 / 4,), (3 / 32, 9 / 32),
+      (1932 / 2197, -7200 / 2197, 7296 / 2197),
+      (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+      (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40))
+_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
+_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+_TR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+
+
+def _tableau_step(f, t, y, h, k1=None):
+    k = [0.0] * 6
+    k[0] = f(t, y) if k1 is None else k1
+    for i in range(1, 6):
+        acc = 0.0
+        for j in range(i):
+            acc += _A[i][j] * k[j]
+        k[i] = f(t + _C[i] * h, y + h * acc)
+    y5 = y + h * sum(b * ki for b, ki in zip(_B5, k))
+    err = abs(h * sum(c * ki for c, ki in zip(_TR, k)))
+    return y5, err
+
+
+def _tableau_integrate(f, u0, t0, t1, cfg):
+    """integrate's cell loop for rkf45, on the tableau-driven step."""
+    n_cells = max(1, math.ceil((t1 - t0) / cfg.dt_out - 1e-9))
+    y = float(u0)
+    values, derivs = [y], [f(t0, y)]
+    for cell in range(n_cells):
+        t, t_target = t0 + cell * cfg.dt_out, t0 + (cell + 1) * cfg.dt_out
+        k1 = derivs[-1]
+        while t < t_target - 1e-12 * max(1.0, abs(t_target)):
+            h = min(cfg.max_step, t_target - t)
+            while True:
+                y_new, err = _tableau_step(f, t, y, h, k1=k1)
+                if math.isfinite(err) and err <= (
+                        cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y_new))):
+                    break
+                h *= 0.5
+            y = y_new
+            t = t_target if h >= (t_target - t) - 1e-12 else t + h
+            k1 = None
+        values.append(y)
+        derivs.append(f(t_target, y))
+    return np.array(values), np.array(derivs)
+
+
+@pytest.mark.parametrize("rhs", ["-x+sin(t)", CHIRP_RHS])
+@given(t=st.floats(-50.0, 50.0), y=st.floats(-5.0, 5.0),
+       h=st.floats(1e-6, 0.5), given_k1=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_rkf45_step_matches_the_tableau_bit_for_bit(rhs, t, y, h, given_k1):
+    f = ScalarField(kind="continuous", rhs=rhs).bind()
+    k1 = f(t, y) if given_k1 else None
+    got = _rkf45_step(f, t, y, h, k1=k1)
+    want = _tableau_step(f, t, y, h, k1=k1)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _same_bits(a, b):
+    # NaN sign bits are not stable across CPython's float fast paths
+    return (math.isnan(a) and math.isnan(b)) or (
+        np.float64(a).tobytes() == np.float64(b).tobytes())
+
+
+@given(ks=st.lists(st.floats(-10.0, 10.0)
+                   | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                   min_size=6, max_size=6),
+       y=st.sampled_from([0.0, -0.0, 1.5]), h=st.floats(1e-3, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_rkf45_step_sums_match_the_tableau_on_signed_zeros_and_non_finite(
+        ks, y, h):
+    def stages(calls):
+        values = iter(ks)
+
+        def f(t, x):
+            calls.append((t, x))
+            return next(values)
+        return f
+
+    got_calls, want_calls = [], []
+    got = _rkf45_step(stages(got_calls), 0.0, y, h)
+    want = _tableau_step(stages(want_calls), 0.0, y, h)
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+    assert len(got_calls) == len(want_calls) == 6
+    for (ta, xa), (tb, xb) in zip(got_calls, want_calls):
+        assert _same_bits(ta, tb) and _same_bits(xa, xb)
+
+
+@pytest.mark.parametrize("fld", [relax_sin_field(), chirp_field()],
+                         ids=["relax-sin", "slow-chirp"])
+def test_integrate_matches_the_tableau_loop(fld):
+    cfg = IntegratorConfig(dt_out=0.05)
+    traj = integrate(fld, 0.75, (0.0, 20.0), cfg)
+    values, derivs = _tableau_integrate(fld.bind(), 0.75, 0.0, 20.0, cfg)
+    assert traj.values.tobytes() == values.tobytes()
+    assert traj.derivs.tobytes() == derivs.tobytes()
+
+
 def test_integrate_rejects_bad_requests():
     fld = relax_sin_field()
     with pytest.raises(DynamicsError):
@@ -176,6 +277,17 @@ def test_seq_params_tabulated_sequence():
     traj = iterate(fld, 7.0, 3)
     # x_{n+1} = K_n, so the samples are u0, K_0, K_1, K_2
     assert list(traj.values) == [7.0, 0.0, 2.0, 4.0]
+    # a tabulated capacity: the orbit is the recursion written out by hand
+    cap = [10.0 + math.sin(0.37 * n) for n in range(500)]
+    bh = ScalarField(kind="discrete", rhs=BH_RHS, params={"mu": 2.0},
+                     state_domain=(0.0, math.inf), time_domain="half-line",
+                     seq_params={"K": lambda n: cap[n]})
+    x, expected = 1.5, [1.5]
+    for n in range(500):
+        K = cap[n]
+        x = 2.0 * K * x / (K + (2.0 - 1) * x)
+        expected.append(x)
+    assert iterate(bh, 1.5, 500).values.tobytes() == np.array(expected).tobytes()
 
 
 # ---------------------------------------------------------------------------

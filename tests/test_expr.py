@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -185,6 +186,127 @@ def test_eval_array_matches_scalar():
 def test_eval_array_domain_error():
     with pytest.raises(EvalError):
         parse("ln(t)").eval_array(np.array([1.0, 0.5, -0.1]))
+
+
+def test_bound_parameters_stay_with_their_callable():
+    e = parse("mu*x")
+    f1, f2 = e.bind({"mu": 1.0}), e.bind({"mu": 2.0})
+    assert (f1(0.0, 3.0), f2(0.0, 3.0)) == (3.0, 6.0)
+
+
+def test_failing_constant_subtree_raises_at_evaluation():
+    e = parse("x + 1/(1-1)")
+    f = e.bind()
+    with pytest.raises(EvalError) as exc:
+        f(0.0, 1.0)
+    assert exc.value.span == (4, 11)
+    with pytest.raises(EvalError) as exc:
+        e.eval_array(np.zeros(3), np.ones(3))
+    assert exc.value.span == (4, 11)
+
+
+def test_overflow_inside_an_exp_argument_gives_inf():
+    # math.floor(inf) raises OverflowError; exp's handler covers its argument
+    assert parse("exp(floor(t))").eval(t=math.inf) == math.inf
+
+
+@pytest.mark.parametrize("src,t,x,expected", [
+    ("x^x", 0, 3, 27.0),
+    ("(t+1)^2", 1, 0, 4.0),
+    ("x^0.5", 0, np.float64(4.0), 2.0),
+])
+def test_powers_of_int_and_numpy_inputs_are_floats(src, t, x, expected):
+    v = parse(src).bind()(t, x)
+    assert type(v) is float and v == expected
+
+
+def test_expression_pickles_after_evaluation():
+    e = parse("mu*sin(t) + x")
+    assert e.eval(t=1.0, x=2.0, mu=0.5) == 0.5 * math.sin(1.0) + 2.0
+    again = pickle.loads(pickle.dumps(e))
+    assert again == e and again.source == e.source
+    assert again.eval(t=1.0, x=2.0, mu=0.5) == e.eval(t=1.0, x=2.0, mu=0.5)
+
+
+# ---------------------------------------------------------------------------
+# the scalar (math) and array (numpy) backends
+# ---------------------------------------------------------------------------
+
+def _rounds(node):
+    """Whether math and numpy may round this node apart: sin/cos/exp/ln, ^."""
+    return (isinstance(node, Call) and node.func in ("sin", "cos", "exp", "ln")
+            or isinstance(node, BinOp) and node.op == "^")
+
+
+def _rounding_nodes(node):
+    if isinstance(node, Neg):
+        kids = (node.arg,)
+    elif isinstance(node, Call):
+        kids = node.args
+    elif isinstance(node, BinOp):
+        kids = (node.left, node.right)
+    else:
+        kids = ()
+    return _rounds(node) + sum(_rounding_nodes(k) for k in kids)
+
+
+def _outcome(fn):
+    try:
+        return float(fn())
+    except EvalError as err:
+        return err
+
+
+_moderate = st.floats(min_value=-100.0, max_value=100.0)
+
+
+@given(src=st.sampled_from(GOLDEN_EXPRESSIONS), t=_moderate, x=_moderate,
+       p=st.floats(min_value=-5.0, max_value=5.0))
+@settings(max_examples=600, deadline=None)
+def test_scalar_and_array_backends_agree_on_golden(src, t, x, p):
+    e = parse(src)
+    params = {name: p for name in e.params}
+    scalar = _outcome(lambda: e.bind(params)(t, x))
+    array = _outcome(lambda: e.eval_array(t, x, params))
+    if isinstance(scalar, EvalError):
+        assert isinstance(array, EvalError) and array.span == scalar.span
+        return
+    assert not isinstance(array, EvalError), array
+    rounding = _rounding_nodes(e.root)
+    if rounding == 0:
+        # same operations in the same order: bit-identical, signed zeros too
+        assert np.float64(scalar).tobytes() == np.float64(array).tobytes()
+    elif rounding == 1 and _rounds(e.root):
+        # one math-vs-numpy call, applied last
+        assert scalar == array or abs(scalar - array) <= math.ulp(abs(scalar))
+    else:
+        # the last-ulp difference of an inner call is scaled by what follows
+        # it (4.2e3 ulp measured on the slow-chirp rhs); bound it absolutely
+        assert scalar == array or abs(scalar - array) <= 1e-12 * max(1.0, abs(scalar))
+
+
+@pytest.mark.parametrize("src,scalar_span,array_span", [
+    ("ln(x)/ (x-x)", (0, 12), (0, 5)),
+    ("sqrt(-1)^ln(0)", (0, 8), (0, 8)),
+    ("ln(x)+1/(x-x)", (0, 5), (0, 5)),
+    ("(x-x)^-1/sqrt(x)", (9, 16), (0, 8)),
+    ("sqrt(x)/ln(x+1)", (8, 15), (0, 7)),
+    ("ln(x)*k", (6, 7), (0, 5)),
+])
+def test_first_failing_node_of_each_backend(src, scalar_span, array_span):
+    """Where several nodes fail, each backend names the one it reaches first.
+
+    The scalar backend checks parameters when binding and evaluates a
+    quotient's denominator before its numerator; the array backend goes
+    left to right.
+    """
+    e = parse(src)
+    with pytest.raises(EvalError) as exc:
+        e.bind({})(0.0, -1.0)
+    assert exc.value.span == scalar_span
+    with pytest.raises(EvalError) as exc:
+        e.eval_array(np.array([0.0, 1.0]), np.array([-1.0, 2.0]))
+    assert exc.value.span == array_span
 
 
 # ---------------------------------------------------------------------------

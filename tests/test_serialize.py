@@ -1,10 +1,14 @@
 """Deterministic output: canonical hashing, CSV and JSON writers."""
+import csv
 import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rapflow.classify import (
     CLASS_ORDER,
@@ -16,6 +20,7 @@ from rapflow.classify import (
 from rapflow.dynamics import ScalarField, Trajectory, iterate, sample_function
 from rapflow.expr import parse
 from rapflow.serialize import (
+    _fmt,
     almost_period_set_csv,
     canonical_hash,
     classification_json,
@@ -112,6 +117,19 @@ class TestCsvText:
     def test_fields_with_commas_are_quoted(self):
         text = csv_text(("v",), [("a,b",)], "0" * 12)
         assert '"a,b"' in text
+
+    @given(st.lists(st.lists(st.floats() | st.sampled_from([-0.0, 0.0])
+                             | st.booleans() | st.none() | st.integers(),
+                             max_size=4), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_plain_rows_render_as_csv_writer_does(self, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("a", "b"))
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+        text = csv_text(("a", "b"), [tuple(r) for r in rows], "0" * 12)
+        assert text.split("\n", 2)[2] == buf.getvalue()
 
 
 class TestJsonEnvelope:
