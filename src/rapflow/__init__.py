@@ -1,6 +1,6 @@
 """rapflow: simulate scalar nonautonomous systems and classify their recurrence.
 
-The package has five parts:
+The package has six parts:
 
 * :mod:`rapflow.expr` -- a small arithmetic expression language for
   right-hand sides ``f(t, x)`` and closed-form curves.

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import ClassifyConfig
-from .dynamics import ScalarField, Trajectory, integrate, iterate, sample_function
+from .dynamics import (IntegratorConfig, ScalarField, Trajectory, integrate, iterate,
+                       sample_function)
 from .expr import parse
 
 CHIRP_RHS = "2*t*cos((t^2+pi^3)^(1/3)) / (3*(t^2+pi^3)^(2/3))"
@@ -63,6 +64,10 @@ class AnalyticExample:
                    source: str | None = None) -> Trajectory:
         """Sample the example, defaulting to its recommended resolution.
 
+        An ode is integrated with ``config`` when one is given, and
+        otherwise with the default integrator at output spacing ``dt``
+        (the recommended one unless ``dt`` is passed).
+
         For an ode carrying a reference curve, source='curve' samples that
         curve instead of integrating.  That is the right choice for very
         long horizons, where stepwise quadrature error accumulates while
@@ -83,6 +88,9 @@ class AnalyticExample:
             if u0 is None:
                 u0 = self.recommended.get("u0", 0.0)
             span = span or self.recommended.get("span", (0.0, 400.0))
+            if config is None:
+                config = IntegratorConfig(
+                    dt_out=dt or self.recommended.get("dt", 0.01))
             return integrate(self.system(), u0, span, config)
         if u0 is None:
             u0 = self.recommended.get("u0", 1.0)
@@ -356,9 +364,7 @@ def make_beverton_holt(mu: float = 2.0, capacity=DEFAULT_CAPACITY,
     fld = ScalarField(
         kind="discrete", rhs=rhs, params={"mu": float(mu)},
         state_domain=(0.0, math.inf), time_domain="half-line",
-        name="beverton-holt",
-        family={"kind": "beverton-holt", "mu": float(mu), "alpha": float(alpha),
-                "beta": float(beta), "capacity": cap_expr.to_text()})
+        name="beverton-holt")
     ratio = mu * beta * beta / (alpha * alpha)
     flags = {
         "expansion_possible": mu > 1.0,

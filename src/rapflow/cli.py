@@ -77,8 +77,11 @@ from .serialize import (
 __all__ = ["ConfigError", "build_parser", "main"]
 
 
-class ConfigError(Exception):
-    """A problem with flags, expressions, or the config file (exit 2)."""
+class ConfigError(argparse.ArgumentTypeError):
+    """A problem with flags, expressions, or the config file (exit 2).
+
+    Raised by a flag's converter, argparse reports its text and exits 2.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +138,7 @@ def _parse_choice(name: str, allowed: tuple[str, ...]):
             raise ConfigError(
                 f"{name} must be one of {', '.join(allowed)}; got {text!r}")
         return text
+    conv.choices = allowed
     return conv
 
 
@@ -180,22 +184,100 @@ def _parse_bh(spec: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# config file merging
+# option declarations
+#
+# Each value option is declared once: its flag, the converter that reads its
+# text, and its argparse settings.  The parser, the config-file merge and the
+# flag gluing in main() all derive from these tables, so a flag and a
+# config-file key always parse the same way.
 
-_CONVERTERS = {
-    "ode": str, "map": str, "fn": str, "example": str, "bh": str,
-    "u0": _parse_float, "span": _parse_span, "steps": _parse_int,
-    "dt": _parse_float, "method": _parse_choice("method", ("rkf45", "rk4")),
-    "abs_tol": _parse_float, "rel_tol": _parse_float,
-    "source": _parse_choice("source", ("integrate", "curve")),
-    "horizon": _parse_float, "bound": _parse_float,
-    "eps": _parse_float, "exact_eps": _parse_float, "tau": _parse_float,
-    "tau_max": _parse_float, "tau_step": _parse_float,
-    "windows": _parse_windows, "seed": _parse_int,
-    "mode": _parse_choice("mode", ("global", "remote")),
-    "window": _parse_window, "threads": _parse_int,
-    "out": str, "format": _parse_choice("format", ("csv", "json")),
-}
+_SYSTEM_OPTIONS = (
+    ("--ode", str, dict(metavar="EXPR",
+                        help="continuous field dx/dt = f(t, x)")),
+    ("--map", str, dict(metavar="EXPR",
+                        help="discrete field x_{n+1} = f(n, x_n)")),
+    ("--fn", str, dict(metavar="EXPR",
+                       help="closed-form curve of t, sampled directly")),
+    ("--example", str, dict(metavar="NAME",
+                            help="catalogued system (see 'rapflow examples')")),
+    ("--bh", str, dict(metavar="SPEC",
+                       help="Beverton-Holt map, e.g. 'mu=2,K=10'; K may be an "
+                            "expression in t, alpha/beta bound its range")),
+    ("--param", str, dict(action="append", metavar="NAME=VALUE",
+                          help="bind a field parameter (repeatable)")),
+    ("--u0", _parse_float, dict(help="initial value")),
+    ("--span", _parse_span, dict(metavar="T0:T1", help="time span, e.g. 0:100")),
+    ("--steps", _parse_int, dict(help="iteration count for maps")),
+    ("--dt", _parse_float, dict(help="output grid spacing (default 0.01; for "
+                                     "an example, its recommended dt)")),
+    ("--method", _parse_choice("method", ("rkf45", "rk4")),
+     dict(help="integration scheme (default rkf45)")),
+    ("--abs-tol", _parse_float,
+     dict(help="absolute step error tolerance (default 1e-9)")),
+    ("--rel-tol", _parse_float,
+     dict(help="relative step error tolerance (default 1e-9)")),
+    ("--source", _parse_choice("source", ("integrate", "curve")),
+     dict(help="for examples with a known solution curve: integrate the "
+               "field or sample the curve")),
+    ("--horizon", _parse_float,
+     dict(help="override the end time (step count for maps)")),
+)
+
+_SIMULATE_OPTIONS = (
+    ("--bound", _parse_float, dict(help="also check sup |x| against this bound")),
+)
+
+_CLASSIFY_OPTIONS = (
+    ("--eps", _parse_float, dict(help="recurrence tolerance (default 0.05)")),
+    ("--exact-eps", _parse_float,
+     dict(help="tolerance for exact periodicity and constancy")),
+    ("--tau", _parse_float, dict(help="pin the candidate shift")),
+    ("--tau-max", _parse_float, dict(help="largest shift to scan")),
+    ("--tau-step", _parse_float, dict(help="scan grid spacing")),
+    ("--windows", _parse_windows,
+     dict(metavar="LO:HI;LO:HI", help="late comparison windows")),
+    ("--seed", _parse_int, dict(help="seed for the probe battery")),
+)
+
+_SCAN_OPTIONS = (
+    ("--eps", _parse_float, dict(help="admission tolerance (default 0.05)")),
+    ("--tau-max", _parse_float, dict(help="largest shift to scan (default 100)")),
+    ("--tau-step", _parse_float, dict(help="scan grid spacing (default 0.01)")),
+    ("--mode", _parse_choice("mode", ("global", "remote")),
+     dict(help="compare over the whole span or one late window")),
+    ("--window", _parse_window,
+     dict(metavar="LO:HI", help="late window for --mode remote")),
+    ("--threads", _parse_int,
+     dict(help="worker threads; results are identical at any count")),
+)
+
+_OUTPUT_OPTIONS = (
+    ("--out", str, dict(metavar="PATH", help="write the data here")),
+    ("--format", _parse_choice("format", ("csv", "json")),
+     dict(help="output format")),
+    ("--config", str, dict(metavar="PATH",
+                           help="INI file with defaults for any flag")),
+)
+
+_ALL_OPTIONS = (_SYSTEM_OPTIONS + _SIMULATE_OPTIONS + _CLASSIFY_OPTIONS
+                + _SCAN_OPTIONS + _OUTPUT_OPTIONS)
+# option dest -> converter, for config-file values
+_CONVERTERS = {flag[2:].replace("-", "_"): conv for flag, conv, _ in _ALL_OPTIONS}
+# flags that take a value, for _glue_flag_values
+_VALUE_FLAGS = frozenset(flag for flag, _, _ in _ALL_OPTIONS)
+
+
+def _add_options(group, options) -> dict:
+    """Add declared options to an argument group; returns dest -> action."""
+    actions = [group.add_argument(flag, type=conv,
+                                  choices=getattr(conv, "choices", None),
+                                  **kwargs)
+               for flag, conv, kwargs in options]
+    return {a.dest: a for a in actions}
+
+
+# ---------------------------------------------------------------------------
+# config file merging
 
 
 def _merged_options(args: argparse.Namespace) -> SimpleNamespace:
@@ -348,7 +430,8 @@ def _build_trajectory(o):
         if integrated_ode and any(
                 getattr(o, n) is not None
                 for n in ("dt", "method", "abs_tol", "rel_tol")):
-            kwargs["config"] = _integrator_config(o)
+            kwargs["config"] = _integrator_config(
+                o, ex.recommended.get("dt", 0.01))
         try:
             traj = ex.trajectory(**kwargs)
         except ValueError as exc:
@@ -818,46 +901,9 @@ def cmd_examples(args) -> int:
 # parser assembly
 
 
-def _add_system_flags(sp: argparse.ArgumentParser) -> None:
-    g = sp.add_argument_group("system")
-    g.add_argument("--ode", metavar="EXPR",
-                   help="continuous field dx/dt = f(t, x)")
-    g.add_argument("--map", metavar="EXPR",
-                   help="discrete field x_{n+1} = f(n, x_n)")
-    g.add_argument("--fn", metavar="EXPR",
-                   help="closed-form curve of t, sampled directly")
-    g.add_argument("--example", metavar="NAME",
-                   help="catalogued system (see 'rapflow examples')")
-    g.add_argument("--bh", metavar="SPEC",
-                   help="Beverton-Holt map, e.g. 'mu=2,K=10'; K may be an "
-                        "expression in t, alpha/beta bound its range")
-    g.add_argument("--param", action="append", metavar="NAME=VALUE",
-                   help="bind a field parameter (repeatable)")
-    g.add_argument("--u0", type=float, help="initial value")
-    g.add_argument("--span", type=_parse_span, metavar="T0:T1",
-                   help="time span, e.g. 0:100")
-    g.add_argument("--steps", type=int, help="iteration count for maps")
-    g.add_argument("--dt", type=float, help="output grid spacing (default 0.01)")
-    g.add_argument("--method", choices=("rkf45", "rk4"),
-                   help="integration scheme (default rkf45)")
-    g.add_argument("--abs-tol", type=float,
-                   help="absolute step error tolerance (default 1e-9)")
-    g.add_argument("--rel-tol", type=float,
-                   help="relative step error tolerance (default 1e-9)")
-    g.add_argument("--source", choices=("integrate", "curve"),
-                   help="for examples with a known solution curve: integrate "
-                        "the field or sample the curve")
-    g.add_argument("--horizon", type=float,
-                   help="override the end time (step count for maps)")
-
-
 def _add_output_flags(sp: argparse.ArgumentParser, default_fmt: str) -> None:
-    g = sp.add_argument_group("output")
-    g.add_argument("--out", metavar="PATH", help="write the data here")
-    g.add_argument("--format", choices=("csv", "json"),
-                   help=f"output format (default {default_fmt})")
-    g.add_argument("--config", metavar="PATH",
-                   help="INI file with defaults for any flag")
+    actions = _add_options(sp.add_argument_group("output"), _OUTPUT_OPTIONS)
+    actions["format"].help += f" (default {default_fmt})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -872,42 +918,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate",
                          help="sample a trajectory and summarize it")
-    _add_system_flags(sim)
-    sim.add_argument("--bound", type=float,
-                     help="also check sup |x| against this bound")
+    _add_options(sim.add_argument_group("system"), _SYSTEM_OPTIONS)
+    _add_options(sim, _SIMULATE_OPTIONS)
     _add_output_flags(sim, "csv")
     sim.set_defaults(handler=cmd_simulate)
 
     cls = sub.add_parser("classify",
                          help="run the recurrence classifier on a system")
-    _add_system_flags(cls)
-    g = cls.add_argument_group("classifier")
-    g.add_argument("--eps", type=float, help="recurrence tolerance (default 0.05)")
-    g.add_argument("--exact-eps", type=float,
-                   help="tolerance for exact periodicity and constancy")
-    g.add_argument("--tau", type=float, help="pin the candidate shift")
-    g.add_argument("--tau-max", type=float, help="largest shift to scan")
-    g.add_argument("--tau-step", type=float, help="scan grid spacing")
-    g.add_argument("--windows", type=_parse_windows, metavar="LO:HI;LO:HI",
-                   help="late comparison windows")
-    g.add_argument("--seed", type=int, help="seed for the probe battery")
+    _add_options(cls.add_argument_group("system"), _SYSTEM_OPTIONS)
+    _add_options(cls.add_argument_group("classifier"), _CLASSIFY_OPTIONS)
     _add_output_flags(cls, "json")
     cls.set_defaults(handler=cmd_classify)
 
     scn = sub.add_parser("scan", help="sweep a grid of shifts")
-    _add_system_flags(scn)
-    g = scn.add_argument_group("scan")
-    g.add_argument("--eps", type=float, help="admission tolerance (default 0.05)")
-    g.add_argument("--tau-max", type=float,
-                   help="largest shift to scan (default 100)")
-    g.add_argument("--tau-step", type=float,
-                   help="scan grid spacing (default 0.01)")
-    g.add_argument("--mode", choices=("global", "remote"),
-                   help="compare over the whole span or one late window")
-    g.add_argument("--window", type=_parse_window, metavar="LO:HI",
-                   help="late window for --mode remote")
-    g.add_argument("--threads", type=int,
-                   help="worker threads; results are identical at any count")
+    _add_options(scn.add_argument_group("system"), _SYSTEM_OPTIONS)
+    _add_options(scn.add_argument_group("scan"), _SCAN_OPTIONS)
     _add_output_flags(scn, "csv")
     scn.set_defaults(handler=cmd_scan)
 
@@ -921,10 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="show one catalogued system in detail")
     exm.set_defaults(handler=cmd_examples)
     return parser
-
-
-_VALUE_FLAGS = ("--ode", "--map", "--fn", "--bh", "--u0", "--tau",
-                "--bound", "--horizon", "--span", "--window")
 
 
 def _glue_flag_values(argv):

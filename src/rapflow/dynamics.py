@@ -73,11 +73,12 @@ def _as_expression(rhs) -> Expression:
 class ScalarField:
     """Right-hand side of a scalar system, continuous or discrete.
 
-    ``rhs`` is an expression in t and x; free parameter names must be bound
-    by ``params``.  ``seq_params`` optionally supplies per-step parameter
-    values for discrete systems (callables of the step index), used for
-    tabulated coefficient sequences.  The field is spot-checked on a small
-    validation grid at construction so domain errors surface early.
+    ``rhs`` is an expression in t and x, and ``params`` binds each of its
+    free parameter names to a constant.  A coefficient that varies with time
+    or with the step index, such as a drifting carrying capacity, is written
+    into ``rhs`` as an expression in t; a discrete field is read at t = n.
+    The field is spot-checked on a small validation grid at construction so
+    domain errors surface early.
     """
 
     kind: str  # 'continuous' | 'discrete'
@@ -86,8 +87,6 @@ class ScalarField:
     state_domain: tuple = (-math.inf, math.inf)
     time_domain: str = "full-line"  # 'half-line' | 'full-line'
     name: str = ""
-    seq_params: dict | None = None
-    family: dict | None = None
 
     def __post_init__(self):
         self.rhs = _as_expression(self.rhs)
@@ -100,8 +99,7 @@ class ScalarField:
         lo, hi = self.state_domain
         if not lo < hi:
             raise FieldValidationError(f"empty state domain {self.state_domain!r}")
-        seq_names = set(self.seq_params or {})
-        missing = self.rhs.params - set(self.params) - seq_names
+        missing = self.rhs.params - set(self.params)
         if missing:
             raise FieldValidationError(
                 f"unbound parameter(s) in rhs: {', '.join(sorted(missing))}")
@@ -109,40 +107,19 @@ class ScalarField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _params_at(self, t: float) -> dict:
-        if not self.seq_params:
-            return self.params
-        merged = dict(self.params)
-        n = int(round(t))
-        for key, fn in self.seq_params.items():
-            merged[key] = float(fn(n))
-        return merged
-
     def bind(self):
-        """Scalar callable f(t, x); the fast path when seq_params is unused."""
-        if not self.seq_params:
-            return self.rhs.bind(self.params)
-        rhs = self.rhs
-
-        def f(t, x):
-            return rhs.bind(self._params_at(t))(t, x)
-
-        return f
+        """Scalar callable f(t, x)."""
+        return self.rhs.bind(self.params)
 
     def eval(self, t: float, x: float) -> float:
-        return self.rhs.bind(self._params_at(t))(float(t), float(x))
+        return self.bind()(float(t), float(x))
 
     def eval_grid(self, t_grid, x_grid) -> np.ndarray:
         """Values f(t_i, x_j) as an array of shape (len(t_grid), len(x_grid))."""
         t_grid = np.asarray(t_grid, float)
         x_grid = np.asarray(x_grid, float)
-        if not self.seq_params:
-            return self.rhs.eval_array(
-                t_grid[:, None], x_grid[None, :], params=self.params)
-        rows = [self.rhs.eval_array(np.full_like(x_grid, tv), x_grid,
-                                    params=self._params_at(tv))
-                for tv in t_grid]
-        return np.stack(rows)
+        return self.rhs.eval_array(
+            t_grid[:, None], x_grid[None, :], params=self.params)
 
     # -- validation and identity --------------------------------------------
 
@@ -169,7 +146,7 @@ class ScalarField:
         for tv in ts:
             try:
                 vals = self.rhs.eval_array(
-                    np.full(len(xs), tv), np.array(xs), params=self._params_at(tv))
+                    np.full(len(xs), tv), np.array(xs), params=self.params)
             except EvalError as err:
                 raise FieldValidationError(
                     f"rhs fails on the validation grid at t={tv!r}: {err}") from err
@@ -186,12 +163,10 @@ class ScalarField:
             "params": {k: repr(float(v)) for k, v in sorted(self.params.items())},
             "state_domain": [repr(float(v)) for v in self.state_domain],
             "time_domain": self.time_domain,
-            "seq": sorted(self.seq_params) if self.seq_params else None,
+            # constant; kept so that ids match those of earlier versions
+            "seq": None,
         }, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-    def shifted(self, h: float) -> "ScalarField":
-        return shift_field(self, h)
 
 
 def shift_field(fld: ScalarField, h: float) -> ScalarField:
@@ -202,11 +177,6 @@ def shift_field(fld: ScalarField, h: float) -> ScalarField:
         h = int(round(h))
     if fld.time_domain == "half-line" and h < 0:
         raise FieldValidationError("half-line fields only shift forward (h >= 0)")
-    seq = None
-    if fld.seq_params:
-        step = int(round(h))
-        seq = {k: (lambda n, _fn=fn, _s=step: _fn(n + _s))
-               for k, fn in fld.seq_params.items()}
     return ScalarField(
         kind=fld.kind,
         rhs=fld.rhs.shift_t(h),
@@ -214,8 +184,6 @@ def shift_field(fld: ScalarField, h: float) -> ScalarField:
         state_domain=fld.state_domain,
         time_domain=fld.time_domain,
         name=f"{fld.name}<<{h:g}" if fld.name else f"shift({h:g})",
-        seq_params=seq,
-        family=fld.family,
     )
 
 

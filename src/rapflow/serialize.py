@@ -127,10 +127,11 @@ def csv_text(header, rows, config_hash: str, extra_meta: dict | None = None) -> 
 
 
 def json_text(payload, config_hash: str) -> str:
-    """Render the standard top-level JSON envelope."""
+    """Render the standard top-level JSON envelope as one compact line."""
     doc = {"config_hash": config_hash, "tool_version": VERSION,
            "payload": jsonable(payload)}
-    return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 def write_text(path, text: str) -> None:

@@ -15,7 +15,7 @@ from rapflow.catalog import (
     oracle_value,
     tail_bound,
 )
-from rapflow.dynamics import integrate, iterate
+from rapflow.dynamics import IntegratorConfig, integrate, iterate
 
 CLASS_LABELS = {
     "stationary", "tau-periodic", "almost-periodic",
@@ -185,6 +185,15 @@ def test_make_bh_constant_capacity():
     assert np.max(np.abs(traj.values - 10.0)) <= 1e-12
 
 
+def test_field_ids_are_pinned():
+    ids = {name: e.system().field_id
+           for name, e in catalog().items() if e.rhs is not None}
+    assert ids == {"slow-chirp": "cfc541fe35ed", "relax-sin": "e0424ab7d0df",
+                   "beverton-holt": "c342209bf2ab",
+                   "beverton-holt-const": "efc0f049914f"}
+    assert make_beverton_holt()[0].field_id == "c342209bf2ab"
+
+
 def test_make_bh_validation():
     with pytest.raises(ValueError):
         make_beverton_holt(mu=0.0)
@@ -212,6 +221,20 @@ def test_every_entry_produces_a_trajectory():
             traj = entry.trajectory(u0=1.0, steps=50)
         assert len(traj) > 10
         assert np.all(np.isfinite(traj.values))
+
+
+def test_ode_entries_integrate_at_their_recommended_dt():
+    chirp, relax = get("slow-chirp"), get("relax-sin")
+    span = (0.0, 5.0)
+    traj = chirp.trajectory(span=span)
+    assert (traj.dt, len(traj)) == (0.05, 101)
+    direct = integrate(chirp.system(), 0.0, span, IntegratorConfig(dt_out=0.05))
+    assert traj.values.tobytes() == direct.values.tobytes()
+    assert relax.trajectory(span=span).dt == 0.01
+    # an explicit dt, or a whole config, overrides the recommendation
+    assert chirp.trajectory(span=span, dt=0.25).dt == 0.25
+    cfg = IntegratorConfig(method="rk4", dt_out=0.5)
+    assert chirp.trajectory(span=span, dt=0.25, config=cfg).dt == 0.5
 
 
 def test_recommended_resolution_is_self_consistent():

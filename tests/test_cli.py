@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import rapflow
-from rapflow.cli import main
+from rapflow.cli import (
+    _CONVERTERS,
+    ConfigError,
+    _glue_flag_values,
+    _merged_options,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -65,6 +72,17 @@ class TestSimulate:
         assert data["tool_version"]
         assert data["payload"]["values"][0] == 1.0
 
+    @pytest.mark.parametrize("extra, samples", [
+        ((), 101), (("--method", "rk4"), 101), (("--abs-tol", "1e-8"), 101),
+        (("--dt", "0.25"), 21)])
+    def test_example_ode_samples_at_its_recommended_dt(self, capsys, extra,
+                                                       samples):
+        # slow-chirp recommends dt 0.05
+        code, out, err = run(capsys, "simulate", "--example", "slow-chirp",
+                             "--span", "0:5", *extra)
+        assert code == 0, err
+        assert f"samples: {samples}" in out
+
     def test_params_are_bound(self, capsys):
         code, out, _ = run(capsys, "simulate", "--fn", "a*sin(t)",
                            "--param", "a=2", "--span", "0:7")
@@ -118,6 +136,109 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nosuch"])
         assert exc.value.code == 2
+
+
+def exit_status(capsys, *argv):
+    """main's exit status, whether it returns or argparse exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+class TestOptionValues:
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--ode=-x", "--span", "0:5", "--horizon", "inf"),
+        ("simulate", "--ode=-x", "--span", "0:5", "--dt", "inf"),
+        ("simulate", "--fn", "sin(t)", "--span", "0:5", "--bound", "nan"),
+        ("simulate", "--ode=-x", "--span", "0:5", "--u0", "nan"),
+    ])
+    def test_non_finite_flag_values_are_config_errors(self, capsys, argv):
+        code, err = exit_status(capsys, *argv)
+        assert code == 2
+        assert "value must be finite" in err
+
+    def test_non_finite_file_value_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "rf.ini"
+        cfg.write_text("[simulate]\nhorizon = inf\n")
+        code, err = exit_status(capsys, "simulate", "--ode=-x", "--span", "0:5",
+                                "--config", str(cfg))
+        assert code == 2
+        assert "value must be finite" in err
+
+    def test_leading_dash_windows_value_parses(self, capsys):
+        argv = ("classify", "--fn", "sin(t)", "--span", "-200:0",
+                "--tau-max", "20")
+        code, out, err = run(capsys, *argv, "--windows", "-150:-100;-100:-10")
+        assert code == 0, err
+        code_eq, out_eq, _ = run(capsys, *argv, "--windows=-150:-100;-100:-10")
+        assert code_eq == 0 and out_eq == out
+
+
+# one value per option, several with a leading dash
+_OPTION_SAMPLES = {
+    "ode": "-x+sin(t)", "map": "x/2", "fn": "sin(t)", "example": "sine",
+    "bh": "mu=2,K=10", "param": "a=2", "u0": "-0.5", "span": "-1:2",
+    "steps": "7", "dt": "0.25", "method": "rk4", "abs_tol": "1e-7",
+    "rel_tol": "1e-6", "source": "curve", "horizon": "50", "bound": "2.5",
+    "eps": "0.125", "exact_eps": "1e-8", "tau": "-6.25", "tau_max": "20",
+    "tau_step": "0.5", "windows": "-150:-100;-100:-10", "seed": "3",
+    "mode": "remote", "window": "-50:0", "threads": "2", "out": "o.csv",
+    "format": "json",
+}
+
+
+# one value each converter rejects
+_BAD_SAMPLES = {
+    "u0": "nan", "span": "2:1", "steps": "1.5", "dt": "inf", "method": "rk5",
+    "abs_tol": "-inf", "rel_tol": "nan", "source": "table", "horizon": "inf",
+    "bound": "nan", "eps": "inf", "exact_eps": "nan", "tau": "inf",
+    "tau_max": "inf", "tau_step": "nan", "windows": ";", "seed": "x",
+    "mode": "local", "window": "0:inf", "threads": "two", "format": "xml",
+}
+_COMMANDS = ("simulate", "classify", "scan")
+
+
+def _option_value(argv, dest):
+    args = build_parser().parse_args(_glue_flag_values(argv))
+    return getattr(_merged_options(args), dest)
+
+
+def _flag_and_file(dest, raw, tmp_path):
+    """(flag argv, config-file argv), each giving `dest` the text `raw`."""
+    command = next(c for c in _COMMANDS
+                   if dest in vars(build_parser().parse_args([c])))
+    flag = "--" + dest.replace("_", "-")
+    cfg = tmp_path / "rf.ini"
+    cfg.write_text(f"[{command}]\n{flag[2:]} = {raw}\n")
+    return [command, flag, raw], [command, "--config", str(cfg)]
+
+
+def test_every_value_option_is_declared_and_sampled():
+    dests = set().union(*(vars(build_parser().parse_args([c]))
+                          for c in _COMMANDS))
+    dests -= {"command", "handler", "config"}
+    assert dests == set(_OPTION_SAMPLES) == set(_CONVERTERS) - {"config"}
+    assert set(_BAD_SAMPLES) <= dests
+
+
+@pytest.mark.parametrize("dest", sorted(_OPTION_SAMPLES))
+def test_flag_and_config_key_parse_alike(dest, tmp_path):
+    flag_argv, file_argv = _flag_and_file(dest, _OPTION_SAMPLES[dest], tmp_path)
+    from_flag = _option_value(flag_argv, dest)
+    assert from_flag is not None
+    assert _option_value(file_argv, dest) == from_flag
+
+
+@pytest.mark.parametrize("dest", sorted(_BAD_SAMPLES))
+def test_flag_and_config_key_reject_alike(dest, tmp_path, capsys):
+    flag_argv, file_argv = _flag_and_file(dest, _BAD_SAMPLES[dest], tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        _option_value(flag_argv, dest)
+    assert exc.value.code == 2
+    with pytest.raises(ConfigError):
+        _option_value(file_argv, dest)
 
 
 class TestConfigFile:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rapflow.catalog import make_beverton_holt
 from rapflow.dynamics import (
     BlowupError,
     DynamicsError,
@@ -270,21 +271,16 @@ def test_iterate_overflow_abort():
     assert 1 < err.value.step < 20
 
 
-def test_seq_params_tabulated_sequence():
-    fld = ScalarField(
-        kind="discrete", rhs="K+0*x", time_domain="half-line",
-        seq_params={"K": lambda n: float(2 * n)})
+def test_sequence_coefficients_are_expressions_in_n():
+    fld = ScalarField(kind="discrete", rhs="2*t+0*x", time_domain="half-line")
     traj = iterate(fld, 7.0, 3)
-    # x_{n+1} = K_n, so the samples are u0, K_0, K_1, K_2
+    # x_{n+1} = 2n, so the samples are u0, 0, 2, 4
     assert list(traj.values) == [7.0, 0.0, 2.0, 4.0]
-    # a tabulated capacity: the orbit is the recursion written out by hand
-    cap = [10.0 + math.sin(0.37 * n) for n in range(500)]
-    bh = ScalarField(kind="discrete", rhs=BH_RHS, params={"mu": 2.0},
-                     state_domain=(0.0, math.inf), time_domain="half-line",
-                     seq_params={"K": lambda n: cap[n]})
+    # a varying capacity: the orbit is the recursion written out by hand
+    bh, _ = make_beverton_holt(capacity="10+sin(0.37*t)")
     x, expected = 1.5, [1.5]
     for n in range(500):
-        K = cap[n]
+        K = 10.0 + math.sin(0.37 * n)
         x = 2.0 * K * x / (K + (2.0 - 1) * x)
         expected.append(x)
     assert iterate(bh, 1.5, 500).values.tobytes() == np.array(expected).tobytes()
@@ -455,12 +451,13 @@ def test_shift_field_restrictions():
 
 
 def test_shift_field_seq_params():
-    fld = ScalarField(
-        kind="discrete", rhs="K+0*x", time_domain="half-line",
-        seq_params={"K": lambda n: float(n)})
+    # a coefficient that varies with n is an expression in t; shifting a
+    # discrete field 3 steps makes it read f(n + 3)
+    fld = ScalarField(kind="discrete", rhs="t+0*x", time_domain="half-line")
     g = shift_field(fld, 3)
     assert g.eval(0.0, 0.0) == 3.0
     assert g.eval(2.0, 0.0) == 5.0
+    assert g.field_id != fld.field_id
 
 
 def test_field_id_stable_and_sensitive():

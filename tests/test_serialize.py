@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rapflow import __version__
 from rapflow.classify import (
     CLASS_ORDER,
     ClassifyConfig,
@@ -143,6 +144,12 @@ class TestJsonEnvelope:
     def test_non_finite_payload_is_tokenized(self):
         data = json.loads(json_text({"v": math.inf, "w": math.nan}, "0" * 12))
         assert data["payload"] == {"v": "inf", "w": None}
+
+    def test_text_is_one_compact_line(self):
+        text = json_text({"b": [1, 2.5], "a": None}, "0" * 12)
+        assert text == ('{"config_hash":"000000000000","payload":'
+                        '{"a":null,"b":[1,2.5]},"tool_version":"%s"}\n'
+                        % __version__)
 
     def test_reruns_are_byte_identical(self):
         a = json_text({"b": [1, 2], "a": 0.1}, "0" * 12)
