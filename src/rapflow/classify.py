@@ -456,29 +456,72 @@ def almost_period_scan(traj: Trajectory, eps: float, tau_range,
             raise ValueError("discrete trajectories need whole-number shifts")
     else:
         taus = _scan_grid(traj, tau_range, tau_step)
-    t_end = traj.t_end
-    sups = np.full(taus.shape, np.nan)
-    assessable = np.zeros(taus.shape, dtype=bool)
-    if mode == "global":
-        w_lo, w_hi = traj.t0, t_end
-    else:
-        w_lo, w_hi = float(window[0]), float(window[1])
-        w_lo = max(w_lo, traj.t0)
-        if w_hi > t_end or w_hi <= w_lo:
-            raise ValueError("remote window must lie inside the sampled span")
-    for idx, tau in enumerate(taus):
-        hi = min(w_hi, t_end - tau)
-        if hi <= w_lo:
+    (scan,) = _scan(traj, eps, taus, [window if mode == "remote" else None])
+    if isinstance(scan, Exception):
+        raise scan
+    return scan
+
+
+def _scan(traj: Trajectory, eps: float, taus: np.ndarray, windows) -> list:
+    """Scan one shift grid over several windows in one comparison pass.
+
+    A window None is the whole span (mode "global"); a pair (lo, hi) is a
+    remote window.  Each shift is compared once over the hull of its
+    windows (:meth:`Trajectory.shift_sups`), so a remote window inside the
+    span costs no second pass.  Returns, per window, the AlmostPeriodSet
+    that :func:`almost_period_scan` gives for it alone, or the ValueError
+    or DynamicsError that that scan raises.
+    """
+    t0, dt, t_end = traj.t0, traj.dt, traj.t_end
+    n = len(traj.values)
+    tol = _POS_TOL * max(1.0, abs(dt))
+    out: list = [None] * len(windows)
+    rows, spans, starts, ends, where = [], [], [], [], []
+    for w, window in enumerate(windows):
+        if window is None:
+            w_lo, w_hi = t0, t_end
+        else:
+            w_lo, w_hi = float(window[0]), float(window[1])
+            w_lo = max(w_lo, t0)
+            if w_hi > t_end or w_hi <= w_lo:
+                out[w] = ValueError(
+                    "remote window must lie inside the sampled span")
+                continue
+        # _index_range over [w_lo, min(w_hi, t_end - tau)] for every shift
+        hi = np.minimum(w_hi, t_end - taus)
+        i0 = max(int(math.ceil((w_lo - t0) / dt - tol)), 0)
+        i1 = np.minimum(np.floor((hi - t0) / dt + tol), n - 1)
+        ok = (hi > w_lo) & (i1 - i0 + 1 >= 2)
+        rows.append(w)
+        spans.append((w_lo, w_hi))
+        starts.append([i0])
+        ends.append(np.where(ok, i1, i0).astype(np.int64))
+        where.append(ok)
+    if not rows:
+        return out
+    starts, ends, where = np.array(starts), np.array(ends), np.array(where)
+    try:
+        sups = list(traj.shift_sups(taus, starts, ends, where=where))
+    except (ValueError, DynamicsError):
+        # some window's scan raises; run each alone to learn which
+        sups = []
+        for r in range(len(rows)):
+            try:
+                sups.append(traj.shift_sups(taus, starts[r:r + 1],
+                                            ends[r:r + 1],
+                                            where=where[r:r + 1])[0])
+            except (ValueError, DynamicsError) as exc:
+                sups.append(exc)
+    for w, span, ok, sup in zip(rows, spans, where, sups):
+        if isinstance(sup, Exception):
+            out[w] = sup
             continue
-        i0, i1 = _index_range(traj, w_lo, hi)
-        if i1 - i0 + 1 < 2:
-            continue
-        sups[idx] = traj.shift_sup(tau, i0, i1)
-        assessable[idx] = True
-    admitted = assessable & (np.nan_to_num(sups, nan=np.inf) <= eps)
-    return AlmostPeriodSet(mode=mode, eps=float(eps), taus=taus, sups=sups,
-                           admitted=admitted, assessable=assessable,
-                           window=(w_lo, w_hi) if mode == "remote" else None)
+        remote = windows[w] is not None
+        out[w] = AlmostPeriodSet(
+            mode="remote" if remote else "global", eps=float(eps), taus=taus,
+            sups=sup, admitted=ok & (np.nan_to_num(sup, nan=np.inf) <= eps),
+            assessable=ok, window=span if remote else None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -800,12 +843,13 @@ def _refine_candidate(traj: Trajectory, tau: float, step: float,
     best_tau, best = tau, math.inf
     centre, width = tau, step
     for _ in range(2):
-        for cand in centre + np.linspace(-width, width, 41):
-            if cand <= 0 or t_last + cand > t_end + _POS_TOL:
-                continue
-            s = traj.shift_sup(cand, i0, i1, stride)
-            if s < best:
-                best, best_tau = s, float(cand)
+        cands = centre + np.linspace(-width, width, 41)
+        cands = cands[(cands > 0) & (t_last + cands <= t_end + _POS_TOL)]
+        if cands.size:
+            sups = traj.shift_sups(cands, [[i0]], [[i1]], stride)[0]
+            for cand, s in zip(cands.tolist(), sups.tolist()):
+                if s < best:
+                    best, best_tau = s, cand
         centre, width = best_tau, width / 20.0
     return best_tau
 
@@ -894,37 +938,40 @@ def classify_trajectory(traj: Trajectory,
     verdicts["stationary"] = "pass" if osc_full <= cfg.exact_eps else "fail"
     reports["stationary"] = {"oscillation": osc_full, "eps": cfg.exact_eps}
 
-    # shift scans
-    step_eff = float(max(1, int(round(cfg.tau_step)))) if discrete else cfg.tau_step
-    lo_r = cfg.tau_range[0]
-    hi_eff = min(cfg.tau_range[1], span / 2.0)
-    gscan = rscan = None
-    if hi_eff > lo_r + step_eff / 2.0:
-        try:
-            gscan = almost_period_scan(traj, cfg.eps, (lo_r, hi_eff),
-                                       step_eff, mode="global")
-        except (ValueError, DynamicsError) as exc:
-            notes.append(f"global scan unavailable: {exc}")
-    else:
-        notes.append("shift range leaves no room below half the span; "
-                     "scans skipped")
-
     # window ladder
     probes = cfg.probes if cfg.probes is not None else default_probes(
         traj.kind, cfg.seed)
     tau_big = max(probes + ((cfg.tau,) if cfg.tau is not None else ()))
     windows = cfg.windows if cfg.windows is not None else _auto_windows(
         traj, min(tau_big, span / 3.0))
+
+    # shift scans: the global and the remote one share each comparison
+    step_eff = float(max(1, int(round(cfg.tau_step)))) if discrete else cfg.tau_step
+    lo_r = cfg.tau_range[0]
+    hi_eff = min(cfg.tau_range[1], span / 2.0)
+    scans: list = []
+    if hi_eff > lo_r + step_eff / 2.0:
+        try:
+            taus = _scan_grid(traj, (lo_r, hi_eff), step_eff)
+        except ValueError as exc:
+            scans = [exc]
+        else:
+            scans = _scan(traj, cfg.eps, taus, [None] + (
+                [windows[-1]] if windows is not None else []))
+    else:
+        notes.append("shift range leaves no room below half the span; "
+                     "scans skipped")
+    gscan = scans[0] if scans else None
+    rscan = scans[1] if len(scans) > 1 else None
+    if isinstance(gscan, Exception):
+        # the remote scan is only reported beside a global one
+        notes.append(f"global scan unavailable: {gscan}")
+        gscan = rscan = None
     if windows is None:
         notes.append("span too short for late windows; remote tests skipped")
-
-    if windows is not None and gscan is not None:
-        try:
-            rscan = almost_period_scan(traj, cfg.eps, (lo_r, hi_eff),
-                                       step_eff, mode="remote",
-                                       window=windows[-1])
-        except (ValueError, DynamicsError) as exc:
-            notes.append(f"remote scan unavailable: {exc}")
+    if isinstance(rscan, Exception):
+        notes.append(f"remote scan unavailable: {rscan}")
+        rscan = None
 
     # almost periodicity from scan density
     if gscan is not None:

@@ -348,6 +348,33 @@ def _integrator_config(o, default_dt: float = 0.01) -> IntegratorConfig:
         dt_out=o.dt if o.dt is not None else default_dt)
 
 
+# the most samples a command builds into one trajectory: with values and
+# derivatives at 8 bytes each, about 320 MB
+_MAX_SAMPLES = 20_000_000
+
+
+def _check_samples(span=None, dt=None, steps=None) -> None:
+    """Refuse a trajectory of more than _MAX_SAMPLES samples up front.
+
+    The count is the one integrate, sample_function (span and dt) or
+    iterate (steps) would allocate; a span or dt those reject is left to
+    them.
+    """
+    if steps is not None:
+        count = steps + 1
+    else:
+        if not (dt > 0 and span[1] > span[0]):
+            return
+        cells = (span[1] - span[0]) / dt
+        count = (math.ceil(cells - 1e-9) + 1 if math.isfinite(cells)
+                 else math.inf)
+    if count > _MAX_SAMPLES:
+        raise ConfigError(
+            f"the trajectory would hold {count:.4g} samples, more than the "
+            f"limit of {_MAX_SAMPLES}; shorten the span or the step count, "
+            "or widen dt")
+
+
 def _build_trajectory(o):
     """Resolve the system flags into (trajectory, meta).
 
@@ -372,23 +399,27 @@ def _build_trajectory(o):
         span = o.span or (0.0, 100.0)
         if o.horizon is not None:
             span = (span[0], float(o.horizon))
+        config = _integrator_config(o)
+        _check_samples(span, config.dt_out)
         traj = integrate(fld, o.u0 if o.u0 is not None else 0.0,
-                         span, _integrator_config(o))
+                         span, config)
         meta["field"] = fld
     elif src == "map":
         fld = _mk_field("discrete", o.map, params)
         steps = o.steps if o.steps is not None else 1000
         if o.horizon is not None:
             steps = int(round(o.horizon))
+        _check_samples(steps=steps)
         traj = iterate(fld, o.u0 if o.u0 is not None else 1.0, steps)
         meta["field"] = fld
     elif src == "fn":
         span = o.span or (0.0, 100.0)
         if o.horizon is not None:
             span = (span[0], float(o.horizon))
+        dt = o.dt if o.dt is not None else 0.01
+        _check_samples(span, dt)
         try:
-            traj = sample_function(o.fn, span,
-                                   o.dt if o.dt is not None else 0.01,
+            traj = sample_function(o.fn, span, dt,
                                    params=params or None, name="command-line")
         except ParseError as exc:
             raise ConfigError(f"bad expression {o.fn!r}: {exc}")
@@ -400,6 +431,7 @@ def _build_trajectory(o):
         steps = o.steps if o.steps is not None else 1000
         if o.horizon is not None:
             steps = int(round(o.horizon))
+        _check_samples(steps=steps)
         traj = iterate(fld, o.u0 if o.u0 is not None else 1.0, steps)
         meta["field"] = fld
         meta["flags"] = flags
@@ -432,6 +464,15 @@ def _build_trajectory(o):
                 for n in ("dt", "method", "abs_tol", "rel_tol")):
             kwargs["config"] = _integrator_config(
                 o, ex.recommended.get("dt", 0.01))
+        # the resolution AnalyticExample.trajectory falls back to
+        rec = ex.recommended
+        if ex.kind == "map":
+            _check_samples(steps=kwargs.get("steps") or rec.get("steps", 1000))
+        else:
+            _check_samples(
+                kwargs.get("span") or rec.get("span", (0.0, 400.0)),
+                kwargs["config"].dt_out if "config" in kwargs
+                else kwargs.get("dt") or rec.get("dt", 0.01))
         try:
             traj = ex.trajectory(**kwargs)
         except ValueError as exc:

@@ -34,6 +34,9 @@ _MIN_STEP_FACTOR = 1e-13
 # a shift within this many steps (times max(1, steps)) of a whole number of
 # steps counts as on the sampling grid
 _GRID_TOL = 1e-9
+# the shift kernel compares long spans this many samples at a time, so its
+# scratch buffers stay in cache while every window takes its maximum
+_CHUNK = 1 << 16
 
 
 class DynamicsError(RuntimeError):
@@ -215,6 +218,31 @@ class IntegratorConfig:
 # trajectories
 # ---------------------------------------------------------------------------
 
+def _scratch_rows(rows: int, size: int) -> list:
+    """``rows`` float arrays of ``size`` elements, each 64-byte aligned.
+
+    malloc aligns numpy's arrays to 16 bytes only; a buffer the kernel
+    writes whose start is off a cache line makes vector stores straddle
+    two lines, which cost about 1.5x on every shift.
+    """
+    width = -(-size // 8) * 8
+    raw = np.empty(rows * width + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return [raw[start + r * width:start + r * width + size]
+            for r in range(rows)]
+
+
+def _unpacked(cols, *arrays, block: int = 512):
+    """Yield (j, a[j], b[j], ...) as Python values for j in cols.
+
+    Rows are unpacked a block at a time, so a scan over many shifts never
+    holds Python objects for all of them at once.
+    """
+    for b0 in range(0, cols.size, block):
+        js = cols[b0:b0 + block]
+        yield from zip(js.tolist(), *(a[js].tolist() for a in arrays))
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Uniformly sampled solution curve.
@@ -296,6 +324,28 @@ class Trajectory:
     def shift_sup(self, tau: float, i0: int, i1: int, stride: int = 1) -> float:
         """sup of |phi(t_i + tau) - phi(t_i)| over i = i0, i0 + stride, ... <= i1.
 
+        One shift and one window of :meth:`shift_sups`; see there for how
+        the shifted series is formed, which indices are left out and what
+        is raised.
+        """
+        return float(self.shift_sups([tau], [[i0]], [[i1]], stride)[0, 0])
+
+    def shift_sups(self, taus, starts, ends, stride: int = 1,
+                   where=None) -> np.ndarray:
+        """Shift comparisons of several shifts over several windows.
+
+        ``starts`` and ``ends`` broadcast to shape (windows, shifts); entry
+        [w, j] of the result is the sup of |phi(t_i + taus[j]) - phi(t_i)|
+        over i = starts[w, j], starts[w, j] + stride, ... <= ends[w, j].
+        Entries where the boolean ``where`` is false are not compared and
+        read NaN.  For each shift the series |phi(t_i + tau) - phi(t_i)| is
+        formed once over the hull of its windows, in chunks of at most
+        ``_CHUNK`` samples through one scratch buffer per call, and each
+        window takes the max over its own slice; so windows that overlap
+        cost one comparison, and every sup is the one a call per window
+        gives.  With stride > 1 the windows of a shift must start on one
+        lattice of that stride.
+
         On a uniform grid every t_i + tau sits at the same fractional cell
         offset s = frac(tau/dt), so the four cubic Hermite weights are
         scalars for the whole shift and the shifted series is four slice
@@ -303,41 +353,97 @@ class Trajectory:
         :meth:`values_at` up to round-off.  A shift of k = tau/dt steps
         within 1e-9*max(1, k) of a whole number compares stored values
         exactly.  Indices whose shifted time falls past the last sample are
-        left out; ValueError when none remains.  Discrete trajectories raise
-        :class:`DynamicsError` on a shift off the integer grid.
+        left out.  The first shift, in order, with a window that keeps no
+        index raises ValueError; on discrete trajectories one off the
+        integer grid raises :class:`DynamicsError` first.
         """
         n = len(self.values)
-        tau = float(tau)
-        if not (tau >= 0 and math.isfinite(tau)):
+        taus = np.asarray(taus, float)
+        starts, ends, where = np.broadcast_arrays(
+            np.asarray(starts, np.int64), np.asarray(ends, np.int64),
+            np.asarray(True if where is None else where, bool))
+        if taus.ndim != 1 or starts.ndim != 2:
+            raise ValueError("taus must be 1-D and starts, ends 2-D")
+        shape = (starts.shape[0], taus.size)
+        starts, ends, where = (np.broadcast_to(a, shape)
+                               for a in (starts, ends, where))
+        if not np.all((taus >= 0) & np.isfinite(taus)):
             raise ValueError("tau must be finite and non-negative")
-        if not (0 <= i0 and i1 <= n - 1 and stride >= 1):
-            raise ValueError(f"bad index range {i0}..{i1} step {stride}")
-        v = self.values
-        k = tau / self.dt
-        whole = round(k)
-        if abs(k - whole) <= _GRID_TOL * max(1.0, k):
-            i1 = min(i1, n - 1 - whole)
-            if i1 < i0:
-                raise ValueError("window contains no comparable grid points")
-            shifted = v[i0 + whole:i1 + whole + 1:stride]
-        else:
-            if self.kind == "discrete":
+        bad = where & ((starts < 0) | (ends > n - 1))
+        if stride < 1 or np.any(bad):
+            w, j = np.argwhere(bad | (stride < 1))[0]
+            raise ValueError(
+                f"bad index range {starts[w, j]}..{ends[w, j]} step {stride}")
+        k = taus / self.dt
+        whole = np.rint(k)
+        on_grid = np.abs(k - whole) <= _GRID_TOL * np.maximum(1.0, k)
+        # last index whose shifted point is comparable: on the grid it needs
+        # the sample i + k, off it the cell [i + m, i + m + 1], m = floor(k)
+        last = np.where(on_grid, n - 1 - whole, n - 2 - np.floor(k))
+        live = where.any(axis=0)
+        off_int = live & ~on_grid & (self.kind == "discrete")
+        empty = (where & (np.minimum(ends, last) < starts)).any(axis=0)
+        if np.any(off_int | empty):
+            j = int(np.argmax(off_int | empty))
+            if off_int[j]:
                 raise DynamicsError(
                     "discrete trajectories are sampled at integer steps only")
-            m = math.floor(k)
-            s = k - m
-            # the last compared point needs the cell [i + m, i + m + 1]
-            i1 = min(i1, n - 2 - m)
-            if i1 < i0:
-                raise ValueError("window contains no comparable grid points")
-            d = self._hermite_derivs()
-            a, b = i0 + m, i1 + m + 1
-            shifted = ((2 * s - 3) * s * s + 1) * v[a:b:stride]
-            shifted += (3 - 2 * s) * s * s * v[a + 1:b + 1:stride]
-            shifted += (self.dt * ((s - 2) * s + 1) * s) * d[a:b:stride]
-            shifted += (self.dt * (s - 1) * s * s) * d[a + 1:b + 1:stride]
-        diff = shifted - v[i0:i1 + 1:stride]
-        return float(np.max(np.abs(diff, out=diff)))
+            raise ValueError("window contains no comparable grid points")
+        out = np.full(starts.shape, np.nan)
+        cols = np.flatnonzero(live)
+        if cols.size == 0:
+            return out
+        ends = np.where(where, np.minimum(ends, last), -1).astype(np.int64)
+        lo = np.where(where, starts, n).min(axis=0)
+        if stride > 1 and np.any(where & ((starts - lo) % stride != 0)):
+            raise ValueError("windows of a strided comparison must start "
+                             "on one lattice")
+        count = (ends.max(axis=0) - lo) // stride + 1
+        buf, tmp = _scratch_rows(2, int(min(_CHUNK, count[cols].max())))
+        v = self.values
+        d = None if np.all(on_grid[cols]) else self._hermite_derivs()
+        # each window as the offsets [first, last] of its elements in the
+        # hull of its shift
+        first, final = (starts - lo) // stride, (ends - lo) // stride
+        for j, i_lo, n_j, kj, exact, e0s, e1s, uses in _unpacked(
+                cols, lo, count, k, on_grid, first.T, final.T, where.T):
+            spans = [(w, e0, e1) for w, (e0, e1, u) in
+                     enumerate(zip(e0s, e1s, uses)) if u]
+            if exact:
+                shift, weights = round(kj), None
+            else:
+                shift = math.floor(kj)
+                s = kj - shift
+                weights = ((2 * s - 3) * s * s + 1, (3 - 2 * s) * s * s,
+                           self.dt * ((s - 2) * s + 1) * s,
+                           self.dt * (s - 1) * s * s)
+            for c0 in range(0, n_j, _CHUNK):
+                c1 = min(n_j, c0 + _CHUNK)
+                seg, term = buf[:c1 - c0], tmp[:c1 - c0]
+                a = i_lo + c0 * stride
+                b = i_lo + (c1 - 1) * stride + 1
+                p, q = a + shift, b + shift
+                if weights is None:
+                    np.subtract(v[p:q:stride], v[a:b:stride], out=seg)
+                else:
+                    # summed in the order w0*v + w1*v' + w2*d + w3*d' - phi
+                    np.multiply(v[p:q:stride], weights[0], out=seg)
+                    seg += np.multiply(v[p + 1:q + 1:stride], weights[1],
+                                       out=term)
+                    seg += np.multiply(d[p:q:stride], weights[2], out=term)
+                    seg += np.multiply(d[p + 1:q + 1:stride], weights[3],
+                                       out=term)
+                    seg -= v[a:b:stride]
+                np.abs(seg, out=seg)
+                for w, e0, e1 in spans:
+                    x, y = max(e0, c0), min(e1, c1 - 1)
+                    if x <= y:
+                        part = seg[x - c0:y - c0 + 1].max()
+                        # np.maximum keeps a NaN, as one max over the
+                        # whole window does
+                        out[w, j] = (part if x == e0
+                                     else np.maximum(out[w, j], part))
+        return out
 
     def interp_budget(self) -> float:
         """Crude bound on the cubic Hermite dense-output error.

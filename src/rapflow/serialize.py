@@ -56,7 +56,13 @@ def jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
+        items = obj.tolist()
+        if obj.ndim == 1 and obj.dtype.kind in "fb":
+            # tolist already gives Python floats and bools; only a
+            # non-finite float needs converting
+            if obj.dtype.kind == "b" or np.all(np.isfinite(obj)):
+                return items
+        return [jsonable(v) for v in items]
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, (np.bool_, bool)):

@@ -30,8 +30,21 @@ from rapflow.classify import (
     separation_constancy_test,
     tail_sup,
 )
-from rapflow.classify import _auto_windows, _geometric_windows
-from rapflow.dynamics import ScalarField, Trajectory, integrate, iterate, sample_function
+from rapflow.classify import (
+    _auto_windows,
+    _geometric_windows,
+    _index_range,
+    _scan,
+    _scan_grid,
+)
+from rapflow.dynamics import (
+    DynamicsError,
+    ScalarField,
+    Trajectory,
+    integrate,
+    iterate,
+    sample_function,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -290,6 +303,122 @@ class TestAlmostPeriodScan:
             almost_period_scan(tr, 0.5, (0.0, 10.0), 1.0, mode="late")
         with pytest.raises(ValueError, match="window"):
             almost_period_scan(tr, 0.5, (0.0, 10.0), 1.0, mode="remote")
+
+
+def _assert_same_scan(got, want):
+    """Equal bit for bit: mode, eps, window and every per-shift array."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert (got.mode, got.eps, got.window) == (want.mode, want.eps, want.window)
+    for name in ("taus", "sups", "admitted", "assessable"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _scan_per_shift(traj, taus, window):
+    """The scan as a loop over shifts: _index_range and shift_sup each."""
+    t_end = traj.t_end
+    w_lo, w_hi = (traj.t0, t_end) if window is None else window
+    w_lo = max(w_lo, traj.t0)
+    sups = np.full(taus.shape, np.nan)
+    assessable = np.zeros(taus.shape, dtype=bool)
+    for idx, tau in enumerate(taus):
+        hi = min(w_hi, t_end - tau)
+        if hi <= w_lo:
+            continue
+        i0, i1 = _index_range(traj, w_lo, hi)
+        if i1 - i0 + 1 < 2:
+            continue
+        sups[idx] = traj.shift_sup(tau, i0, i1)
+        assessable[idx] = True
+    return sups, assessable
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["continuous", "discrete"]),
+       t0=st.floats(-60.0, 60.0), dt=st.floats(0.01, 1.0),
+       n=st.integers(10, 400), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(1, 4), frac=st.sampled_from([0.0, 0.37, 0.5]),
+       lo=st.floats(-0.2, 1.0), length=st.floats(0.0, 1.2),
+       eps=st.floats(0.05, 1.0), with_derivs=st.booleans())
+def test_one_pass_scan_equals_separate_scans(kind, t0, dt, n, seed, steps,
+                                             frac, lo, length, eps,
+                                             with_derivs):
+    # the global and remote sets of one pass over [None, window], as
+    # classify_trajectory scans, against a separate almost_period_scan each
+    # and against a loop over shifts; windows past the span end must fail
+    # the same way in both routes
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    rate = rng.uniform(0.05, 1.0)
+    values = np.sin(rate * i) + 0.05 * rng.standard_normal(n)
+    if kind == "discrete":
+        traj = Trajectory(kind="discrete", t0=float(round(t0)), dt=1.0,
+                          values=values)
+        step = float(steps)
+    else:
+        derivs = rate / dt * np.cos(rate * i) if with_derivs else None
+        traj = Trajectory(kind="continuous", t0=t0, dt=dt, values=values,
+                          derivs=derivs)
+        step = dt * (steps + frac)
+    span = traj.t_end - traj.t0
+    w_lo = traj.t0 + lo * span
+    window = (w_lo, w_lo + length * (traj.t_end - w_lo) + 1e-3 * dt)
+    tau_range = (0.0, span / 2.0)
+    taus = _scan_grid(traj, tau_range, step)
+    gscan, rscan = _scan(traj, eps, taus, [None, window])
+    _assert_same_scan(gscan, almost_period_scan(traj, eps, tau_range, step))
+    sups, assessable = _scan_per_shift(traj, taus, None)
+    assert gscan.sups.tobytes() == sups.tobytes()
+    assert np.array_equal(gscan.assessable, assessable)
+    try:
+        want = almost_period_scan(traj, eps, tau_range, step, mode="remote",
+                                  window=window)
+    except ValueError as exc:
+        want = exc
+    _assert_same_scan(rscan, want)
+    if not isinstance(want, Exception):
+        sups, assessable = _scan_per_shift(traj, taus, window)
+        assert rscan.sups.tobytes() == sups.tobytes()
+        assert np.array_equal(rscan.assessable, assessable)
+
+
+def test_classify_takes_both_scans_from_one_pass():
+    tr = sample_function("sin(t)+0.2*sin(3.1*t)", (-7.0, 60.0), 0.05)
+    cfg = ClassifyConfig(eps=0.2, tau_range=(0.0, 20.0), tau_step=0.0237)
+    res = classify_trajectory(tr, cfg)
+    grid = (0.0, 20.0)
+    _assert_same_scan(res.global_scan,
+                      almost_period_scan(tr, 0.2, grid, 0.0237))
+    _assert_same_scan(res.remote_scan,
+                      almost_period_scan(tr, 0.2, grid, 0.0237, mode="remote",
+                                         window=res.windows[-1]))
+
+
+def test_one_pass_scan_blames_only_the_failing_window():
+    # on a discrete trajectory sampled every 2 time units the shift 19 is
+    # half a step: the global scan compares it and raises, the late window
+    # has no room for it and scans as it would alone
+    tr = Trajectory(kind="discrete", t0=0.0, dt=2.0,
+                    values=np.sin(np.arange(20.0)))
+    taus = np.array([2.0, 4.0, 19.0])
+    gscan, rscan = _scan(tr, 0.5, taus, [None, (30.0, 38.0)])
+    assert isinstance(gscan, DynamicsError)
+    with pytest.raises(DynamicsError, match="integer"):
+        almost_period_scan(tr, 0.5, None, None, taus=taus)
+    _assert_same_scan(rscan, almost_period_scan(
+        tr, 0.5, None, None, mode="remote", window=(30.0, 38.0), taus=taus))
+    assert list(rscan.assessable) == [True, True, False]
+
+
+def test_classify_notes_a_remote_window_past_the_span():
+    tr = sample_function("sin(t)", (0.0, 60.0), 0.05)
+    res = classify_trajectory(tr, ClassifyConfig(
+        tau_range=(0.0, 20.0), windows=((10.0, 30.0), (30.0, 70.0))))
+    assert res.global_scan is not None and res.remote_scan is None
+    assert ("remote scan unavailable: remote window must lie inside the "
+            "sampled span") in res.notes
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,37 @@ def exit_status(capsys, *argv):
     return code, capsys.readouterr().err
 
 
+class TestSampleLimit:
+    # each would ask numpy for far more memory than the machine has; the
+    # count is refused before anything is allocated
+    @pytest.mark.parametrize("argv", [
+        ("--map=x/2", "--steps", "100000000000"),
+        ("--fn=sin(t)", "--span", "0:1e12"),
+        ("--ode=-x+sin(t)", "--span", "0:1e300"),
+        ("--ode=-x", "--span", "-1e308:1e308"),
+        ("--bh", "mu=2,K=10", "--horizon", "1e300"),
+        ("--example", "sine", "--span", "0:1e9"),
+        ("--example", "beverton-holt", "--steps", "100000000"),
+    ])
+    def test_oversized_trajectory_is_config_error(self, capsys, argv):
+        code, _, err = run(capsys, "simulate", *argv)
+        assert code == 2
+        assert "more than the limit of 20000000" in err
+
+    def test_counts_at_the_limit_are_built(self, monkeypatch, capsys):
+        monkeypatch.setattr("rapflow.cli._MAX_SAMPLES", 101)
+        code, out, _ = run(capsys, "simulate", "--map=x/2", "--steps", "100")
+        assert code == 0 and "samples: 101" in out
+        code, _, err = run(capsys, "simulate", "--map=x/2", "--steps", "101")
+        assert code == 2 and "102 samples" in err
+        code, out, _ = run(capsys, "simulate", "--fn=sin(t)",
+                           "--span", "0:1", "--dt", "0.01")
+        assert code == 0 and "samples: 101" in out
+        code, _, err = run(capsys, "simulate", "--fn=sin(t)",
+                           "--span", "0:1.01", "--dt", "0.01")
+        assert code == 2 and "102 samples" in err
+
+
 class TestOptionValues:
     @pytest.mark.parametrize("argv", [
         ("simulate", "--ode=-x", "--span", "0:5", "--horizon", "inf"),

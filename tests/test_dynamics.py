@@ -1,12 +1,14 @@
 """Integrator, iterator, and property-check tests against closed forms."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rapflow import dynamics
 from rapflow.catalog import make_beverton_holt
 from rapflow.dynamics import (
     BlowupError,
@@ -356,6 +358,104 @@ def test_shift_sup_matches_values_at(t0, dt, n, amp, level, rate, phase,
     ref = float(np.max(np.abs(traj.values_at(ts + tau)
                               - traj.values[i0:i1 + 1:stride])))
     assert abs(strided - ref) <= tol
+
+
+def _sine_trajectory(t0, dt, n, rate=0.3, phase=0.4):
+    i = np.arange(n)
+    return Trajectory(kind="continuous", t0=t0, dt=dt,
+                      values=2.0 + np.sin(rate * i + phase),
+                      derivs=rate / dt * np.cos(rate * i + phase))
+
+
+@settings(max_examples=100, deadline=None)
+@given(t0=st.floats(-50.0, 50.0), dt=st.floats(0.05, 1.0),
+       n=st.integers(8, 120), chunk=st.integers(1, 9),
+       whole=st.floats(0.0, 1.0), off=st.sampled_from([0.0, 0.25, 0.6]),
+       lo=st.floats(0.0, 1.0), length=st.floats(0.0, 1.0),
+       stride=st.integers(1, 4))
+def test_chunked_shift_sup_matches_values_at(t0, dt, n, chunk, whole, off,
+                                             lo, length, stride):
+    # chunks of a few samples put chunk edges inside every window; the sup
+    # still matches the values_at reference, and equals the unchunked one
+    # bit for bit
+    traj = _sine_trajectory(t0, dt, n)
+    tau = (math.floor(whole * (n - 3)) + off) * dt
+    last = n - 1 - math.ceil(tau / dt - 1e-9)
+    i0 = math.floor(lo * last)
+    i1 = i0 + math.floor(length * (last - i0))
+    want = traj.shift_sup(tau, i0, i1, stride)
+    with mock.patch.object(dynamics, "_CHUNK", chunk):
+        got = traj.shift_sup(tau, i0, i1, stride)
+    assert got == want
+    ts = traj.t0 + traj.dt * np.arange(i0, i1 + 1, stride)
+    ref = float(np.max(np.abs(traj.values_at(ts + tau)
+                              - traj.values[i0:i1 + 1:stride])))
+    assert abs(got - ref) <= 1e-12 * 4.0
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+def test_batched_windows_match_one_window_at_a_time(chunk):
+    # nested, overlapping and disjoint windows over on- and off-grid
+    # shifts; masked entries read NaN
+    traj = _sine_trajectory(-3.0, 0.1, 90)
+    taus = np.array([0.0, 0.3, 0.37, 1.0, 2.55, 4.0])
+    starts = np.array([[0], [10], [25], [5], [60]])
+    ends = np.array([[80], [40], [60], [12], [88]])
+    where = np.ones((5, taus.size), bool)
+    # the last window has no room for the largest shift
+    where[3, 1] = where[4, 5] = False
+    with mock.patch.object(dynamics, "_CHUNK", chunk):
+        sups = traj.shift_sups(taus, starts, ends, where=where)
+    assert np.isnan(sups[3, 1]) and np.isnan(sups[4, 5])
+    for w in range(5):
+        for j, tau in enumerate(taus):
+            if not where[w, j]:
+                continue
+            i0, i1 = int(starts[w, 0]), int(ends[w, 0])
+            assert sups[w, j] == traj.shift_sup(tau, i0, i1)
+            i1 = min(i1, len(traj) - 1 - math.ceil(tau / traj.dt - 1e-9))
+            ts = traj.t0 + traj.dt * np.arange(i0, i1 + 1)
+            ref = np.max(np.abs(traj.values_at(ts + tau)
+                                - traj.values[i0:i1 + 1]))
+            assert abs(sups[w, j] - ref) <= 1e-12 * 4.0
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+def test_chunked_sup_keeps_a_nan(chunk):
+    # a non-finite derivative late in the span makes the off-grid sup NaN,
+    # as one max over the whole window does, whichever chunk holds it
+    traj = _sine_trajectory(0.0, 0.1, 40)
+    traj.derivs[30] = np.nan
+    with mock.patch.object(dynamics, "_CHUNK", chunk):
+        sups = traj.shift_sups([0.15], [[0], [0]], [[35], [20]])
+    assert np.isnan(sups[0, 0]) and not np.isnan(sups[1, 0])
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 13, 1000])
+def test_scratch_rows_start_on_cache_lines(size):
+    rows = dynamics._scratch_rows(2, size)
+    assert [r.size for r in rows] == [size, size]
+    assert all(r.ctypes.data % 64 == 0 for r in rows)
+    rows[0][:] = 1.0
+    rows[1][:] = 2.0
+    assert np.all(rows[0] == 1.0)
+
+
+def test_shift_sups_errors_name_the_first_failing_shift():
+    traj = _sine_trajectory(0.0, 0.1, 40)
+    # the shift 3.85 leaves no comparable point in [38, 39]; 5.0 fits
+    with pytest.raises(ValueError, match="comparable"):
+        traj.shift_sups([0.1, 3.85], [[38]], [[39]])
+    with pytest.raises(ValueError, match="lattice"):
+        traj.shift_sups([0.1], [[0], [1]], [[20], [20]], stride=2)
+    with pytest.raises(ValueError, match="bad index range"):
+        traj.shift_sups([0.1], [[0]], [[40]])
+    # a masked entry is not checked
+    out = traj.shift_sups([0.1, 3.85], [[0]], [[39]], where=[[True, False]])
+    assert np.isnan(out[0, 1]) and out[0, 0] > 0
+    disc = iterate(bh_const_field(), 1.0, 30)
+    with pytest.raises(DynamicsError, match="integer"):
+        disc.shift_sups([1.0, 2.5], [[0]], [[20]])
 
 
 def test_shift_sup_on_grid_is_exact():

@@ -62,6 +62,28 @@ class TestJsonable:
         assert jsonable(-math.inf) == "-inf"
         assert jsonable(np.array([1.0, np.nan, np.inf])) == [1.0, None, "inf"]
 
+    @pytest.mark.parametrize("arr", [
+        np.array([1.5, np.nan, np.inf, -np.inf, -0.0, 0.0]),
+        np.array([-0.0, 2.0, -3.25e-300]),
+        np.array([np.nan]),
+        np.array([], float),
+        np.array([0.1, np.inf], np.float32),
+        np.array([True, False, True]),
+        np.array([[1.0, np.nan], [-0.0, np.inf]]),
+    ])
+    def test_arrays_match_the_per_element_conversion(self, arr):
+        # the 1-D float and bool fast path gives what converting each
+        # element on its own gives: the same tokens, types and zero signs
+        got = jsonable(arr)
+        want = [jsonable(v) for v in arr.tolist()]
+        assert json.dumps(got) == json.dumps(want)
+        if arr.ndim == 1:
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert [math.copysign(1.0, v) for v in got
+                    if isinstance(v, float)] == [
+                math.copysign(1.0, x) for x in arr.tolist()
+                if isinstance(x, float) and math.isfinite(x)]
+
     def test_dataclasses_become_dicts(self):
         assert jsonable(_Point(1.0, "a")) == {"x": 1.0, "label": "a"}
 
