@@ -504,14 +504,18 @@ def _rk4_step(f, t, y, h):
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _check_alive(t, y):
-    if not math.isfinite(y) or abs(y) > BLOWUP_GUARD:
-        raise BlowupError(t, y)
-
-
 def integrate(fld: ScalarField, u0: float, t_span, config: IntegratorConfig | None = None
               ) -> Trajectory:
-    """Integrate a continuous field over [t0, t1], sampling at t0 + k*dt_out."""
+    """Integrate a continuous field over [t0, t1], sampling at t0 + k*dt_out.
+
+    Each grid cell is marched from its start to its end.  The state and the
+    cell-end derivative are carried to the next cell as Python floats, never
+    read back from the output arrays: numpy scalars would run every stage
+    after them on numpy's slower scalar arithmetic.  A step underflow while
+    the solution magnitude already exceeds 1e8 is reported as a blow-up,
+    since the step collapse is then driven by the growth of the solution
+    rather than by stiffness of the right-hand side.
+    """
     if fld.kind != "continuous":
         raise DynamicsError("integrate expects a continuous field; use iterate")
     cfg = config or IntegratorConfig()
@@ -527,70 +531,63 @@ def integrate(fld: ScalarField, u0: float, t_span, config: IntegratorConfig | No
     dt = cfg.dt_out
     n_cells = max(1, math.ceil((t1 - t0) / dt - 1e-9))
     f = fld.bind()
+    rk4 = cfg.method == "rk4"
+    abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
 
     values = np.empty(n_cells + 1)
     derivs = np.empty(n_cells + 1)
     y = float(u0)
+    k1 = f(t0, y)
     values[0] = y
-    derivs[0] = f(t0, y)
+    derivs[0] = k1
 
     for cell in range(n_cells):
-        t_cell = t0 + cell * dt
+        t = t_cell = t0 + cell * dt
         t_target = t0 + (cell + 1) * dt
         try:
-            values[cell + 1], derivs[cell + 1], y = _advance_cell(
-                f, t_cell, t_target, y, derivs[cell], cfg)
-        except EvalError as err:
+            if rk4:
+                width = t_target - t_cell
+                m = max(1, math.ceil(width / max_step - 1e-9))
+                h = width / m
+                for _ in range(m):
+                    y = _rk4_step(f, t, y, h)
+                    if not math.isfinite(y) or abs(y) > BLOWUP_GUARD:
+                        raise BlowupError(t, y)
+                    t += h
+            else:
+                t_end = t_target - 1e-12 * max(1.0, abs(t_target))
+                while t < t_end:
+                    h = min(max_step, t_target - t)
+                    while True:
+                        y_new, err = _rkf45_step(f, t, y, h, k1)
+                        if math.isfinite(err) and err <= (
+                                abs_tol + rel_tol * max(abs(y), abs(y_new))):
+                            break
+                        # too large or not finite: halve and retry
+                        h *= 0.5
+                        if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
+                            if abs(y) > 1e8 or not (math.isfinite(err)
+                                                    and math.isfinite(y_new)):
+                                raise BlowupError(t, y)
+                            raise StepUnderflowError(t)
+                    t_prev = t
+                    y = y_new
+                    t = t_target if h >= (t_target - t) - 1e-12 else t + h
+                    if not math.isfinite(y) or abs(y) > BLOWUP_GUARD:
+                        raise BlowupError(t_prev, y)
+                    k1 = None
+            k1 = f(t_target, y)
+        except EvalError as exc:
             raise DynamicsError(
                 f"rhs evaluation failed inside [{t_cell!r}, {t_target!r}]: "
-                f"{err}") from err
+                f"{exc}") from exc
+        values[cell + 1] = y
+        derivs[cell + 1] = k1
 
     return Trajectory(
         kind="continuous", t0=t0, dt=dt, values=values, derivs=derivs,
         provenance={"field": fld.field_id, "name": fld.name, "u0": repr(float(u0)),
                     "config": cfg.config_hash(), "method": cfg.method})
-
-
-def _advance_cell(f, t_cell, t_target, y, k_start, cfg):
-    """March from t_cell to t_target; returns (value, deriv, y) at t_target.
-
-    A step underflow while the solution magnitude already exceeds 1e8 is
-    reported as a blow-up, since the step collapse is then driven by the
-    growth of the solution rather than by stiffness of the right-hand side.
-    """
-    dt = t_target - t_cell
-    if cfg.method == "rk4":
-        m = max(1, math.ceil(dt / cfg.max_step - 1e-9))
-        h = dt / m
-        t = t_cell
-        for _ in range(m):
-            y = _rk4_step(f, t, y, h)
-            _check_alive(t, y)
-            t += h
-    else:
-        t = t_cell
-        k1 = k_start
-        while t < t_target - 1e-12 * max(1.0, abs(t_target)):
-            h = min(cfg.max_step, t_target - t)
-            while True:
-                y_new, err = _rkf45_step(f, t, y, h, k1=k1)
-                tol = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y_new))
-                if math.isfinite(err) and err <= tol:
-                    break
-                # too large or not finite: halve and retry
-                h *= 0.5
-                if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
-                    if abs(y) > 1e8 or not (math.isfinite(err)
-                                            and math.isfinite(y_new)):
-                        raise BlowupError(t, y)
-                    raise StepUnderflowError(t)
-            t_prev = t
-            y = y_new
-            t = t_target if h >= (t_target - t) - 1e-12 else t + h
-            _check_alive(t_prev, y)
-            k1 = None
-    deriv = f(t_target, y)
-    return y, deriv, y
 
 
 def iterate(fld: ScalarField, u0: float, n_steps: int) -> Trajectory:

@@ -24,6 +24,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """``python -m rapflow argv`` in a child on the same rapflow as this test."""
+    src = os.path.dirname(os.path.dirname(rapflow.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "rapflow", *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path))
+
+
 class TestSimulate:
     def test_damped_forced_ode_matches_documented_numbers(self, capsys):
         code, out, _ = run(capsys, "simulate", "--ode", "-x+sin(t)",
@@ -121,6 +131,16 @@ class TestExitCodes:
                            "--span", "0:10")
         assert code == 3
         assert "integration aborted" in err
+
+    def test_step_underflow_prints_only_its_error_line(self):
+        # the march runs on Python floats, so an overflowing rhs warns of
+        # nothing before the abort
+        proc = run_module("simulate", "--ode", "x*x*x", "--u0", "1",
+                          "--span", "0:1")
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "rapflow: error: integration aborted: adaptive step size "
+            "underflowed near t = 0.4999999997952003\n")
 
     def test_short_sample_classify_is_exit_4(self, capsys):
         code, out, err = run(capsys, "classify", "--map", "x", "--steps", "5")
@@ -483,11 +503,6 @@ class TestExamplesCommand:
 class TestModuleEntryPoint:
     def test_python_dash_m_works(self):
         # the child imports the same rapflow as this test, installed or not
-        src = os.path.dirname(os.path.dirname(rapflow.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rapflow", "--version"],
-            capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=path))
+        proc = run_module("--version")
         assert proc.returncode == 0
         assert proc.stdout.startswith("rapflow ")

@@ -1,6 +1,7 @@
 """Integrator, iterator, and property-check tests against closed forms."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -149,10 +150,14 @@ def _tableau_step(f, t, y, h, k1=None):
 
 
 def _tableau_integrate(f, u0, t0, t1, cfg):
-    """integrate's cell loop for rkf45, on the tableau-driven step."""
+    """integrate's cell loop for rkf45, on the tableau-driven step.
+
+    Returns (values, derivs, number of rejected steps).
+    """
     n_cells = max(1, math.ceil((t1 - t0) / cfg.dt_out - 1e-9))
     y = float(u0)
     values, derivs = [y], [f(t0, y)]
+    rejected = 0
     for cell in range(n_cells):
         t, t_target = t0 + cell * cfg.dt_out, t0 + (cell + 1) * cfg.dt_out
         k1 = derivs[-1]
@@ -164,12 +169,34 @@ def _tableau_integrate(f, u0, t0, t1, cfg):
                         cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y_new))):
                     break
                 h *= 0.5
+                rejected += 1
             y = y_new
             t = t_target if h >= (t_target - t) - 1e-12 else t + h
             k1 = None
         values.append(y)
         derivs.append(f(t_target, y))
-    return np.array(values), np.array(derivs)
+    return np.array(values), np.array(derivs), rejected
+
+
+def _rk4_loop_integrate(f, u0, t0, t1, cfg):
+    """integrate's cell loop for rk4, with the classical step written out."""
+    n_cells = max(1, math.ceil((t1 - t0) / cfg.dt_out - 1e-9))
+    y = float(u0)
+    values, derivs = [y], [f(t0, y)]
+    for cell in range(n_cells):
+        t, t_target = t0 + cell * cfg.dt_out, t0 + (cell + 1) * cfg.dt_out
+        m = max(1, math.ceil((t_target - t) / cfg.max_step - 1e-9))
+        h = (t_target - t) / m
+        for _ in range(m):
+            k1 = f(t, y)
+            k2 = f(t + h / 2, y + h / 2 * k1)
+            k3 = f(t + h / 2, y + h / 2 * k2)
+            k4 = f(t + h, y + h * k3)
+            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+        values.append(y)
+        derivs.append(f(t_target, y))
+    return np.array(values), np.array(derivs), 0
 
 
 @pytest.mark.parametrize("rhs", ["-x+sin(t)", CHIRP_RHS])
@@ -214,14 +241,63 @@ def test_rkf45_step_sums_match_the_tableau_on_signed_zeros_and_non_finite(
         assert _same_bits(ta, tb) and _same_bits(xa, xb)
 
 
-@pytest.mark.parametrize("fld", [relax_sin_field(), chirp_field()],
-                         ids=["relax-sin", "slow-chirp"])
-def test_integrate_matches_the_tableau_loop(fld):
-    cfg = IntegratorConfig(dt_out=0.05)
-    traj = integrate(fld, 0.75, (0.0, 20.0), cfg)
-    values, derivs = _tableau_integrate(fld.bind(), 0.75, 0.0, 20.0, cfg)
+# field, config, span, and whether the march rejects steps
+_LOOP_CASES = {
+    "relax-sin": (relax_sin_field(), IntegratorConfig(dt_out=0.05),
+                  (0.0, 20.0), False),
+    "slow-chirp": (chirp_field(), IntegratorConfig(dt_out=0.05),
+                   (0.0, 20.0), False),
+    "rejected-steps": (chirp_field(), IntegratorConfig(
+        abs_tol=1e-12, rel_tol=1e-12, dt_out=0.5), (0.0, 20.0), True),
+    "max-step-below-dt-out": (relax_sin_field(), IntegratorConfig(
+        max_step=0.0125, dt_out=0.05), (0.0, 20.0), False),
+    "negative-t0": (relax_sin_field(), IntegratorConfig(dt_out=0.05),
+                    (-7.5, 12.5), False),
+    "rk4": (chirp_field(), IntegratorConfig(
+        method="rk4", max_step=0.02, dt_out=0.05), (0.0, 20.0), False),
+}
+
+
+@pytest.mark.parametrize("case", list(_LOOP_CASES))
+def test_integrate_matches_the_tableau_loop(case):
+    fld, cfg, (t0, t1), rejects = _LOOP_CASES[case]
+    traj = integrate(fld, 0.75, (t0, t1), cfg)
+    reference = _rk4_loop_integrate if cfg.method == "rk4" else _tableau_integrate
+    values, derivs, rejected = reference(fld.bind(), 0.75, t0, t1, cfg)
+    assert (rejected > 0) == rejects
     assert traj.values.tobytes() == values.tobytes()
     assert traj.derivs.tobytes() == derivs.tobytes()
+
+
+@pytest.mark.parametrize("u0", [1, 0.75, np.float64(0.75)],
+                         ids=["int", "float", "float64"])
+@pytest.mark.parametrize("case", ["rejected-steps", "rk4"])
+def test_integrate_calls_the_rhs_on_python_floats(monkeypatch, case, u0):
+    fld, cfg, span, _ = _LOOP_CASES[case]
+    seen = set()
+    bind = ScalarField.bind
+
+    def recording_bind(self):
+        f = bind(self)
+
+        def g(t, x):
+            seen.add((type(t), type(x)))
+            return f(t, x)
+        return g
+
+    monkeypatch.setattr(ScalarField, "bind", recording_bind)
+    integrate(fld, u0, span, cfg)
+    assert seen == {(float, float)}
+
+
+def test_blowup_emits_no_numpy_warning():
+    fld = ScalarField(kind="continuous", rhs="x*x*x")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepUnderflowError) as err:
+            integrate(fld, 1, (0.0, 1.0))
+    assert str(err.value) == (
+        "adaptive step size underflowed near t = 0.4999999997952003")
 
 
 def test_integrate_rejects_bad_requests():
