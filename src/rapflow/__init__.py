@@ -1,6 +1,6 @@
 """rapflow: simulate scalar nonautonomous systems and classify their recurrence.
 
-The package has six parts:
+The package has seven parts:
 
 * :mod:`rapflow.expr` -- a small arithmetic expression language for
   right-hand sides ``f(t, x)`` and closed-form curves.
@@ -14,12 +14,14 @@ The package has six parts:
   oracles and sound tail bounds, plus the Beverton-Holt family.
 * :mod:`rapflow.serialize` -- deterministic CSV and JSON writers stamped
   with a configuration hash and the tool version.
+* :mod:`rapflow.verify` -- the seeded, self-contained checking suites
+  behind ``rapflow verify``.
 * :mod:`rapflow.cli` -- the ``rapflow`` command line tool.
 """
 
 from ._version import VERSION as __version__  # noqa: E402
 from . import catalog, classify, dynamics, expr, serialize  # noqa: E402,F401
-from . import cli  # noqa: E402,F401
+from . import cli, verify  # noqa: E402,F401
 
 __all__ = ["catalog", "classify", "cli", "dynamics", "expr", "serialize",
-           "__version__"]
+           "verify", "__version__"]

@@ -38,7 +38,6 @@ __all__ = [
     "ClassificationResult",
     "ClassifyConfig",
     "DensityReport",
-    "EquiProbeReport",
     "SeparationReport",
     "StationaryBattery",
     "TailSupCurve",
@@ -47,7 +46,6 @@ __all__ = [
     "asymptotic_tau_periodic_test",
     "classify_trajectory",
     "default_probes",
-    "equi_almost_periodicity_probe",
     "remote_stationary_test",
     "remote_tau_periodic_test",
     "separation_constancy_test",
@@ -238,11 +236,13 @@ class TailSupCurve:
 
 
 def remote_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
-                             windows, clamp: bool = True) -> TailSupCurve:
+                             windows) -> TailSupCurve:
     """Test whether the shift tau is eventually an almost period.
 
     Computes sup |phi(t + tau) - phi(t)| over each window in the ladder and
-    applies the verdict rule documented on :class:`TailSupCurve`.
+    applies the verdict rule documented on :class:`TailSupCurve`.  Each
+    window is clamped to the sampled span, leaving room for the shift; a
+    window left empty is dropped, and both are recorded in the notes.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
@@ -252,12 +252,12 @@ def remote_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
     t_end = traj.t_end
     for w in windows:
         lo, hi = float(w[0]), float(w[1])
-        eff_hi = min(hi, t_end - tau) if clamp else hi
-        eff_lo = max(lo, traj.t0) if clamp else lo
+        eff_hi = min(hi, t_end - tau)
+        eff_lo = max(lo, traj.t0)
         if eff_hi <= eff_lo:
             notes.append(f"window ({lo}, {hi}) dropped: no room for the shift")
             continue
-        sups.append(tail_sup(traj, tau, (eff_lo, eff_hi), clamp=clamp))
+        sups.append(tail_sup(traj, tau, (eff_lo, eff_hi), clamp=True))
         if (eff_lo, eff_hi) != (lo, hi):
             notes.append(f"window ({lo}, {hi}) clamped to ({eff_lo}, {eff_hi})")
         used.append((eff_lo, eff_hi))
@@ -323,7 +323,7 @@ def remote_stationary_test(traj: Trajectory, eps: float, windows,
             skipped = True
             continue
         try:
-            curve = remote_tau_periodic_test(traj, p, eps, windows, clamp=True)
+            curve = remote_tau_periodic_test(traj, p, eps, windows)
         except ValueError as exc:
             curves[p] = None
             notes.append(f"probe {p:g} skipped: {exc}")
@@ -686,64 +686,6 @@ def separation_constancy_test(a: Trajectory, b: Trajectory,
                             verdict="pass" if drift <= tol else "fail")
 
 
-@dataclass
-class EquiProbeReport:
-    """Shared admitted shifts across a family of trajectories.
-
-    label is "uniform" when the common admitted set is still relatively
-    dense over the scanned range, "sparse-common" when shifts are shared
-    but thin, and "no-common-shift" when the intersection is empty.
-    """
-
-    eps: float
-    per_trajectory: tuple[DensityReport, ...]
-    common: DensityReport
-    common_taus: np.ndarray
-    label: str
-
-
-def equi_almost_periodicity_probe(trajs, eps: float, tau_range,
-                                  tau_step: float) -> EquiProbeReport:
-    """Intersect the admitted shift sets of several trajectories.
-
-    Equi-almost-periodicity of a family asks for shifts admitted by every
-    member at once.  All trajectories must share one sampling grid so the
-    scans are comparable.
-    """
-    trajs = list(trajs)
-    if len(trajs) < 2:
-        raise ValueError("need at least two trajectories")
-    first = trajs[0]
-    for other in trajs[1:]:
-        if other.kind != first.kind:
-            raise ValueError("trajectories have different kinds")
-        if (abs(other.t0 - first.t0) > _POS_TOL
-                or abs(other.dt - first.dt) > _POS_TOL
-                or len(other.values) != len(first.values)):
-            raise ValueError("trajectories are sampled on different grids")
-    scans = [almost_period_scan(tr, eps, tau_range, tau_step) for tr in trajs]
-    reports = tuple(s.density() for s in scans)
-    assess = np.logical_and.reduce([s.assessable for s in scans])
-    admitted = np.logical_and.reduce([s.admitted for s in scans]) & assess
-    sups = np.max(np.vstack([np.nan_to_num(s.sups, nan=np.inf) for s in scans]),
-                  axis=0)
-    sups = np.where(assess, sups, np.nan)
-    common = AlmostPeriodSet(mode="global", eps=float(eps),
-                             taus=scans[0].taus, sups=sups, admitted=admitted,
-                             assessable=assess)
-    dens = common.density()
-    lo, hi = dens.scan_range
-    if dens.n_admitted == 0:
-        label = "no-common-shift"
-    elif dens.largest_gap <= (hi - lo) / 4.0:
-        label = "uniform"
-    else:
-        label = "sparse-common"
-    return EquiProbeReport(eps=float(eps), per_trajectory=reports,
-                           common=dens, common_taus=common.admitted_taus(),
-                           label=label)
-
-
 # ---------------------------------------------------------------------------
 # the full classifier
 
@@ -973,27 +915,22 @@ def classify_trajectory(traj: Trajectory,
         notes.append(f"remote scan unavailable: {rscan}")
         rscan = None
 
-    # almost periodicity from scan density
-    if gscan is not None:
+    # almost periodicity from scan density: the admitted shifts are
+    # relatively dense when no gap between them exceeds a quarter of the
+    # scanned range
+    for scan, name, which in ((gscan, "almost-periodic", "global"),
+                              (rscan, "remotely-almost-periodic", "remote")):
+        if scan is None:
+            continue
         try:
-            gdens = gscan.density()
-            reports["almost-periodic"] = gdens
-            rel = (gdens.largest_gap <= (gdens.scan_range[1]
-                                         - gdens.scan_range[0]) / 4.0)
-            verdicts["almost-periodic"] = (
-                "pass" if gdens.n_admitted > 0 and rel else "fail")
+            dens = scan.density()
         except ValueError as exc:
-            notes.append(f"global density unavailable: {exc}")
-    if rscan is not None:
-        try:
-            rdens = rscan.density()
-            reports["remotely-almost-periodic"] = rdens
-            rel = (rdens.largest_gap <= (rdens.scan_range[1]
-                                         - rdens.scan_range[0]) / 4.0)
-            verdicts["remotely-almost-periodic"] = (
-                "pass" if rdens.n_admitted > 0 and rel else "fail")
-        except ValueError as exc:
-            notes.append(f"remote density unavailable: {exc}")
+            notes.append(f"{which} density unavailable: {exc}")
+            continue
+        reports[name] = dens
+        lo, hi = dens.scan_range
+        rel = dens.largest_gap <= (hi - lo) / 4.0
+        verdicts[name] = "pass" if dens.n_admitted > 0 and rel else "fail"
 
     # candidate shift
     min_cand = 1.0 if discrete else max(10.0 * step_eff, 2.0 * traj.dt)

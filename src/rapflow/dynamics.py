@@ -665,6 +665,10 @@ def sample_function(fn, t_span, dt: float, params: dict | None = None,
 # property checks
 # ---------------------------------------------------------------------------
 
+# rounding allowance of the order and Lipschitz checks
+_PROPERTY_SLACK = 1e-12
+
+
 @dataclass
 class PropertyReport:
     property: str
@@ -688,8 +692,7 @@ class PropertyReport:
 
 
 def check_monotone_in_x(fld: ScalarField, t_grid, x_grid,
-                        direction: str = "non-decreasing",
-                        slack: float = 1e-12) -> PropertyReport:
+                        direction: str = "non-decreasing") -> PropertyReport:
     """Check x -> f(t, x) is monotone in the given direction on a grid."""
     if direction not in ("non-decreasing", "non-increasing"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -701,11 +704,11 @@ def check_monotone_in_x(fld: ScalarField, t_grid, x_grid,
     d = np.diff(F, axis=1)
     if direction == "non-decreasing":
         worst = float(d.min())
-        ok = worst >= -slack
+        ok = worst >= -_PROPERTY_SLACK
         i, j = np.unravel_index(int(d.argmin()), d.shape)
     else:
         worst = float(d.max())
-        ok = worst <= slack
+        ok = worst <= _PROPERTY_SLACK
         i, j = np.unravel_index(int(d.argmax()), d.shape)
     witness = None
     if not ok:
@@ -714,15 +717,14 @@ def check_monotone_in_x(fld: ScalarField, t_grid, x_grid,
                    "f_lo": float(F[i, j]), "f_hi": float(F[i, j + 1])}
     return PropertyReport(
         property=f"monotone-{direction}-in-x", verdict="pass" if ok else "fail",
-        extreme=worst, witness=witness, tolerance=slack,
+        extreme=worst, witness=witness, tolerance=_PROPERTY_SLACK,
         samples=int(F.size))
 
 
-def check_lipschitz_one(fld: ScalarField, t_grid, x_grid,
-                        slack: float = 1e-12) -> PropertyReport:
+def check_lipschitz_one(fld: ScalarField, t_grid, x_grid) -> PropertyReport:
     """Empirical Lipschitz constant of x -> f(t, x) over all grid pairs.
 
-    Passes when |f(t,a) - f(t,b)| <= |a - b| * (1 + slack) for every pair;
+    Passes when |f(t,a) - f(t,b)| <= |a - b| * (1 + 1e-12) for every pair;
     ``extreme`` is the worst measured ratio.
     """
     t_grid = np.asarray(t_grid, float)
@@ -738,7 +740,7 @@ def check_lipschitz_one(fld: ScalarField, t_grid, x_grid,
         if r.flat[j] > worst:
             worst = float(r.flat[j])
             witness_idx = (i, *np.unravel_index(j, r.shape))
-    ok = worst <= 1.0 + slack
+    ok = worst <= 1.0 + _PROPERTY_SLACK
     witness = None
     if not ok and witness_idx is not None:
         i, a, b = witness_idx
@@ -746,7 +748,7 @@ def check_lipschitz_one(fld: ScalarField, t_grid, x_grid,
                    "x2": float(x_grid[b]), "ratio": worst}
     return PropertyReport(
         property="lipschitz-one-in-x", verdict="pass" if ok else "fail",
-        extreme=worst, witness=witness, tolerance=slack,
+        extreme=worst, witness=witness, tolerance=_PROPERTY_SLACK,
         samples=int(F.size))
 
 

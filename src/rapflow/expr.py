@@ -428,7 +428,16 @@ class _Emitter:
         elif func == "exp":
             lines += ['with _errstate(over="ignore"):', f"    {out} = _exp({a})"]
         elif func == "floor" and not self.array:
-            lines.append(f"{out} = _float(_floor({a}))")
+            # math.floor rejects inf and nan; as in numpy, each is its own
+            # floor
+            lines += ["try:", f"    {out} = _float(_floor({a}))",
+                      "except (OverflowError, ValueError):",
+                      f"    {out} = _float({a})"]
+        elif func in ("sin", "cos") and not self.array:
+            # math.sin and math.cos reject an infinite argument; numpy gives
+            # nan
+            lines += ["try:", f"    {out} = _{func}({a})",
+                      "except ValueError:", f"    {out} = _nan"]
         else:
             lines.append(f"{out} = _{func}({a})")
 

@@ -25,18 +25,16 @@ import math
 import numpy as np
 
 from ._version import VERSION
-from .classify import AlmostPeriodSet, ClassificationResult, TailSupCurve
-from .dynamics import ScalarField, Trajectory
+from .classify import AlmostPeriodSet, ClassificationResult
+from .dynamics import Trajectory
 
 __all__ = [
     "almost_period_set_csv",
     "canonical_hash",
     "classification_json",
     "csv_text",
-    "field_definition",
     "jsonable",
     "json_text",
-    "tail_sup_curves_csv",
     "trajectory_csv",
     "trajectory_json",
     "write_text",
@@ -169,29 +167,6 @@ def trajectory_json(traj: Trajectory) -> str:
     return json_text(payload, _trajectory_hash(traj))
 
 
-def field_definition(fld: ScalarField) -> dict:
-    """Portable field description: expression text plus bindings."""
-    return {"kind": fld.kind, "rhs": fld.rhs.to_text(),
-            "params": dict(fld.params), "state_domain": list(fld.state_domain),
-            "time_domain": fld.time_domain, "name": fld.name,
-            "field_id": fld.field_id}
-
-
-def tail_sup_curves_csv(curves) -> str:
-    """Columns tau, window_start, window_end, sup for a curve collection."""
-    curves = list(curves)
-    rows = []
-    for cur in curves:
-        for (lo, hi), s in zip(cur.windows, cur.sups):
-            rows.append((cur.tau, lo, hi, s))
-    meta = {"eps": curves[0].eps if curves else ""}
-    digest = canonical_hash([{"tau": c.tau, "eps": c.eps,
-                              "windows": [list(w) for w in c.windows]}
-                             for c in curves])
-    return csv_text(["tau", "window_start", "window_end", "sup"], rows,
-                    digest, extra_meta=meta)
-
-
 def almost_period_set_csv(scan: AlmostPeriodSet) -> str:
     """Columns tau, sup, admitted, level.
 
@@ -215,13 +190,8 @@ def almost_period_set_csv(scan: AlmostPeriodSet) -> str:
                     extra_meta={"mode": scan.mode, "eps": scan.eps})
 
 
-def classification_json(result: ClassificationResult,
-                        include_scans: bool = True) -> str:
-    """Full classification report as a JSON document.
-
-    Scans are the bulky part; include_scans=False drops their per-shift
-    arrays and keeps only the densities already summarized in reports.
-    """
+def classification_json(result: ClassificationResult) -> str:
+    """Full classification report as a JSON document, scans included."""
     payload = {
         "label": result.label,
         "verdicts": result.verdicts,
@@ -232,8 +202,8 @@ def classification_json(result: ClassificationResult,
         "hierarchy": result.hierarchy,
         "hierarchy_ok": result.hierarchy_ok(),
         "notes": result.notes,
-        "global_scan": result.global_scan if include_scans else None,
-        "remote_scan": result.remote_scan if include_scans else None,
+        "global_scan": result.global_scan,
+        "remote_scan": result.remote_scan,
     }
     digest = canonical_hash(result.config)
     return json_text(payload, digest)

@@ -24,7 +24,6 @@ from rapflow.classify import (
     asymptotic_tau_periodic_test,
     classify_trajectory,
     default_probes,
-    equi_almost_periodicity_probe,
     remote_stationary_test,
     remote_tau_periodic_test,
     separation_constancy_test,
@@ -543,33 +542,6 @@ class TestSeparationConstancy:
         c = iterate(ScalarField(kind="discrete", rhs="x", time_domain="half-line"), 1.0, 100)
         with pytest.raises(ValueError, match="kind"):
             separation_constancy_test(a, c)
-
-
-class TestEquiProbe:
-    def test_phase_shifted_family_is_uniform(self):
-        fam = [sample_function(f"sin(t+{p})", (0.0, 400.0), 0.01)
-               for p in (0.0, 0.7, 1.9)]
-        rep = equi_almost_periodicity_probe(fam, 0.05, (0.0, 100.0), 0.01)
-        assert rep.label == "uniform"
-        assert rep.common.n_admitted == 156
-        assert rep.common.largest_gap == pytest.approx(6.2, abs=1e-6)
-        assert len(rep.per_trajectory) == 3
-
-    def test_incommensurate_pair_shares_almost_nothing(self):
-        mixed = [sample_function("sin(t)", (0.0, 400.0), 0.01),
-                 sample_function("sin(sqrt(2)*t)", (0.0, 400.0), 0.01)]
-        rep = equi_almost_periodicity_probe(mixed, 0.05, (0.0, 100.0), 0.01)
-        assert rep.label == "sparse-common"
-        assert rep.common.n_admitted == 4
-        assert rep.common.largest_gap == pytest.approx(99.97, abs=0.02)
-
-    def test_validation(self):
-        a = sample_function("sin(t)", (0.0, 10.0), 0.01)
-        with pytest.raises(ValueError, match="two"):
-            equi_almost_periodicity_probe([a], 0.05, (0.0, 5.0), 0.01)
-        b = sample_function("sin(t)", (0.0, 12.0), 0.01)
-        with pytest.raises(ValueError, match="grid"):
-            equi_almost_periodicity_probe([a, b], 0.05, (0.0, 5.0), 0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,19 @@ class TestExitCodes:
         assert code == 3
         assert "integration aborted" in err
 
+    @pytest.mark.parametrize("rhs,u0,span", [
+        ("floor(x*x*x)", "2", "0:3"),
+        ("sin(x*x*x)+x*x*x", "1", "0:1"),
+    ])
+    def test_non_finite_function_argument_is_integration_abort(
+            self, capsys, rhs, u0, span):
+        # floor, sin and cos of an overflowed state give inf or nan, as in
+        # numpy, so the integrator aborts instead of the function raising
+        code, _, err = run(capsys, "simulate", "--ode", rhs, "--u0", u0,
+                           "--span", span)
+        assert code == 3
+        assert "integration aborted" in err
+
     def test_step_underflow_prints_only_its_error_line(self):
         # the march runs on Python floats, so an overflowing rhs warns of
         # nothing before the abort
@@ -455,11 +468,14 @@ class TestScanCommand:
 
 class TestVerifyCommand:
     def test_fast_suites_pass(self, capsys):
-        for suite in ("parser", "monotone", "counterexample"):
-            code, out, _ = run(capsys, "verify", suite)
-            assert code == 0, out
-            assert "[FAIL]" not in out
-            assert "passed" in out.splitlines()[-1]
+        code, out, _ = run(capsys, "verify", "all")
+        assert code == 0, out
+        assert "[FAIL]" not in out
+        suites = [l[len("suite: "):] for l in out.splitlines()
+                  if l.startswith("suite: ")]
+        assert suites == ["contraction", "periodic", "monotone",
+                          "counterexample", "beverton-holt", "parser"]
+        assert out.splitlines()[-1] == "passed 27/27 checks"
 
     def test_check_lines_have_the_documented_shape(self, capsys):
         code, out, _ = run(capsys, "verify", "monotone")

@@ -206,7 +206,6 @@ def test_failing_constant_subtree_raises_at_evaluation():
 
 
 def test_overflow_inside_an_exp_argument_gives_inf():
-    # math.floor(inf) raises OverflowError; exp's handler covers its argument
     assert parse("exp(floor(t))").eval(t=math.inf) == math.inf
 
 
@@ -307,6 +306,21 @@ def test_first_failing_node_of_each_backend(src, scalar_span, array_span):
     with pytest.raises(EvalError) as exc:
         e.eval_array(np.array([0.0, 1.0]), np.array([-1.0, 2.0]))
     assert exc.value.span == array_span
+
+
+@pytest.mark.parametrize("src", ["floor(x)", "sin(x)", "cos(x)",
+                                 "floor(t*x)-cos(x)"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_backends_agree_on_non_finite_arguments(src, x):
+    """floor keeps inf, -inf and nan, and sin and cos of an infinite
+    argument are nan, in both backends; math.floor, math.sin and math.cos
+    reject these arguments."""
+    e = parse(src)
+    scalar = e.bind()(2.0, x)
+    with np.errstate(invalid="ignore"):
+        array = float(e.eval_array(2.0, x))
+    assert type(scalar) is float
+    assert scalar == array or (math.isnan(scalar) and math.isnan(array))
 
 
 # ---------------------------------------------------------------------------

@@ -16,20 +16,16 @@ from rapflow.classify import (
     ClassifyConfig,
     almost_period_scan,
     classify_trajectory,
-    remote_tau_periodic_test,
 )
 from rapflow.dynamics import ScalarField, Trajectory, iterate, sample_function
-from rapflow.expr import parse
 from rapflow.serialize import (
     _fmt,
     almost_period_set_csv,
     canonical_hash,
     classification_json,
     csv_text,
-    field_definition,
     json_text,
     jsonable,
-    tail_sup_curves_csv,
     trajectory_csv,
     trajectory_json,
     write_text,
@@ -213,15 +209,6 @@ class TestTrajectoryWriters:
         assert payload["values"] == list(traj.values)
         assert "provenance" in payload
 
-    def test_field_definition_is_expression_text_plus_bindings(self):
-        fld = ScalarField(kind="discrete", rhs="mu*x", params={"mu": 0.5},
-                          time_domain="half-line", name="decay")
-        d = field_definition(fld)
-        assert d["rhs"] == fld.rhs.to_text()
-        assert parse(d["rhs"]).to_text() == d["rhs"]
-        assert d["params"] == {"mu": 0.5}
-        assert d["kind"] == "discrete"
-
 
 class TestScanWriters:
     def test_almost_period_set_csv_layout(self):
@@ -236,17 +223,6 @@ class TestScanWriters:
         assert float(first[0]) == 0.0
         assert first[2] == "true"
 
-    def test_tail_sup_curves_csv_layout(self):
-        traj = _short_trajectory()
-        curve = remote_tau_periodic_test(traj, 0.5, 0.5, ((1.0, 2.0),))
-        text = tail_sup_curves_csv([curve])
-        lines = [l for l in text.strip().split("\n") if not l.startswith("#")]
-        assert lines[0] == "tau,window_start,window_end,sup"
-        tau, lo, hi, sup = lines[1].split(",")
-        assert float(tau) == 0.5
-        assert (float(lo), float(hi)) == (1.0, 2.0)
-        assert float(sup) == curve.sups[0]
-
 
 class TestClassificationWriter:
     def test_envelope_and_label(self):
@@ -259,15 +235,7 @@ class TestClassificationWriter:
         assert payload["label"] == "stationary"
         assert set(payload["verdicts"]) == set(CLASS_ORDER)
         assert payload["hierarchy_ok"] is True
-
-    def test_scans_can_be_dropped(self):
-        fld = ScalarField(kind="discrete", rhs="x", time_domain="half-line")
-        traj = iterate(fld, 2.0, 60)
-        res = classify_trajectory(traj, ClassifyConfig(tau_range=(0, 20), tau_step=1))
-        slim = json.loads(classification_json(res, include_scans=False))
-        full = json.loads(classification_json(res, include_scans=True))
-        assert slim["payload"]["global_scan"] is None
-        assert full["payload"]["global_scan"] is not None
+        assert payload["global_scan"]["taus"] == res.global_scan.taus.tolist()
 
 
 class TestWriteText:
