@@ -828,11 +828,13 @@ def _candidate_from_scan(scan: AlmostPeriodSet,
     return None
 
 
-def _triangle_check(traj: Trajectory, tau: float, window, k: int):
+def _triangle_check(traj: Trajectory, tau: float, window, k: int,
+                    budget: float):
     """sup over W of the k-fold shift comparison against k times the
     single-shift comparison over the window stretched by (k - 1) shifts.
     This is a triangle inequality for the sampled interpolant, so a
-    violation beyond interpolation slack is an implementation bug."""
+    violation beyond interpolation slack, ten times ``budget`` (the
+    trajectory's interp_budget) plus round-off, is an implementation bug."""
     t_end = traj.t_end
     lo, hi = window
     if hi + k * tau > t_end + _POS_TOL:
@@ -840,7 +842,7 @@ def _triangle_check(traj: Trajectory, tau: float, window, k: int):
                 "detail": "span too short for the stretched window"}
     lhs = tail_sup(traj, k * tau, (lo, hi))
     rhs = tail_sup(traj, tau, (lo, hi + (k - 1) * tau))
-    slack = 10.0 * traj.interp_budget() + 1e-6 * max(1.0, rhs) + 1e-12
+    slack = 10.0 * budget + 1e-6 * max(1.0, rhs) + 1e-12
     if lhs <= k * rhs + slack:
         return {"name": f"triangle k={k}", "status": "ok",
                 "detail": f"sup({k}*tau)={lhs:.3e} <= {k}*sup(tau)+slack"}
@@ -1046,8 +1048,10 @@ def classify_trajectory(traj: Trajectory,
 
     # (c)-(d) triangle inequality for repeated shifts.
     if refined is not None and windows is not None:
+        budget = traj.interp_budget()
         for k in (2, 3):
-            hierarchy.append(_triangle_check(traj, refined, windows[-1], k))
+            hierarchy.append(
+                _triangle_check(traj, refined, windows[-1], k, budget))
     else:
         hierarchy.append({"name": "triangle k=2", "status": "skipped",
                           "detail": "no candidate shift or windows"})

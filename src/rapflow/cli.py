@@ -341,7 +341,8 @@ def _integrator_config(o, default_dt: float = 0.01) -> IntegratorConfig:
 
 
 # the most samples a command builds into one trajectory: with values and
-# derivatives at 8 bytes each, about 320 MB
+# derivatives at 8 bytes each, about 320 MB.  A --fn curve is sampled a chunk
+# at a time, so building it peaks near those two arrays, not several times them
 _MAX_SAMPLES = 20_000_000
 
 
@@ -487,7 +488,8 @@ def _write_data(o, text: str, what: str) -> None:
 def cmd_simulate(args) -> int:
     o = _merged_options(args)
     traj, meta = _build_trajectory(o)
-    sup = float(np.max(np.abs(traj.values)))
+    # max |x| without a full-size abs temporary; + 0.0 turns -0.0 into 0.0
+    sup = max(float(traj.values.max()), -float(traj.values.min())) + 0.0
     print(f"samples: {len(traj)}")
     print(f"grid: t0={traj.t0:g} dt={traj.dt:g} t_end={traj.t_end:g}")
     print(f"sup |x|: {sup!r}")

@@ -34,8 +34,10 @@ _MIN_STEP_FACTOR = 1e-13
 # a shift within this many steps (times max(1, steps)) of a whole number of
 # steps counts as on the sampling grid
 _GRID_TOL = 1e-9
-# the shift kernel compares long spans this many samples at a time, so its
-# scratch buffers stay in cache while every window takes its maximum
+# long arrays are filled and compared this many samples at a time: the shift
+# kernel's scratch buffers stay in cache while every window takes its
+# maximum, and sampling, the fourth difference and dense output hold
+# temporaries of this size only
 _CHUNK = 1 << 16
 
 
@@ -298,6 +300,8 @@ class Trajectory:
             raise DynamicsError(
                 f"query at t = {bad!r} outside sampled span "
                 f"[{self.t0!r}, {self.t_end!r}]")
+        # the choice is made over the whole query: Hermite at a point
+        # within tol of the grid is not bit-equal to the stored value
         nearest = np.rint(pos)
         if np.all(np.abs(pos - nearest) <= tol):
             # aligned with the grid: return stored values exactly
@@ -306,17 +310,23 @@ class Trajectory:
         if self.kind == "discrete":
             raise DynamicsError(
                 "discrete trajectories are sampled at integer steps only")
-        d = self._hermite_derivs()
-        idx = np.clip(np.floor(pos + tol).astype(int), 0, n - 2)
-        s = pos - idx
-        s2 = s * s
-        s3 = s2 * s
-        h00 = 2 * s3 - 3 * s2 + 1
-        h10 = s3 - 2 * s2 + s
-        h01 = -2 * s3 + 3 * s2
-        h11 = s3 - s2
-        return (h00 * self.values[idx] + h01 * self.values[idx + 1]
+        v, d = self.values, self._hermite_derivs()
+        flat = pos.reshape(-1)
+        out = np.empty(flat.size)
+        for c0 in range(0, flat.size, _CHUNK):
+            p = flat[c0:c0 + _CHUNK]
+            idx = np.clip(np.floor(p + tol).astype(int), 0, n - 2)
+            s = p - idx
+            s2 = s * s
+            s3 = s2 * s
+            h00 = 2 * s3 - 3 * s2 + 1
+            h10 = s3 - 2 * s2 + s
+            h01 = -2 * s3 + 3 * s2
+            h11 = s3 - s2
+            out[c0:c0 + _CHUNK] = (
+                h00 * v[idx] + h01 * v[idx + 1]
                 + self.dt * (h10 * d[idx] + h11 * d[idx + 1]))
+        return out.reshape(pos.shape)
 
     def value_at(self, t: float) -> float:
         return float(self.values_at(np.array([t]))[0])
@@ -453,7 +463,10 @@ class Trajectory:
         """
         if self.kind == "discrete" or len(self.values) < 5:
             return 0.0
-        return float(np.max(np.abs(np.diff(self.values, 4)))) / 384.0
+        # chunks overlap by 4 samples, so every difference is taken once
+        v = self.values
+        return float(np.max([np.abs(np.diff(v[c0:c0 + _CHUNK + 4], 4)).max()
+                             for c0 in range(0, len(v) - 4, _CHUNK)])) / 384.0
 
     def scaled(self, c: float) -> "Trajectory":
         return Trajectory(
@@ -628,8 +641,11 @@ def sample_function(fn, t_span, dt: float, params: dict | None = None,
     """Sample a closed-form curve of t into a continuous trajectory.
 
     ``fn`` is an expression (text or parsed) in t, or any callable accepting a
-    numpy array of times.  Grid derivatives for the Hermite dense output are
-    taken by central differences with step 1e-6 * (1 + |t|).
+    numpy array of times.  A callable must be pointwise: its value at each
+    time may not depend on the other times in the array, since the grid is
+    evaluated ``_CHUNK`` samples at a time.  Grid derivatives for the Hermite
+    dense output are taken by central differences with step 1e-6 * (1 + |t|).
+    Memory is the output values and derivatives plus O(``_CHUNK``) scratch.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -648,11 +664,16 @@ def sample_function(fn, t_span, dt: float, params: dict | None = None,
         curve = fn
         label = name or getattr(fn, "__name__", "callable")
 
-    n = max(1, math.ceil((t1 - t0) / dt - 1e-9))
-    ts = t0 + dt * np.arange(n + 1)
-    values = np.asarray(curve(ts), float)
-    h = 1e-6 * (1.0 + np.abs(ts))
-    derivs = (np.asarray(curve(ts + h), float) - np.asarray(curve(ts - h), float)) / (2 * h)
+    size = max(1, math.ceil((t1 - t0) / dt - 1e-9)) + 1
+    values = np.empty(size)
+    derivs = np.empty(size)
+    for c0 in range(0, size, _CHUNK):
+        c1 = min(size, c0 + _CHUNK)
+        ts = t0 + dt * np.arange(c0, c1)
+        values[c0:c1] = np.asarray(curve(ts), float)
+        h = 1e-6 * (1.0 + np.abs(ts))
+        derivs[c0:c1] = (np.asarray(curve(ts + h), float)
+                         - np.asarray(curve(ts - h), float)) / (2 * h)
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivs))):
         raise DynamicsError("sampled curve is not finite on the grid")
     return Trajectory(

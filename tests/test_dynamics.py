@@ -1,6 +1,7 @@
 """Integrator, iterator, and property-check tests against closed forms."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -30,6 +31,7 @@ from rapflow.dynamics import (
     sample_function,
     shift_field,
 )
+from rapflow.expr import parse
 
 CHIRP_RHS = "2*t*cos((t^2+pi^3)^(1/3)) / (3*(t^2+pi^3)^(2/3))"
 CHIRP_CURVE = "sin((t^2+pi^3)^(1/3))"
@@ -592,6 +594,110 @@ def test_sample_function_rejects_unbound_param():
 def test_sample_function_derivatives():
     traj = sample_function("sin(t)", (0.0, 6.3), 0.05)
     assert np.max(np.abs(traj.derivs - np.cos(traj.grid()))) <= 1e-9
+
+
+# Long arrays are filled _CHUNK samples at a time.  A chunk of 7 puts seams
+# all through these short inputs; every output must stay bit-equal to the
+# whole-array formula below.
+
+def _bits(a):
+    return np.asarray(a, float).tobytes()
+
+
+def _whole_array_samples(curve, t0, dt, count):
+    ts = t0 + dt * np.arange(count)
+    values = np.asarray(curve(ts), float)
+    h = 1e-6 * (1.0 + np.abs(ts))
+    derivs = (np.asarray(curve(ts + h), float)
+              - np.asarray(curve(ts - h), float)) / (2 * h)
+    return values, derivs
+
+
+def _pointwise_curve(ts):
+    return np.cos(0.7 * ts) * ts + 2.0
+
+
+@pytest.mark.parametrize("fn, span, dt, count", [
+    ("sin(t)*exp(-t/5)", (0.0, 2.0), 0.1, 21),       # 3 whole chunks
+    ("sin(t)*exp(-t/5)", (-3.3, 1.0), 0.1, 44),      # negative t0, partial
+    (_pointwise_curve, (-1.0, 3.9), 0.1, 50),
+    (_pointwise_curve, (2.0, 2.5), 0.1, 6),          # one short chunk
+    ("3.5", (0.0, 1.3), 0.1, 14),
+    ("3.5", (-7.0, 0.4), 0.05, 149),
+])
+def test_chunked_sampling_matches_the_whole_array_formula(monkeypatch, fn, span,
+                                                          dt, count):
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    sizes = []
+
+    def curve(ts):
+        sizes.append(ts.size)
+        if callable(fn):
+            return fn(ts)
+        return parse(fn).eval_array(ts, 0.0)
+
+    traj = sample_function(curve, span, dt)
+    assert len(traj) == count and max(sizes) <= 7
+    values, derivs = _whole_array_samples(curve, span[0], dt, count)
+    assert _bits(traj.values) == _bits(values)
+    assert _bits(traj.derivs) == _bits(derivs)
+    if not callable(fn):
+        # an expression given as text takes the same path
+        traj = sample_function(fn, span, dt)
+        assert _bits(traj.values) == _bits(values)
+        assert _bits(traj.derivs) == _bits(derivs)
+
+
+@pytest.mark.parametrize("size", [5, 11, 12, 23])
+def test_chunked_interp_budget_sees_a_spike_on_every_seam(monkeypatch, size):
+    # with chunks of 7 samples overlapping by 4, a spike at index i enters
+    # the differences i-4..i, which straddle a seam for most i
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    base = np.sin(0.2 * np.arange(size))
+    for i in range(size):
+        values = base.copy()
+        values[i] += 1.0 + i
+        traj = Trajectory(kind="continuous", t0=0.0, dt=0.1, values=values)
+        want = float(np.max(np.abs(np.diff(values, 4)))) / 384.0
+        assert traj.interp_budget() == want
+
+
+def test_chunked_values_at_matches_the_whole_array_formula(monkeypatch):
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    traj = sample_function("sin(t)+0.3*sin(3.7*t)", (-2.0, 3.0), 0.1)
+    grid = traj.grid()
+    # on-grid points, points within 1e-9 steps of the grid and off-grid
+    # points, mixed: the whole query takes the Hermite formula
+    qs = np.concatenate([grid[3:19], grid[20:35] + 3e-11, grid[5:14] - 4e-11,
+                         grid[:-1] + 0.037, [grid[0], grid[-1]]])
+    pos = (qs - traj.t0) / traj.dt
+    idx = np.clip(np.floor(pos + 1e-9).astype(int), 0, len(traj) - 2)
+    s = pos - idx
+    s2 = s * s
+    s3 = s2 * s
+    v, d = traj.values, traj.derivs
+    want = ((2 * s3 - 3 * s2 + 1) * v[idx] + (-2 * s3 + 3 * s2) * v[idx + 1]
+            + traj.dt * ((s3 - 2 * s2 + s) * d[idx] + (s3 - s2) * d[idx + 1]))
+    assert _bits(traj.values_at(qs)) == _bits(want)
+    assert _bits(traj.values_at(qs[:60].reshape(5, 12))) == _bits(
+        want[:60].reshape(5, 12))
+    # a query wholly within 1e-9 steps of the grid reads the stored values
+    near = np.concatenate([grid[20:35] + 3e-11, grid[3:19]])
+    assert _bits(traj.values_at(near)) == _bits(
+        np.concatenate([v[20:35], v[3:19]]))
+
+
+def test_sampling_peak_memory_stays_near_the_output():
+    # sampling holds its output, values + derivs, plus O(_CHUNK) scratch
+    sample_function("sin(ln(1+abs(t)))", (0.0, 1.0), 0.05)  # warm caches
+    tracemalloc.start()
+    try:
+        traj = sample_function("sin(ln(1+abs(t)))", (0.0, 50000.0), 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 1_000_001
+    assert peak < 1.5 * (traj.values.nbytes + traj.derivs.nbytes)
 
 
 # ---------------------------------------------------------------------------
