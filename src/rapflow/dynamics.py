@@ -34,10 +34,10 @@ _MIN_STEP_FACTOR = 1e-13
 # a shift within this many steps (times max(1, steps)) of a whole number of
 # steps counts as on the sampling grid
 _GRID_TOL = 1e-9
-# long arrays are filled and compared this many samples at a time: the shift
-# kernel's scratch buffers stay in cache while every window takes its
-# maximum, and sampling, the fourth difference and dense output hold
-# temporaries of this size only
+# long arrays are filled and compared this many samples at a time: a chunk
+# of values stays in cache while every shift of a block compares it, and
+# sampling, the fourth difference, dense output and the boundedness check
+# hold temporaries of this size only
 _CHUNK = 1 << 16
 
 
@@ -234,15 +234,32 @@ def _scratch_rows(rows: int, size: int) -> list:
             for r in range(rows)]
 
 
-def _unpacked(cols, *arrays, block: int = 512):
-    """Yield (j, a[j], b[j], ...) as Python values for j in cols.
+def _row_reader(stride: int, size: int):
+    """row(arr, start, n): arr[start], arr[start + stride], ... (n elements).
 
-    Rows are unpacked a block at a time, so a scan over many shifts never
-    holds Python objects for all of them at once.
+    With stride 1 a row is a view.  With a larger stride each row is
+    gathered into contiguous scratch and kept for the next reader: the
+    shifts of a strided call sit within a few samples of each other, so
+    they share the base row and most shifted rows.  At most six rows of
+    ``size`` elements are kept, the least recently read dropped first; a
+    shift reads five at most, so none it holds is overwritten.
     """
-    for b0 in range(0, cols.size, block):
-        js = cols[b0:b0 + block]
-        yield from zip(js.tolist(), *(a[js].tolist() for a in arrays))
+    if stride == 1:
+        return lambda arr, start, n: arr[start:start + n]
+    kept: dict = {}
+    spare = _scratch_rows(6, size)
+
+    def row(arr, start, n):
+        key = (id(arr), start)
+        got = kept.pop(key, None)
+        if got is None or got[1] < n:
+            dst = got[0] if got is not None else spare.pop() if spare else (
+                kept.pop(next(iter(kept)))[0])
+            np.copyto(dst[:n], arr[start:start + (n - 1) * stride + 1:stride])
+            got = (dst, n)
+        kept[key] = got
+        return got[0][:n]
+    return row
 
 
 @dataclass(eq=False)
@@ -348,13 +365,22 @@ class Trajectory:
         [w, j] of the result is the sup of |phi(t_i + taus[j]) - phi(t_i)|
         over i = starts[w, j], starts[w, j] + stride, ... <= ends[w, j].
         Entries where the boolean ``where`` is false are not compared and
-        read NaN.  For each shift the series |phi(t_i + tau) - phi(t_i)| is
-        formed once over the hull of its windows, in chunks of at most
-        ``_CHUNK`` samples through one scratch buffer per call, and each
-        window takes the max over its own slice; so windows that overlap
-        cost one comparison, and every sup is the one a call per window
-        gives.  With stride > 1 the windows of a shift must start on one
+        read NaN.  With stride > 1 the windows of a shift must start on one
         lattice of that stride.
+
+        What is read once: shifts go 512 at a time, and within such a block
+        the loop runs over chunks outside and shifts inside, so a chunk of
+        ``values`` and the derivatives (``_CHUNK`` comparison points of a
+        shift) comes from memory once per block and from cache for every
+        other shift in it.  Each shift forms |phi(t_i + tau) - phi(t_i)|
+        once over the hull of its windows, through one scratch buffer per
+        call.  Window and chunk edges cut that series into pieces, each
+        reduced once; a window's sup is the max over its pieces, so
+        windows that overlap share both the comparison and its reduction,
+        and every sup is the one a call per window gives.  With stride > 1
+        each strided row, the base row and each shifted row of ``values``
+        or the derivatives, is gathered into contiguous scratch once per
+        chunk and offset and read from there by every shift that needs it.
 
         On a uniform grid every t_i + tau sits at the same fractional cell
         offset s = frac(tau/dt), so the four cubic Hermite weights are
@@ -409,50 +435,89 @@ class Trajectory:
             raise ValueError("windows of a strided comparison must start "
                              "on one lattice")
         count = (ends.max(axis=0) - lo) // stride + 1
-        buf, tmp = _scratch_rows(2, int(min(_CHUNK, count[cols].max())))
+        size_max = int(min(_CHUNK, count[cols].max()))
+        buf, tmp = _scratch_rows(2, size_max)
         v = self.values
         d = None if np.all(on_grid[cols]) else self._hermite_derivs()
-        # each window as the offsets [first, last] of its elements in the
-        # hull of its shift
-        first, final = (starts - lo) // stride, (ends - lo) // stride
-        for j, i_lo, n_j, kj, exact, e0s, e1s, uses in _unpacked(
-                cols, lo, count, k, on_grid, first.T, final.T, where.T):
-            spans = [(w, e0, e1) for w, (e0, e1, u) in
-                     enumerate(zip(e0s, e1s, uses)) if u]
-            if exact:
-                shift, weights = round(kj), None
-            else:
-                shift = math.floor(kj)
-                s = kj - shift
-                weights = ((2 * s - 3) * s * s + 1, (3 - 2 * s) * s * s,
-                           self.dt * ((s - 2) * s + 1) * s,
-                           self.dt * (s - 1) * s * s)
-            for c0 in range(0, n_j, _CHUNK):
-                c1 = min(n_j, c0 + _CHUNK)
-                seg, term = buf[:c1 - c0], tmp[:c1 - c0]
-                a = i_lo + c0 * stride
-                b = i_lo + (c1 - 1) * stride + 1
-                p, q = a + shift, b + shift
-                if weights is None:
-                    np.subtract(v[p:q:stride], v[a:b:stride], out=seg)
-                else:
-                    # summed in the order w0*v + w1*v' + w2*d + w3*d' - phi
-                    np.multiply(v[p:q:stride], weights[0], out=seg)
-                    seg += np.multiply(v[p + 1:q + 1:stride], weights[1],
-                                       out=term)
-                    seg += np.multiply(d[p:q:stride], weights[2], out=term)
-                    seg += np.multiply(d[p + 1:q + 1:stride], weights[3],
-                                       out=term)
-                    seg -= v[a:b:stride]
-                np.abs(seg, out=seg)
-                for w, e0, e1 in spans:
-                    x, y = max(e0, c0), min(e1, c1 - 1)
-                    if x <= y:
-                        part = seg[x - c0:y - c0 + 1].max()
-                        # np.maximum keeps a NaN, as one max over the
-                        # whole window does
-                        out[w, j] = (part if x == e0
-                                     else np.maximum(out[w, j], part))
+        row = _row_reader(stride, size_max)
+        # each window as the offsets [first, last + 1) of its elements in
+        # the hull of its shift; an unused window is the empty [count, count)
+        use = where[:, cols]
+        first = np.where(use, (starts[:, cols] - lo[cols]) // stride,
+                         count[cols])
+        final = np.where(use, (ends[:, cols] - lo[cols]) // stride + 1,
+                         count[cols])
+        shift = np.where(on_grid, whole, np.floor(k)).astype(np.int64)
+        s = k - np.floor(k)
+        hermite = np.array(((2 * s - 3) * s * s + 1, (3 - 2 * s) * s * s,
+                            self.dt * ((s - 2) * s + 1) * s,
+                            self.dt * (s - 1) * s * s)).T
+        width = _CHUNK * stride
+        # shifts go 512 at a time, so a scan over many shifts holds the
+        # setup of one block only
+        for b0 in range(0, cols.size, 512):
+            blk = slice(b0, b0 + 512)
+            js = cols[blk]
+            i_lo, n_js = lo[js], count[js]
+            # the block's span of ``values`` in chunks of ``width`` indices;
+            # elem[c, r] is the first element of shift r at or past chunk
+            # edge c, so a chunk holds at most _CHUNK elements of a shift
+            a0 = int(i_lo.min())
+            z = int((i_lo + (n_js - 1) * stride).max()) + 1
+            edges = a0 + width * np.arange(-(-(z - a0) // width) + 1)
+            elem = np.minimum(np.maximum(
+                -((i_lo - edges[:, None]) // stride), 0), n_js)
+            # the chunk and window edges cut a shift's elements into pieces,
+            # each inside one chunk.  An edge's rank is the number of cuts of
+            # its shift below it, so pieces rank(e0) .. rank(e1) - 1 make up
+            # the elements [e0, e1).  Where two cuts coincide, reduceat gives
+            # the empty piece between them the element at the cut, which
+            # lies in every window that holds the piece
+            marks = np.concatenate([elem, first[:, blk], final[:, blk]])
+            cuts = np.sort(marks, axis=0).T.copy()
+            # one sorted search over all shifts: row r's cuts are lifted by
+            # r * (max + 1), past every cut of the rows before it
+            lift = np.arange(js.size)[:, None] * (int(cuts.max()) + 1)
+            rank = (np.searchsorted((cuts + lift).ravel(), marks.T + lift)
+                    - np.arange(0, cuts.size, cuts.shape[1])[:, None]).T
+            at = rank[:len(edges)].tolist()
+            p0 = rank[len(edges):len(edges) + len(first), :, None]
+            p1 = rank[len(edges) + len(first):, :, None]
+            piece = np.full(cuts.shape, -np.inf)
+            setup = list(zip(i_lo.tolist(), shift[js].tolist(),
+                             on_grid[js].tolist(), hermite[js].tolist()))
+            bounds = elem.tolist()
+            for c in range(len(edges) - 1):
+                local = cuts - elem[c][:, None]
+                for r, (m0, m1, g0, g1, (i0, sh, exact, wts)) in enumerate(
+                        zip(bounds[c], bounds[c + 1], at[c], at[c + 1],
+                            setup)):
+                    if m0 == m1:
+                        continue
+                    n_c = m1 - m0
+                    seg, term = buf[:n_c], tmp[:n_c]
+                    a = i0 + m0 * stride
+                    p = a + sh
+                    if exact:
+                        np.subtract(row(v, p, n_c), row(v, a, n_c), out=seg)
+                    else:
+                        # summed in the order w0*v + w1*v' + w2*d + w3*d' - phi
+                        np.multiply(row(v, p, n_c), wts[0], out=seg)
+                        seg += np.multiply(row(v, p + 1, n_c), wts[1],
+                                           out=term)
+                        seg += np.multiply(row(d, p, n_c), wts[2], out=term)
+                        seg += np.multiply(row(d, p + 1, n_c), wts[3],
+                                           out=term)
+                        seg -= row(v, a, n_c)
+                    np.abs(seg, out=seg)
+                    # np.maximum keeps a NaN, as one max over the whole
+                    # window does
+                    np.maximum.reduceat(seg, local[r, g0:g1],
+                                        out=piece[r, g0:g1])
+            col = np.arange(cuts.shape[1])
+            inside = (col >= p0) & (col < p1)
+            sups = np.where(inside, piece, -np.inf).max(axis=2)
+            out[:, js] = np.where(use[:, blk], sups, np.nan)
         return out
 
     def interp_budget(self) -> float:
@@ -819,20 +884,34 @@ def boundedness(traj: Trajectory, bound: float, tail_from: float | None = None
     """Check sup |values| <= bound, optionally only from time tail_from on.
 
     A failing report carries the first sample where the bound is exceeded.
+    The tail's start and that sample are found ``_CHUNK`` samples at a time,
+    so memory is O(``_CHUNK``) beside the trajectory.
     """
-    times = traj.grid()
-    vals = traj.values
+    n = len(traj.values)
+    i0 = 0
     if tail_from is not None:
-        mask = times >= tail_from - 1e-9
-        if not np.any(mask):
+        # the grid's times do not decrease, so the tail is a suffix
+        for c0 in range(0, n, _CHUNK):
+            times = traj.t0 + traj.dt * np.arange(c0, min(n, c0 + _CHUNK))
+            hits = np.flatnonzero(times >= tail_from - 1e-9)
+            if hits.size:
+                i0 = c0 + int(hits[0])
+                break
+        else:
             raise DynamicsError("tail_from is beyond the sampled span")
-        times, vals = times[mask], vals[mask]
-    sup = float(np.max(np.abs(vals)))
+    vals = traj.values[i0:]
+    # + 0.0 turns a -0.0 into 0.0, as abs does
+    sup = float(max(vals.max(), -vals.min()) + 0.0)
     ok = sup <= bound
     witness = None
     if not ok:
-        k = int(np.argmax(np.abs(vals) > bound))
-        witness = {"t": float(times[k]), "value": float(vals[k])}
+        for c0 in range(0, len(vals), _CHUNK):
+            hits = np.flatnonzero(np.abs(vals[c0:c0 + _CHUNK]) > bound)
+            if hits.size:
+                k = c0 + int(hits[0])
+                break
+        witness = {"t": float(traj.t0 + traj.dt * (i0 + k)),
+                   "value": float(vals[k])}
     return PropertyReport(
         property="boundedness", verdict="pass" if ok else "fail",
         extreme=sup, witness=witness, tolerance=0.0, samples=len(vals),

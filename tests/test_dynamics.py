@@ -509,6 +509,104 @@ def test_chunked_sup_keeps_a_nan(chunk):
     assert np.isnan(sups[0, 0]) and not np.isnan(sups[1, 0])
 
 
+def _shift_sups_loop(traj, taus, starts, ends, stride, where, chunk):
+    """shift_sups as one loop over shifts, then chunks, then windows.
+
+    Each shift forms its comparison over the hull of its windows ``chunk``
+    samples at a time, and every window takes the max over its own part
+    of each chunk.  The inputs must be valid: no checks are made.
+    """
+    v, d, dt, n = traj.values, traj._hermite_derivs(), traj.dt, len(traj)
+    out = np.full(starts.shape, np.nan)
+    for j, tau in enumerate(taus):
+        k = tau / dt
+        whole = round(k)
+        if abs(k - whole) <= 1e-9 * max(1.0, k):
+            shift, weights, last = whole, None, n - 1 - whole
+        else:
+            shift = math.floor(k)
+            s = k - shift
+            weights = ((2 * s - 3) * s * s + 1, (3 - 2 * s) * s * s,
+                       dt * ((s - 2) * s + 1) * s, dt * (s - 1) * s * s)
+            last = n - 2 - shift
+        used = [w for w in range(starts.shape[0]) if where[w, j]]
+        if not used:
+            continue
+        lo = min(starts[w, j] for w in used)
+        spans = [(w, (starts[w, j] - lo) // stride,
+                  (min(ends[w, j], last) - lo) // stride) for w in used]
+        count = max(e1 for _, _, e1 in spans) + 1
+        for c0 in range(0, count, chunk):
+            c1 = min(count, c0 + chunk)
+            a, b = lo + c0 * stride, lo + (c1 - 1) * stride + 1
+            p, q = a + shift, b + shift
+            if weights is None:
+                seg = v[p:q:stride] - v[a:b:stride]
+            else:
+                seg = v[p:q:stride] * weights[0]
+                seg += v[p + 1:q + 1:stride] * weights[1]
+                seg += d[p:q:stride] * weights[2]
+                seg += d[p + 1:q + 1:stride] * weights[3]
+                seg -= v[a:b:stride]
+            seg = np.abs(seg)
+            for w, e0, e1 in spans:
+                x, y = max(e0, c0), min(e1, c1 - 1)
+                if x <= y:
+                    part = seg[x - c0:y - c0 + 1].max()
+                    out[w, j] = (part if x == e0
+                                 else np.maximum(out[w, j], part))
+    return out
+
+
+@st.composite
+def _kernel_calls(draw):
+    """A valid shift_sups call, with the _CHUNK to run it under."""
+    n = draw(st.integers(8, 80))
+    dt = draw(st.sampled_from([0.1, 0.25, 1.0 / 3.0]))
+    traj = _sine_trajectory(draw(st.floats(-20.0, 20.0)), dt, n)
+    if draw(st.booleans()):
+        traj.derivs[draw(st.integers(0, n - 1))] = np.nan
+    stride = draw(st.integers(1, 4))
+    # few whole steps, so shifts share offsets (and row p + 1 of one shift
+    # is row p of another); unsorted, on, near and off the grid
+    frac = st.sampled_from([0.0, 1e-11, -1e-11, 0.25, 0.6])
+    taus = [max(0.0, (whole + draw(frac)) * dt) for whole in
+            draw(st.lists(st.integers(0, n // 3), min_size=1, max_size=8))]
+    k = np.array(taus) / dt
+    on_grid = np.abs(k - np.rint(k)) <= 1e-9 * np.maximum(1.0, k)
+    last = np.where(on_grid, n - 1 - np.rint(k), n - 2 - np.floor(k))
+    # nested, overlapping or disjoint windows
+    starts, ends = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        i0 = draw(st.integers(0, n - 1))
+        starts.append(i0)
+        ends.append(draw(st.integers(i0, n - 1)))
+    starts, ends = np.array(starts)[:, None], np.array(ends)[:, None]
+    shape = (len(starts), len(taus))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                                  max_size=shape[0] * shape[1]))).reshape(shape)
+    # the windows of a shift start on one lattice of the stride, which may
+    # differ between shifts, and each keeps a comparable index
+    lattice = np.array(draw(st.lists(st.integers(0, stride - 1),
+                                     min_size=len(taus), max_size=len(taus))))
+    where = (mask & (starts % stride == lattice[None, :])
+             & (np.minimum(ends, last[None, :]) >= starts))
+    return (traj, taus, np.broadcast_to(starts, shape),
+            np.broadcast_to(ends, shape), stride, where,
+            draw(st.integers(1, 9)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(call=_kernel_calls())
+def test_shift_sups_match_the_per_shift_loop_bit_for_bit(call):
+    traj, taus, starts, ends, stride, where, chunk = call
+    with mock.patch.object(dynamics, "_CHUNK", chunk):
+        got = traj.shift_sups(taus, starts, ends, stride, where=where)
+    want = _shift_sups_loop(traj, taus, starts, ends, stride, where, chunk)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("size", [1, 7, 8, 13, 1000])
 def test_scratch_rows_start_on_cache_lines(size):
     rows = dynamics._scratch_rows(2, size)
@@ -873,3 +971,55 @@ def test_boundedness_tail_window():
     traj = sample_function("exp(0-t)+1", (0.0, 10.0), 0.01)
     assert boundedness(traj, 1.01).verdict == "fail"
     assert boundedness(traj, 1.01, tail_from=5.0).verdict == "pass"
+
+
+def _boundedness_formula(traj, bound, tail_from):
+    times, vals = traj.grid(), traj.values
+    if tail_from is not None:
+        mask = times >= tail_from - 1e-9
+        times, vals = times[mask], vals[mask]
+    sup = float(np.max(np.abs(vals)))
+    witness = None
+    if sup > bound:
+        k = int(np.argmax(np.abs(vals) > bound))
+        witness = {"t": float(times[k]), "value": float(vals[k])}
+    return sup, witness, len(vals)
+
+
+@pytest.mark.parametrize("tail_at", [None, 0, 6, 7, 8, 15.5, 22])
+def test_chunked_boundedness_matches_the_whole_array_formula(monkeypatch,
+                                                            tail_at):
+    # a chunk of 7 puts seams before, at and after the tail's start and
+    # the first violation
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    for hit in range(23):
+        vals = np.full(23, -0.0)
+        vals[hit], vals[22] = -3.0, 2.5
+        traj = Trajectory(kind="continuous", t0=-1.3, dt=0.1, values=vals)
+        tail = None if tail_at is None else traj.t0 + traj.dt * tail_at
+        for bound in (2.0, 2.75, 3.0):
+            rep = boundedness(traj, bound, tail)
+            sup, witness, samples = _boundedness_formula(traj, bound, tail)
+            assert _bits(rep.extreme) == _bits(sup)
+            assert (rep.witness, rep.samples) == (witness, samples)
+            assert rep.verdict == ("pass" if witness is None else "fail")
+    zero = Trajectory(kind="continuous", t0=0.0, dt=1.0, values=np.full(9, -0.0))
+    assert _bits(boundedness(zero, 1.0, 3.0).extreme) == _bits(0.0)
+    with pytest.raises(DynamicsError, match="beyond"):
+        boundedness(zero, 1.0, 8.5)
+
+
+def test_boundedness_peak_memory_stays_near_a_chunk():
+    # the tail's start and the first violation are found _CHUNK samples at
+    # a time, not through full-length times and |values|
+    traj = sample_function("sin(ln(1+t))", (0.0, 50000.0), 0.05)
+    tracemalloc.start()
+    try:
+        failing = boundedness(traj, 0.5, tail_from=10000.0)
+        passing = boundedness(traj, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failing.verdict == "fail" and passing.verdict == "pass"
+    assert failing.samples == 800_001
+    assert peak < traj.values.nbytes / 4

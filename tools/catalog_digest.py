@@ -1,0 +1,80 @@
+"""Print a sha256 for each artifact that a byte-for-byte comparison checks.
+
+Run from the root of a checkout:
+
+    python3 tools/catalog_digest.py > digests.txt
+
+It imports rapflow from ``src/`` of the checkout it sits in, so running it
+in two checkouts and diffing the outputs compares their artifacts byte for
+byte.  One line per artifact, ``<sha256>  <name>``:
+
+* the classification JSON of each catalog entry, built as the
+  classify-catalog benchmark workload builds it: the entry's trajectory
+  (slow-chirp sampled from its solution curve), ``classify_trajectory``
+  with ``recommended_config`` and ``classification_json``;
+* the CSV of ``rapflow scan --example two-tone``, global and
+  ``--mode remote --window 200:360``, at ``--tau-step`` 0.01 and 0.0137
+  and ``--threads`` 1 and 2.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from rapflow import catalog, classify, cli, serialize  # noqa: E402
+
+# entries sampled from their solution curve, as the benchmark samples them
+CURVE_SOURCED = frozenset({"slow-chirp"})
+SCAN_MODES = (("global", []), ("remote", ["--window", "200:360"]))
+TAU_STEPS = ("0.01", "0.0137")
+THREADS = ("1", "2")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def catalog_digests():
+    for ex in catalog.catalog().values():
+        source = "curve" if ex.name in CURVE_SOURCED else None
+        res = classify.classify_trajectory(ex.trajectory(source=source),
+                                           catalog.recommended_config(ex))
+        text = serialize.classification_json(res)
+        yield _sha(text.encode("utf-8")), f"classify {ex.name}"
+
+
+def scan_digests(workdir: Path):
+    for mode, extra in SCAN_MODES:
+        for step in TAU_STEPS:
+            for threads in THREADS:
+                out = workdir / f"scan-{mode}-{step}-{threads}.csv"
+                argv = ["scan", "--example", "two-tone", "--mode", mode,
+                        *extra, "--tau-step", step, "--threads", threads,
+                        "--out", str(out)]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+                if code != 0:
+                    raise SystemExit(f"rapflow {' '.join(argv)} exited {code}")
+                name = f"scan two-tone {mode} tau-step {step} threads {threads}"
+                yield _sha(out.read_bytes()), name
+
+
+def main() -> int:
+    for digest, name in catalog_digests():
+        print(f"{digest}  {name}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for digest, name in scan_digests(Path(tmp)):
+            print(f"{digest}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
