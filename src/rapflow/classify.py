@@ -172,41 +172,75 @@ def _index_range(traj: Trajectory, lo: float, hi: float) -> tuple[int, int]:
     return i0, i1
 
 
-def tail_sup(traj: Trajectory, tau: float, window: tuple[float, float],
-             clamp: bool = False) -> float:
+def _resolve_windows(traj: Trajectory, taus, windows):
+    """Every window clamped for every shift, as grid index ranges.
+
+    Window (lo, hi) under shift tau is clamped to [max(lo, t0),
+    min(hi, t_end - tau)], where the shifted comparison stays inside the
+    span, and covers the grid indices :func:`_index_range` gives for it.
+    Returns the clamped lo and hi and the index ranges starts..ends, of
+    shape (windows, shifts), and where, true for a clamped window that is
+    not empty and holds a grid point.  As Python's max and min do, a tie
+    or a NaN keeps the window's own bound.
+    """
+    t0, dt = traj.t0, traj.dt
+    tol = _POS_TOL * max(1.0, abs(dt))
+    lo, hi = np.array(windows, float).reshape(-1, 2, 1).transpose(1, 0, 2)
+    room = traj.t_end - np.asarray(taus, float)
+    lo, hi = np.broadcast_arrays(np.where(t0 > lo, t0, lo),
+                                 np.where(room < hi, room, hi))
+    i0 = np.maximum(np.ceil((lo - t0) / dt - tol), 0)
+    i1 = np.minimum(np.floor((hi - t0) / dt + tol), len(traj.values) - 1)
+    where = (hi > lo) & (i1 >= i0)
+    starts, ends = (np.where(where, i, 0).astype(np.int64) for i in (i0, i1))
+    return lo, hi, starts, ends, where
+
+
+def _shift_error(traj: Trajectory, tau: float) -> ValueError | None:
+    """What a shift test raises for the shift tau itself, or None."""
+    if not (tau >= 0 and math.isfinite(tau)):
+        return ValueError("tau must be finite and non-negative")
+    if traj.kind == "discrete" and abs(tau - round(tau)) > _POS_TOL:
+        return ValueError("discrete trajectories need whole-number shifts")
+    return None
+
+
+def _tail_sups(traj: Trajectory, pairs) -> list:
+    """:func:`tail_sup` of each (tau, window) pair, in one kernel call."""
+    taus = [tau for tau, _ in pairs]
+    wins = [(float(w[0]), float(w[1])) for _, w in pairs]
+    # a window is checked to leave room for its shift, up to tol, and
+    # resolved as under shift 0, so no clamp cuts into that tolerance
+    _, _, starts, ends, where = _resolve_windows(traj, [0.0], wins)
+    tol = _POS_TOL * max(1.0, abs(traj.dt))
+    for q, (tau, (lo, hi)) in enumerate(zip(taus, wins)):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"bad window ({lo}, {hi})")
+        err = _shift_error(traj, tau)
+        if err is not None:
+            raise err
+        if hi + tau > traj.t_end + tol:
+            raise ValueError(
+                f"window end {hi} plus shift {tau} leaves the sampled span")
+        if lo < traj.t0 - tol:
+            raise ValueError(f"window start {lo} precedes the sampled span")
+        if not where[q, 0]:
+            raise ValueError("window contains no grid points")
+    diag = np.eye(len(taus), dtype=bool)
+    return np.diagonal(traj.shift_sups(taus, starts, ends, where=diag)).tolist()
+
+
+def tail_sup(traj: Trajectory, tau: float,
+             window: tuple[float, float]) -> float:
     """sup of |phi(t + tau) - phi(t)| for grid times t in [lo, hi].
 
     The window must leave room for the shifted comparison: hi + tau has to
-    stay inside the sampled span.  With clamp=True the window is shrunk to
-    fit instead of raising.  Discrete trajectories only accept whole-number
-    shifts.  Off-grid comparison points of continuous trajectories are
-    evaluated with the trajectory's own dense interpolant
-    (:meth:`Trajectory.shift_sup`).
+    stay inside the sampled span.  Discrete trajectories only accept
+    whole-number shifts.  Off-grid comparison points of continuous
+    trajectories are evaluated with the trajectory's own dense interpolant
+    (:meth:`Trajectory.shift_sups`).
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"bad window ({lo}, {hi})")
-    if not (tau >= 0 and math.isfinite(tau)):
-        raise ValueError("tau must be finite and non-negative")
-    if traj.kind == "discrete" and abs(tau - round(tau)) > _POS_TOL:
-        raise ValueError("discrete trajectories need whole-number shifts")
-    t_end = traj.t_end
-    tol = _POS_TOL * max(1.0, abs(traj.dt))
-    if hi + tau > t_end + tol:
-        if not clamp:
-            raise ValueError(
-                f"window end {hi} plus shift {tau} leaves the sampled span")
-        hi = t_end - tau
-    if lo < traj.t0 - tol:
-        if not clamp:
-            raise ValueError(f"window start {lo} precedes the sampled span")
-        lo = traj.t0
-    if hi <= lo:
-        raise ValueError("window is empty after clamping")
-    i0, i1 = _index_range(traj, lo, hi)
-    if i1 < i0:
-        raise ValueError("window contains no grid points")
-    return traj.shift_sup(tau, i0, i1)
+    return _tail_sups(traj, [(tau, window)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +269,67 @@ class TailSupCurve:
     notes: list[str] = field(default_factory=list)
 
 
+def _remote_curves(traj: Trajectory, taus, eps: float, windows) -> list:
+    """:func:`remote_tau_periodic_test` of each shift, in one kernel call.
+
+    Returns, per shift, its TailSupCurve or the ValueError or DynamicsError
+    that the test raises for it: the first one that comparing its windows
+    one by one, in order, would meet.
+    """
+    if not (eps > 0 and math.isfinite(eps)):
+        return [ValueError("eps must be positive and finite")] * len(taus)
+    bounds = [(float(w[0]), float(w[1])) for w in windows]
+    taus = np.asarray(taus, float)
+    lo, hi, starts, ends, where = _resolve_windows(traj, taus, bounds)
+    kept = ~(hi <= lo)
+    # the first window kept but not compared ends a ladder; the windows
+    # before it are compared first, so their errors come first
+    cut = np.argmax(np.vstack([kept & ~where, np.ones((1, taus.size), bool)]),
+                    axis=0)
+    out = [_shift_error(traj, tau) if kept[:, j].any() else ValueError(
+        "no window fits inside the sampled span")
+        for j, tau in enumerate(taus.tolist())]
+    cols = np.flatnonzero([e is None for e in out])
+    use = where[:, cols] & (np.arange(len(bounds))[:, None] < cut[cols])
+    try:
+        sups = traj.shift_sups(taus[cols], starts[:, cols], ends[:, cols],
+                               where=use)
+    except (ValueError, DynamicsError) as exc:
+        # some shift's comparison raises; test each alone to learn which
+        return [exc] if taus.size == 1 else [
+            _remote_curves(traj, [tau], eps, windows)[0] for tau in taus]
+    lo, hi = lo.tolist(), hi.tolist()
+    for j, sup in zip(cols.tolist(), sups.T):
+        w = int(cut[j])
+        if w < len(bounds):
+            out[j] = ValueError("window contains no grid points" if
+                                math.isfinite(lo[w][j] + hi[w][j]) else
+                                f"bad window ({lo[w][j]}, {hi[w][j]})")
+            continue
+        used = [(lo[w][j], hi[w][j]) for w in np.flatnonzero(kept[:, j])]
+        notes = [f"window ({a}, {b}) clamped to ({lo[w][j]}, {hi[w][j]})"
+                 if kept[w, j] else
+                 f"window ({a}, {b}) dropped: no room for the shift"
+                 for w, (a, b) in enumerate(bounds)
+                 if not kept[w, j] or (lo[w][j], hi[w][j]) != (a, b)]
+        arr = sup[kept[:, j]]
+        level = next((a for (a, _), s in zip(used, arr) if s <= eps), None)
+        if arr[-1] > eps:
+            verdict = "fail"
+        elif np.all(arr <= eps):
+            verdict = "pass"
+        elif np.all(arr[1:] <= arr[:-1] * 1.1 + _POS_TOL):
+            # decreasing through the ladder and small at the end
+            verdict = "pass"
+        else:
+            verdict = "inconclusive"
+            notes.append("suprema neither all small nor decreasing")
+        out[j] = TailSupCurve(tau=float(taus[j]), eps=float(eps),
+                              windows=tuple(used), sups=tuple(arr.tolist()),
+                              verdict=verdict, level=level, notes=notes)
+    return out
+
+
 def remote_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
                              windows) -> TailSupCurve:
     """Test whether the shift tau is eventually an almost period.
@@ -244,44 +339,10 @@ def remote_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
     window is clamped to the sampled span, leaving room for the shift; a
     window left empty is dropped, and both are recorded in the notes.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError("eps must be positive and finite")
-    used: list[tuple[float, float]] = []
-    sups: list[float] = []
-    notes: list[str] = []
-    t_end = traj.t_end
-    for w in windows:
-        lo, hi = float(w[0]), float(w[1])
-        eff_hi = min(hi, t_end - tau)
-        eff_lo = max(lo, traj.t0)
-        if eff_hi <= eff_lo:
-            notes.append(f"window ({lo}, {hi}) dropped: no room for the shift")
-            continue
-        sups.append(tail_sup(traj, tau, (eff_lo, eff_hi), clamp=True))
-        if (eff_lo, eff_hi) != (lo, hi):
-            notes.append(f"window ({lo}, {hi}) clamped to ({eff_lo}, {eff_hi})")
-        used.append((eff_lo, eff_hi))
-    if not used:
-        raise ValueError("no window fits inside the sampled span")
-    arr = np.asarray(sups)
-    level = None
-    for (lo, hi), s in zip(used, sups):
-        if s <= eps:
-            level = lo
-            break
-    if arr[-1] > eps:
-        verdict = "fail"
-    elif np.all(arr <= eps):
-        verdict = "pass"
-    elif np.all(arr[1:] <= arr[:-1] * 1.1 + _POS_TOL):
-        # decreasing through the ladder and small at the end
-        verdict = "pass"
-    else:
-        verdict = "inconclusive"
-        notes.append("suprema neither all small nor decreasing")
-    return TailSupCurve(tau=float(tau), eps=float(eps), windows=tuple(used),
-                        sups=tuple(float(s) for s in sups), verdict=verdict,
-                        level=level, notes=notes)
+    (curve,) = _remote_curves(traj, [tau], eps, windows)
+    if isinstance(curve, Exception):
+        raise curve
+    return curve
 
 
 @dataclass
@@ -305,42 +366,34 @@ def remote_stationary_test(traj: Trajectory, eps: float, windows,
     """Test whether every fixed shift is eventually an almost period.
 
     Runs :func:`remote_tau_periodic_test` over a battery of spread-out
-    probe shifts.  Remote stationarity requires all shifts to work, so the
-    battery can only ever support the claim; it refutes it outright when a
-    single probe fails.
+    probe shifts, all compared in one kernel call.  Remote stationarity
+    requires all shifts to work, so the battery can only ever support the
+    claim; it refutes it outright when a single probe fails.
     """
     if probes is None:
         probes = default_probes(traj.kind, seed)
     span = traj.dt * (len(traj.values) - 1)
+    fits = [p for p in probes if not p > span / 3.0]
+    found = iter(_remote_curves(traj, fits, eps, windows))
     curves: dict = {}
     notes: list[str] = []
-    tested = failed = 0
-    skipped = False
     for p in probes:
-        if p > span / 3.0:
-            curves[p] = None
-            notes.append(f"probe {p:g} skipped: larger than a third of the span")
-            skipped = True
-            continue
-        try:
-            curve = remote_tau_periodic_test(traj, p, eps, windows)
-        except ValueError as exc:
-            curves[p] = None
-            notes.append(f"probe {p:g} skipped: {exc}")
-            skipped = True
-            continue
-        curves[p] = curve
-        tested += 1
-        if curve.verdict == "fail":
-            failed += 1
-    if failed:
+        curve = ValueError("larger than a third of the span") if (
+            p > span / 3.0) else next(found)
+        if isinstance(curve, DynamicsError):
+            raise curve
+        curves[p] = None if isinstance(curve, ValueError) else curve
+        if curves[p] is None:
+            notes.append(f"probe {p:g} skipped: {curve}")
+    tested = [curves[p] for p in probes if curves[p] is not None]
+    if any(c.verdict == "fail" for c in tested):
         verdict = "fail"
-    elif tested >= 3 and not skipped and all(
-            c.verdict == "pass" for c in curves.values() if c is not None):
+    elif len(probes) == len(tested) >= 3 and all(
+            c.verdict == "pass" for c in tested):
         verdict = "pass"
     else:
         verdict = "inconclusive"
-        if tested < 3:
+        if len(tested) < 3:
             notes.append("fewer than three probes could be tested")
     return StationaryBattery(probes=tuple(float(p) for p in probes),
                              curves=curves, verdict=verdict, notes=notes)
@@ -472,11 +525,9 @@ def _scan(traj: Trajectory, eps: float, taus: np.ndarray, windows) -> list:
     that :func:`almost_period_scan` gives for it alone, or the ValueError
     or DynamicsError that that scan raises.
     """
-    t0, dt, t_end = traj.t0, traj.dt, traj.t_end
-    n = len(traj.values)
-    tol = _POS_TOL * max(1.0, abs(dt))
+    t0, t_end = traj.t0, traj.t_end
     out: list = [None] * len(windows)
-    rows, spans, starts, ends, where = [], [], [], [], []
+    rows, spans = [], []
     for w, window in enumerate(windows):
         if window is None:
             w_lo, w_hi = t0, t_end
@@ -487,35 +538,20 @@ def _scan(traj: Trajectory, eps: float, taus: np.ndarray, windows) -> list:
                 out[w] = ValueError(
                     "remote window must lie inside the sampled span")
                 continue
-        # _index_range over [w_lo, min(w_hi, t_end - tau)] for every shift
-        hi = np.minimum(w_hi, t_end - taus)
-        i0 = max(int(math.ceil((w_lo - t0) / dt - tol)), 0)
-        i1 = np.minimum(np.floor((hi - t0) / dt + tol), n - 1)
-        ok = (hi > w_lo) & (i1 - i0 + 1 >= 2)
         rows.append(w)
         spans.append((w_lo, w_hi))
-        starts.append([i0])
-        ends.append(np.where(ok, i1, i0).astype(np.int64))
-        where.append(ok)
     if not rows:
         return out
-    starts, ends, where = np.array(starts), np.array(ends), np.array(where)
+    _, _, starts, ends, where = _resolve_windows(traj, taus, spans)
+    # a shift is assessable with at least two comparison points
+    where &= ends > starts
     try:
-        sups = list(traj.shift_sups(taus, starts, ends, where=where))
-    except (ValueError, DynamicsError):
-        # some window's scan raises; run each alone to learn which
-        sups = []
-        for r in range(len(rows)):
-            try:
-                sups.append(traj.shift_sups(taus, starts[r:r + 1],
-                                            ends[r:r + 1],
-                                            where=where[r:r + 1])[0])
-            except (ValueError, DynamicsError) as exc:
-                sups.append(exc)
+        sups = traj.shift_sups(taus, starts, ends, where=where)
+    except (ValueError, DynamicsError) as exc:
+        # some window's scan raises; scan each alone to learn which
+        return [exc] if len(windows) == 1 else [
+            _scan(traj, eps, taus, [w])[0] for w in windows]
     for w, span, ok, sup in zip(rows, spans, where, sups):
-        if isinstance(sup, Exception):
-            out[w] = sup
-            continue
         remote = windows[w] is not None
         out[w] = AlmostPeriodSet(
             mode="remote" if remote else "global", eps=float(eps), taus=taus,
@@ -773,12 +809,10 @@ def _refine_candidate(traj: Trajectory, tau: float, step: float,
     search, every reported verdict is recomputed on the full grid.
     """
     t_end = traj.t_end
-    lo = max(window[0], traj.t0)
-    hi = min(window[1], t_end - (tau + 1.1 * step))
-    if hi <= lo:
-        return tau
-    i0, i1 = _index_range(traj, lo, hi)
-    if i1 - i0 + 1 < 2:
+    _, _, starts, ends, where = _resolve_windows(traj, [tau + 1.1 * step],
+                                                 [window])
+    i0, i1 = int(starts[0, 0]), int(ends[0, 0])
+    if not (where[0, 0] and i1 > i0):
         return tau
     stride = max(1, (i1 - i0 + 1) // 50_000)
     t_last = traj.t0 + traj.dt * (i0 + stride * ((i1 - i0) // stride))
@@ -828,26 +862,32 @@ def _candidate_from_scan(scan: AlmostPeriodSet,
     return None
 
 
-def _triangle_check(traj: Trajectory, tau: float, window, k: int,
-                    budget: float):
-    """sup over W of the k-fold shift comparison against k times the
-    single-shift comparison over the window stretched by (k - 1) shifts.
-    This is a triangle inequality for the sampled interpolant, so a
-    violation beyond interpolation slack, ten times ``budget`` (the
-    trajectory's interp_budget) plus round-off, is an implementation bug."""
-    t_end = traj.t_end
+def _triangle_check(traj: Trajectory, tau: float, window,
+                    budget: float) -> list:
+    """For k = 2 and 3, sup over W of the k-fold shift comparison against
+    k times the single-shift comparison over the window stretched by
+    (k - 1) shifts, all in one kernel call.  This is a triangle inequality
+    for the sampled interpolant, so a violation beyond interpolation
+    slack, ten times ``budget`` (the trajectory's interp_budget) plus
+    round-off, is an implementation bug."""
     lo, hi = window
-    if hi + k * tau > t_end + _POS_TOL:
-        return {"name": f"triangle k={k}", "status": "skipped",
-                "detail": "span too short for the stretched window"}
-    lhs = tail_sup(traj, k * tau, (lo, hi))
-    rhs = tail_sup(traj, tau, (lo, hi + (k - 1) * tau))
-    slack = 10.0 * budget + 1e-6 * max(1.0, rhs) + 1e-12
-    if lhs <= k * rhs + slack:
-        return {"name": f"triangle k={k}", "status": "ok",
-                "detail": f"sup({k}*tau)={lhs:.3e} <= {k}*sup(tau)+slack"}
-    return {"name": f"triangle k={k}", "status": "violation",
-            "detail": f"sup({k}*tau)={lhs:.3e} > {k}*{rhs:.3e}+{slack:.1e}"}
+    ks = [k for k in (2, 3) if not hi + k * tau > traj.t_end + _POS_TOL]
+    sups = iter(_tail_sups(traj, [pair for k in ks for pair in (
+        (k * tau, (lo, hi)), (tau, (lo, hi + (k - 1) * tau)))]))
+    checks = [{"name": f"triangle k={k}", "status": "skipped",
+               "detail": "span too short for the stretched window"}
+              for k in (2, 3)]
+    for check, k in zip(checks, (2, 3)):
+        if k not in ks:
+            continue
+        lhs, rhs = next(sups), next(sups)
+        slack = 10.0 * budget + 1e-6 * max(1.0, rhs) + 1e-12
+        ok = lhs <= k * rhs + slack
+        check["status"] = "ok" if ok else "violation"
+        check["detail"] = (
+            f"sup({k}*tau)={lhs:.3e} <= {k}*sup(tau)+slack" if ok else
+            f"sup({k}*tau)={lhs:.3e} > {k}*{rhs:.3e}+{slack:.1e}")
+    return checks
 
 
 def classify_trajectory(traj: Trajectory,
@@ -1048,10 +1088,8 @@ def classify_trajectory(traj: Trajectory,
 
     # (c)-(d) triangle inequality for repeated shifts.
     if refined is not None and windows is not None:
-        budget = traj.interp_budget()
-        for k in (2, 3):
-            hierarchy.append(
-                _triangle_check(traj, refined, windows[-1], k, budget))
+        hierarchy += _triangle_check(traj, refined, windows[-1],
+                                     traj.interp_budget())
     else:
         hierarchy.append({"name": "triangle k=2", "status": "skipped",
                           "detail": "no candidate shift or windows"})

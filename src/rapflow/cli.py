@@ -27,6 +27,7 @@ import argparse
 import configparser
 import dataclasses
 import math
+import os
 import sys
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
@@ -597,8 +598,9 @@ def cmd_scan(args) -> int:
                                       **scan_kwargs)
         else:
             grid = _scan_grid(traj, (0.0, tau_max), tau_step)
-            chunks = [c for c in np.array_split(grid, threads) if c.size]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+            workers = min(threads, grid.size, os.cpu_count() or 1)
+            chunks = np.array_split(grid, workers)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(
                     lambda c: almost_period_scan(
                         traj, eps, (0.0, tau_max), tau_step,

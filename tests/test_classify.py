@@ -35,6 +35,7 @@ from rapflow.classify import (
     _index_range,
     _scan,
     _scan_grid,
+    _triangle_check,
 )
 from rapflow.dynamics import (
     DynamicsError,
@@ -60,7 +61,7 @@ def discrete_traj(values, t0=0.0):
 class TestTailSup:
     def test_exact_zero_for_tiled_block(self):
         tr = discrete_traj(np.tile([0.5, -1.25, 3.0, 0.0], 30))
-        assert tail_sup(tr, 4.0, (0.0, 100.0), clamp=True) == 0.0
+        assert tail_sup(tr, 4.0, (0.0, 100.0)) == 0.0
 
     def test_zero_shift_is_zero(self):
         tr = sample_function("sin(t)", (0.0, 30.0), 0.01)
@@ -81,17 +82,6 @@ class TestTailSup:
         with pytest.raises(ValueError, match="span"):
             tail_sup(tr, 5.0, (10.0, 28.0))
 
-    def test_clamp_shrinks_instead(self):
-        tr = sample_function("t", (0.0, 30.0), 0.01)
-        s = tail_sup(tr, 5.0, (10.0, 28.0), clamp=True)
-        # identity curve: difference is exactly the shift everywhere
-        assert s == pytest.approx(5.0, abs=1e-9)
-
-    def test_clamp_to_empty_raises(self):
-        tr = sample_function("t", (0.0, 30.0), 0.01)
-        with pytest.raises(ValueError, match="empty"):
-            tail_sup(tr, 25.0, (10.0, 28.0), clamp=True)
-
     def test_discrete_fractional_shift_raises(self):
         tr = discrete_traj(np.arange(50.0))
         with pytest.raises(ValueError, match="whole-number"):
@@ -101,6 +91,15 @@ class TestTailSup:
         tr = discrete_traj(np.arange(50.0))
         with pytest.raises(ValueError):
             tail_sup(tr, -1.0, (0.0, 20.0))
+
+    def test_window_end_within_tolerance_keeps_its_last_point(self):
+        # 8.0 + tau passes t_end = 10 by 5e-10, inside the tolerance, and
+        # tau is 200 steps to within 1e-9 relative: sample 800 is compared
+        v = np.zeros(1001)
+        v[-1] = 1.0
+        tr = Trajectory(kind="continuous", t0=0.0, dt=0.01, values=v,
+                        derivs=np.zeros(1001))
+        assert tail_sup(tr, 2.0000000005, (0.0, 8.0)) == 1.0
 
     def test_start_shift_invariance(self):
         # the statistic depends on absolute times, not on where the
@@ -159,6 +158,48 @@ class TestRemoteTauPeriodic:
         assert cur.windows[0][1] == pytest.approx(70.0)
         assert any("clamped" in n for n in cur.notes)
 
+    def test_clamp_shrinks_instead(self):
+        tr = sample_function("t", (0.0, 30.0), 0.01)
+        cur = remote_tau_periodic_test(tr, 5.0, 10.0, ((10.0, 28.0),))
+        hi = tr.t_end - 5.0
+        assert cur.windows == ((10.0, hi),) and hi < 28.0
+        assert cur.notes == [f"window (10.0, 28.0) clamped to (10.0, {hi})"]
+        # identity curve: difference is exactly the shift everywhere
+        assert cur.sups[0] == pytest.approx(5.0, abs=1e-9)
+
+    def test_clamp_to_empty_drops_the_window(self):
+        tr = sample_function("t", (0.0, 30.0), 0.01)
+        cur = remote_tau_periodic_test(tr, 25.0, 30.0,
+                                       ((1.0, 4.0), (10.0, 28.0)))
+        assert cur.windows == ((1.0, 4.0),)
+        assert cur.notes == ["window (10.0, 28.0) dropped: no room for the "
+                             "shift"]
+        with pytest.raises(ValueError, match="no window fits"):
+            remote_tau_periodic_test(tr, 25.0, 30.0, ((10.0, 28.0),))
+
+    def test_exact_zero_for_clamped_tiled_block(self):
+        tr = discrete_traj(np.tile([0.5, -1.25, 3.0, 0.0], 30))
+        cur = remote_tau_periodic_test(tr, 4.0, 1e-12, ((-3.0, 200.0),))
+        assert cur.windows == ((0.0, 115.0),) and cur.sups == (0.0,)
+        assert cur.notes == ["window (-3.0, 200.0) clamped to (0.0, 115.0)"]
+        # a bound equal to the span's start keeps its own sign of zero
+        tr = discrete_traj(tr.values, t0=-0.0)
+        cur = remote_tau_periodic_test(tr, 4.0, 1e-12, ((0.0, 200.0),))
+        assert cur.notes == ["window (0.0, 200.0) clamped to (0.0, 115.0)"]
+
+    def test_the_first_failing_window_decides_the_error(self):
+        # sampled every 2 time units, the shift 3 is half a step off the
+        # grid: a window compared before an empty one raises first
+        tr = Trajectory(kind="discrete", t0=0.0, dt=2.0,
+                        values=np.sin(np.arange(20.0)))
+        with pytest.raises(ValueError, match="no grid points"):
+            remote_tau_periodic_test(tr, 3.0, 0.5, ((4.5, 5.5), (10.0, 20.0)))
+        with pytest.raises(DynamicsError, match="integer steps"):
+            remote_tau_periodic_test(tr, 3.0, 0.5, ((10.0, 20.0), (24.5, 25.5)))
+        with pytest.raises(DynamicsError, match="integer steps"):
+            remote_stationary_test(tr, 0.5, ((10.0, 20.0),),
+                                   probes=(2.0, 3.0, 4.0))
+
 
 class TestDefaultProbes:
     def test_continuous_probes_frozen(self):
@@ -200,6 +241,25 @@ class TestRemoteStationaryBattery:
         tr = sample_function("sin(t)", (0.0, 30.0), 0.01)
         bat = remote_stationary_test(tr, 0.05, ((2.0, 10.0), (10.0, 25.0)))
         assert bat.curves[17.3] is None and bat.curves[63.69616873214543] is None
+        assert bat.verdict == "fail"
+
+    def test_probe_whose_comparison_raises_is_skipped_alone(self):
+        # on a grid of step 2 the shift 2 + 3e-9 is off the grid by less
+        # than the index tolerance, so the late window keeps index 48,
+        # which the kernel cannot compare under that shift
+        i = np.arange(50.0)
+        tr = Trajectory(kind="continuous", t0=0.0, dt=2.0,
+                        values=np.sin(0.3 * i), derivs=0.15 * np.cos(0.3 * i))
+        windows = ((10.0, 40.0), (95.5, 97.0))
+        with pytest.raises(ValueError, match="no comparable grid points"):
+            remote_tau_periodic_test(tr, 2.000000003, 0.5, windows)
+        bat = remote_stationary_test(tr, 0.5, windows,
+                                     probes=(2.000000003, 2.0, 4.0, 6.0))
+        assert bat.notes == ["probe 2 skipped: window contains no "
+                             "comparable grid points"]
+        assert bat.curves[2.000000003] is None
+        assert [bat.curves[p].verdict for p in (2.0, 4.0, 6.0)] == [
+            "pass", "fail", "fail"]
         assert bat.verdict == "fail"
 
     def test_constant_with_skipped_probes_stays_inconclusive(self):
@@ -753,3 +813,256 @@ class TestStructuralProperties:
         scan = almost_period_scan(tr, 1e-12, (1.0, float(3 * period)), 1.0)
         idx = np.flatnonzero(np.abs(scan.taus - period) < 0.5)[0]
         assert scan.admitted[idx]
+
+
+# ---------------------------------------------------------------------------
+# remote tests and the triangle check: one kernel call each
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, DynamicsError) as exc:
+        return exc
+
+
+def _curve_by_windows(traj, tau, eps, windows):
+    """remote_tau_periodic_test as a loop over windows: clamp, then
+    _index_range, then a one-window shift_sups call each."""
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("eps must be positive and finite")
+    used, sups, notes = [], [], []
+    for w in windows:
+        lo, hi = float(w[0]), float(w[1])
+        eff_lo, eff_hi = max(lo, traj.t0), min(hi, traj.t_end - tau)
+        if eff_hi <= eff_lo:
+            notes.append(f"window ({lo}, {hi}) dropped: no room for the shift")
+            continue
+        if not (tau >= 0 and math.isfinite(tau)):
+            raise ValueError("tau must be finite and non-negative")
+        if traj.kind == "discrete" and abs(tau - round(tau)) > 1e-9:
+            raise ValueError("discrete trajectories need whole-number shifts")
+        i0, i1 = _index_range(traj, eff_lo, eff_hi)
+        if i1 < i0:
+            raise ValueError("window contains no grid points")
+        sups.append(float(traj.shift_sups([tau], [[i0]], [[i1]])[0, 0]))
+        if (eff_lo, eff_hi) != (lo, hi):
+            notes.append(f"window ({lo}, {hi}) clamped to ({eff_lo}, {eff_hi})")
+        used.append((eff_lo, eff_hi))
+    if not used:
+        raise ValueError("no window fits inside the sampled span")
+    level = next((lo for (lo, _), s in zip(used, sups) if s <= eps), None)
+    arr = np.asarray(sups)
+    if arr[-1] > eps:
+        verdict = "fail"
+    elif np.all(arr <= eps) or np.all(arr[1:] <= arr[:-1] * 1.1 + 1e-9):
+        verdict = "pass"
+    else:
+        verdict = "inconclusive"
+        notes.append("suprema neither all small nor decreasing")
+    return dict(tau=float(tau), windows=tuple(used), sups=arr,
+                verdict=verdict, level=level, notes=notes)
+
+
+def _battery_by_probes(traj, eps, windows, probes):
+    """remote_stationary_test as a loop over probes, one ladder each."""
+    span = traj.dt * (len(traj.values) - 1)
+    curves, notes = {}, []
+    for p in probes:
+        if p > span / 3.0:
+            curves[p] = None
+            notes.append(f"probe {p:g} skipped: larger than a third of the span")
+            continue
+        try:
+            curves[p] = _curve_by_windows(traj, p, eps, windows)
+        except ValueError as exc:
+            curves[p] = None
+            notes.append(f"probe {p:g} skipped: {exc}")
+    tested = [curves[p] for p in probes if curves[p] is not None]
+    if any(c["verdict"] == "fail" for c in tested):
+        verdict = "fail"
+    elif len(tested) == len(probes) >= 3 and all(
+            c["verdict"] == "pass" for c in tested):
+        verdict = "pass"
+    else:
+        verdict = "inconclusive"
+        if len(tested) < 3:
+            notes.append("fewer than three probes could be tested")
+    return dict(curves=curves, verdict=verdict, notes=notes)
+
+
+def _tail_sup_by_window(traj, tau, window):
+    """tail_sup as one validated window and one shift_sups call."""
+    lo, hi = float(window[0]), float(window[1])
+    tol = 1e-9 * max(1.0, abs(traj.dt))
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bad window ({lo}, {hi})")
+    if not (tau >= 0 and math.isfinite(tau)):
+        raise ValueError("tau must be finite and non-negative")
+    if traj.kind == "discrete" and abs(tau - round(tau)) > 1e-9:
+        raise ValueError("discrete trajectories need whole-number shifts")
+    if hi + tau > traj.t_end + tol:
+        raise ValueError(
+            f"window end {hi} plus shift {tau} leaves the sampled span")
+    if lo < traj.t0 - tol:
+        raise ValueError(f"window start {lo} precedes the sampled span")
+    i0, i1 = _index_range(traj, lo, hi)
+    if i1 < i0:
+        raise ValueError("window contains no grid points")
+    return float(traj.shift_sups([tau], [[i0]], [[i1]])[0, 0])
+
+
+def _triangle_by_pairs(traj, tau, window, budget):
+    """_triangle_check as two tail_sup calls for each k."""
+    lo, hi = window
+    checks = []
+    for k in (2, 3):
+        name = f"triangle k={k}"
+        if hi + k * tau > traj.t_end + 1e-9:
+            checks.append({"name": name, "status": "skipped", "detail":
+                           "span too short for the stretched window"})
+            continue
+        lhs = _tail_sup_by_window(traj, k * tau, (lo, hi))
+        rhs = _tail_sup_by_window(traj, tau, (lo, hi + (k - 1) * tau))
+        slack = 10.0 * budget + 1e-6 * max(1.0, rhs) + 1e-12
+        if lhs <= k * rhs + slack:
+            checks.append({"name": name, "status": "ok", "detail":
+                           f"sup({k}*tau)={lhs:.3e} <= {k}*sup(tau)+slack"})
+        else:
+            checks.append({"name": name, "status": "violation", "detail":
+                           f"sup({k}*tau)={lhs:.3e} > {k}*{rhs:.3e}"
+                           f"+{slack:.1e}"})
+    return checks
+
+
+def _assert_same_error(got, want):
+    assert isinstance(got, Exception), got
+    assert type(got) is type(want) and str(got) == str(want)
+
+
+def _assert_same_curve(got, want):
+    if isinstance(want, Exception):
+        _assert_same_error(got, want)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.tau == want["tau"] and got.windows == want["windows"]
+    sups = np.asarray(got.sups)
+    assert np.array_equal(sups, want["sups"])
+    assert np.array_equal(np.signbit(sups), np.signbit(want["sups"]))
+    assert (got.verdict, got.level) == (want["verdict"], want["level"])
+    assert got.notes == want["notes"]
+
+
+def _window_strategy():
+    """Windows as fractions of the span: anywhere in or past it, or
+    between two grid points of a cell."""
+    spread = st.tuples(st.just("span"), st.floats(-0.3, 1.3),
+                       st.floats(1e-3, 1.2))
+    cell = st.tuples(st.just("cell"), st.floats(0.0, 1.0),
+                     st.sampled_from([0.2, 0.45]))
+    return st.one_of(spread, spread, cell)
+
+
+def _windows_in(traj, drawn):
+    span = traj.t_end - traj.t0
+    out = []
+    for how, a, b in drawn:
+        if how == "span":
+            lo = traj.t0 + a * span
+            out.append((lo, lo + b * span))
+        else:
+            m = math.floor(a * (len(traj.values) - 1))
+            lo = traj.t0 + (m + b) * traj.dt
+            out.append((lo, lo + 0.3 * traj.dt))
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["continuous", "discrete"]),
+       t0=st.floats(-60.0, 60.0), dt=st.floats(0.01, 1.0),
+       n=st.integers(12, 300), seed=st.integers(0, 2**32 - 1),
+       drawn=st.lists(_window_strategy(), min_size=1, max_size=4),
+       shifts=st.lists(st.tuples(st.floats(0.0, 0.6),
+                                 st.sampled_from([0.0, 0.0, 0.37, 0.5])),
+                       min_size=1, max_size=6),
+       eps=st.one_of(*[st.floats(1e-3, 2.0)] * 3,
+                     st.sampled_from([0.0, math.nan])),
+       with_derivs=st.booleans())
+def test_remote_tests_match_the_per_window_loop(kind, t0, dt, n, seed, drawn,
+                                                shifts, eps, with_derivs):
+    # every remote test and the triangle check against the loops they
+    # replaced: same windows, sups bit for bit, verdicts, levels, notes
+    # and errors
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    rate = rng.uniform(0.05, 1.0)
+    values = np.sin(rate * i) + 0.05 * rng.standard_normal(n)
+    if kind == "discrete":
+        # a discrete grid of step 2 makes odd shifts fall between samples
+        traj = Trajectory(kind="discrete", t0=float(round(t0)),
+                          dt=float(1 + seed % 2), values=values)
+    else:
+        derivs = rate / dt * np.cos(rate * i) if with_derivs else None
+        traj = Trajectory(kind="continuous", t0=t0, dt=dt, values=values,
+                          derivs=derivs)
+    windows = _windows_in(traj, drawn)
+    span = traj.t_end - traj.t0
+    # on-grid shifts, shifts between samples, and half steps that a
+    # discrete trajectory refuses
+    probes = tuple(float(round(f * span / traj.dt) + frac) * traj.dt
+                   for f, frac in shifts)
+    for tau in probes:
+        _assert_same_curve(
+            _outcome(remote_tau_periodic_test, traj, tau, eps, windows),
+            _outcome(_curve_by_windows, traj, tau, eps, windows))
+    got = _outcome(remote_stationary_test, traj, eps, windows, probes)
+    want = _outcome(_battery_by_probes, traj, eps, windows, probes)
+    if isinstance(want, Exception):
+        _assert_same_error(got, want)
+    else:
+        assert (got.verdict, got.notes) == (want["verdict"], want["notes"])
+        assert got.curves.keys() == want["curves"].keys()
+        for p, curve in want["curves"].items():
+            if curve is None:
+                assert got.curves[p] is None
+            else:
+                _assert_same_curve(got.curves[p], curve)
+    budget = traj.interp_budget()
+    got = _outcome(_triangle_check, traj, probes[0], windows[-1], budget)
+    want = _outcome(_triangle_by_pairs, traj, probes[0], windows[-1], budget)
+    if isinstance(want, Exception):
+        _assert_same_error(got, want)
+    else:
+        assert got == want
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = Trajectory.shift_sups
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(np.atleast_1d(args[0])))
+        return kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(Trajectory, "shift_sups", counted)
+    return calls
+
+
+def test_each_remote_test_makes_one_kernel_call(monkeypatch):
+    tr = sample_function("sin(t)", (0.0, 300.0), 0.05)
+    windows = ((20.0, 60.0), (60.0, 150.0), (150.0, 280.0))
+    calls = _count_kernel_calls(monkeypatch)
+    bat = remote_stationary_test(tr, 0.05, windows)
+    assert calls == [5] and bat.verdict == "fail"
+    calls.clear()
+    cur = remote_tau_periodic_test(tr, TWO_PI, 0.05, windows)
+    assert calls == [1] and cur.verdict == "pass" and len(cur.sups) == 3
+
+
+def test_classify_sine_makes_at_most_eight_kernel_calls(monkeypatch):
+    ex = catalog.get("sine")
+    tr = ex.trajectory()
+    calls = _count_kernel_calls(monkeypatch)
+    res = classify_trajectory(tr, catalog.recommended_config(ex))
+    assert res.label == "tau-periodic"
+    assert len(calls) <= 8

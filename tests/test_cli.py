@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rapflow
+from rapflow import cli
 from rapflow.cli import (
     _CONVERTERS,
     ConfigError,
@@ -428,6 +429,38 @@ class TestScanCommand:
         code1, _, _ = run(capsys, *base, "--threads", "1", "--out", str(a))
         code4, _, _ = run(capsys, *base, "--threads", "4", "--out", str(b))
         assert code1 == code4 == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("cores,workers", [(3, 3), (10**6, 6)])
+    def test_thread_count_is_capped_by_cores_and_shifts(
+            self, capsys, tmp_path, monkeypatch, cores, workers):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                chunks = list(chunks)
+                pools.append((self.max_workers, len(chunks)))
+                return map(fn, chunks)
+
+        # the fake pool starts no thread, so the huge request is safe
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ("scan", "--fn", "sin(t)", "--span", "0:120", "--eps", "0.5",
+                "--tau-max", "0.05", "--tau-step", "0.01")
+        assert run(capsys, *base, "--threads", "1", "--out", str(a))[0] == 0
+        assert run(capsys, *base, "--threads", "100000",
+                   "--out", str(b))[0] == 0
+        assert pools == [(workers, workers)]
         assert a.read_bytes() == b.read_bytes()
 
     def test_summary_lists_admitted_and_gap(self, capsys):

@@ -14,7 +14,10 @@ byte.  One line per artifact, ``<sha256>  <name>``:
   with ``recommended_config`` and ``classification_json``;
 * the CSV of ``rapflow scan --example two-tone``, global and
   ``--mode remote --window 200:360``, at ``--tau-step`` 0.01 and 0.0137
-  and ``--threads`` 1 and 2.
+  and ``--threads`` 1 and 2;
+* the JSON of ``rapflow classify --example sine --seed 8``, whose
+  randomized fifth probe differs from seed 0's;
+* the stdout of ``rapflow verify all``.
 """
 
 from __future__ import annotations
@@ -50,28 +53,42 @@ def catalog_digests():
         yield _sha(text.encode("utf-8")), f"classify {ex.name}"
 
 
+def _run(argv) -> bytes:
+    """stdout of ``rapflow argv``; exits if the command fails."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"rapflow {' '.join(argv)} exited {code}")
+    return stdout.getvalue().encode("utf-8")
+
+
 def scan_digests(workdir: Path):
     for mode, extra in SCAN_MODES:
         for step in TAU_STEPS:
             for threads in THREADS:
                 out = workdir / f"scan-{mode}-{step}-{threads}.csv"
-                argv = ["scan", "--example", "two-tone", "--mode", mode,
-                        *extra, "--tau-step", step, "--threads", threads,
-                        "--out", str(out)]
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main(argv)
-                if code != 0:
-                    raise SystemExit(f"rapflow {' '.join(argv)} exited {code}")
+                _run(["scan", "--example", "two-tone", "--mode", mode, *extra,
+                      "--tau-step", step, "--threads", threads,
+                      "--out", str(out)])
                 name = f"scan two-tone {mode} tau-step {step} threads {threads}"
                 yield _sha(out.read_bytes()), name
+
+
+def command_digests(workdir: Path):
+    out = workdir / "classify-sine-seed-8.json"
+    _run(["classify", "--example", "sine", "--seed", "8", "--out", str(out)])
+    yield _sha(out.read_bytes()), "classify --example sine --seed 8"
+    yield _sha(_run(["verify", "all"])), "verify all stdout"
 
 
 def main() -> int:
     for digest, name in catalog_digests():
         print(f"{digest}  {name}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for digest, name in scan_digests(Path(tmp)):
+        for digest, name in (*scan_digests(Path(tmp)),
+                             *command_digests(Path(tmp))):
             print(f"{digest}  {name}", flush=True)
     return 0
 
