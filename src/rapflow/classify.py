@@ -869,14 +869,20 @@ def _triangle_check(traj: Trajectory, tau: float, window,
     (k - 1) shifts, all in one kernel call.  This is a triangle inequality
     for the sampled interpolant, so a violation beyond interpolation
     slack, ten times ``budget`` (the trajectory's interp_budget) plus
-    round-off, is an implementation bug."""
+    round-off, is an implementation bug.  A window that starts before the
+    sampled span is clamped to its start, as the remote tests clamp it; one
+    that ends by that start skips both checks."""
     lo, hi = window
-    ks = [k for k in (2, 3) if not hi + k * tau > traj.t_end + _POS_TOL]
+    before = hi <= traj.t0
+    lo = max(lo, traj.t0)
+    ks = [k for k in (2, 3)
+          if not (before or hi + k * tau > traj.t_end + _POS_TOL)]
     sups = iter(_tail_sups(traj, [pair for k in ks for pair in (
         (k * tau, (lo, hi)), (tau, (lo, hi + (k - 1) * tau)))]))
+    reason = ("window lies before the sampled span" if before else
+              "span too short for the stretched window")
     checks = [{"name": f"triangle k={k}", "status": "skipped",
-               "detail": "span too short for the stretched window"}
-              for k in (2, 3)]
+               "detail": reason} for k in (2, 3)]
     for check, k in zip(checks, (2, 3)):
         if k not in ks:
             continue
@@ -1088,6 +1094,9 @@ def classify_trajectory(traj: Trajectory,
 
     # (c)-(d) triangle inequality for repeated shifts.
     if refined is not None and windows is not None:
+        if windows[-1][0] < traj.t0 < windows[-1][1]:
+            notes.append(f"triangle checks clamp window {windows[-1]} to "
+                         f"start at {traj.t0}")
         hierarchy += _triangle_check(traj, refined, windows[-1],
                                      traj.interp_budget())
     else:

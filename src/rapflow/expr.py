@@ -21,6 +21,11 @@ reported.
 Each expression is compiled once per backend into straight-line Python
 source: :meth:`Expression.bind` returns a scalar evaluator built on
 :mod:`math`, and :meth:`Expression.eval_array` evaluates over numpy arrays.
+The scalar evaluator computes each distinct subexpression once, in the order
+the tree evaluates it, and reuses its value where it recurs.  When a power
+has t or x in its base or exponent, the evaluator first makes that variable
+a Python float, so the power is raised inline with ``**`` and only falls back
+to a helper for the cases that need a guard or overflow.
 """
 
 from __future__ import annotations
@@ -263,26 +268,25 @@ def _respan(node: Node, span: tuple) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: one emitter writes an expression as straight-line Python source,
-# one temporary per node, for two backends: "scalar" computes on floats with
-# math, "array" on broadcast numpy arrays.  Both keep the domain guards,
-# messages, spans and evaluation order of the tree.  The source is compiled
-# once per expression and backend as a factory whose arguments are the
-# parameter values; binding parameters only calls the factory.
+# Evaluation: one emitter writes an expression as straight-line Python source
+# for two backends: "scalar" computes on floats with math, one temporary per
+# distinct subexpression; "array" on broadcast numpy arrays, one temporary per
+# node.  Both keep the domain guards, messages, spans and evaluation order of
+# the tree.  The source is compiled once per expression and backend as a
+# factory whose arguments are the parameter values; binding parameters only
+# calls the factory.
 # ---------------------------------------------------------------------------
 
 def _pow_scalar(b: float, e: float, span: tuple) -> float:
-    # Plain-float power raises OverflowError as the handler below expects;
-    # numpy scalars would warn and return inf instead, so coerce first.
-    b, e = float(b), float(e)
+    """b ** e on Python floats, with the domain guards and overflow to inf."""
     if b == 0.0 and e < 0.0:
         raise EvalError("zero raised to a negative power", span)
-    if b < 0.0 and not float(e).is_integer():
+    if b < 0.0 and not e.is_integer():
         raise EvalError("fractional power of a negative base", span)
     try:
-        return float(b ** e)
+        return b ** e
     except OverflowError:
-        neg = b < 0.0 and float(e).is_integer() and int(e) % 2 == 1
+        neg = b < 0.0 and e.is_integer() and int(e) % 2 == 1
         return -math.inf if neg else math.inf
 
 
@@ -301,32 +305,15 @@ _NAMESPACES = {
 
 
 def _has_vars(node: Node) -> bool:
-    if isinstance(node, (Var, Param)):
-        return True
-    if isinstance(node, Neg):
-        return _has_vars(node.arg)
-    if isinstance(node, Call):
-        return any(_has_vars(a) for a in node.args)
-    if isinstance(node, BinOp):
-        return _has_vars(node.left) or _has_vars(node.right)
-    return False
+    return any(isinstance(n, (Var, Param)) for n in _walk(node))
 
 
-def _always_float(node: Node) -> bool:
-    """Whether the scalar backend yields a Python float here for any t and x.
-
-    t and x pass through unchanged, so ints or numpy scalars given for them
-    survive negation, abs, +, -, * and /.
-    """
-    if isinstance(node, Var):
-        return False
-    if isinstance(node, Neg):
-        return _always_float(node.arg)
-    if isinstance(node, Call):
-        return node.func != "abs" or _always_float(node.args[0])
-    if isinstance(node, BinOp) and node.op != "^":
-        return _always_float(node.left) and _always_float(node.right)
-    return True
+def _power_vars(root: Node) -> list:
+    """The variables, in sorted order, that occur in the base or exponent of
+    some power; the scalar evaluator makes each a Python float on entry."""
+    return sorted({v.name for p in _walk(root)
+                   if isinstance(p, BinOp) and p.op == "^"
+                   for v in _walk(p) if isinstance(v, Var)})
 
 
 def _literal(value) -> str:
@@ -340,11 +327,19 @@ def _literal(value) -> str:
 
 
 class _Emitter:
-    """Statements of one backend's evaluator, one temporary per inner node.
+    """Statements of one backend's evaluator.
 
     With ``fold`` set, a subtree without t, x or parameters is evaluated
     once at compile time by this same backend and emitted as a literal;
     one that raises is left in place to raise when evaluation reaches it.
+
+    The scalar backend emits each distinct subtree once and reuses its value
+    where the subtree recurs.  Subtrees are told apart by their printed form,
+    which separates 0.0 from -0.0 as node equality does not.  Where a
+    repeated subtree would fail, its first occurrence has already raised, so
+    the failing node and its span are those of the tree's own evaluation
+    order.  The array backend gives every inner node a temporary and frees
+    each one once it is consumed.
     """
 
     def __init__(self, backend: str, args: dict, fold: bool):
@@ -355,6 +350,7 @@ class _Emitter:
         self.lines: list = []
         self.count = 0
         self.live: list = []  # temporaries not yet consumed, oldest first
+        self.memo: dict = {}  # printed subtree -> text of its value (scalar)
 
     def temp(self) -> str:
         self.count += 1
@@ -377,6 +373,16 @@ class _Emitter:
                 self.guard(f"{arg} is _UNBOUND",
                            repr(f"unbound parameter {node.name!r}"), node.span)
             return arg
+        if self.array:
+            return self.inner(node)
+        key = _print(node)
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = self.inner(node)
+        return value
+
+    def inner(self, node: Node) -> str:
+        """emit for a Neg, Call or BinOp node."""
         if self.fold and not _has_vars(node):
             try:
                 value = _build(node, self.backend, fold=False)[0]()(0.0, 0.0)
@@ -406,10 +412,13 @@ class _Emitter:
         func, span = node.func, node.span
         if func == "exp" and not self.array:
             # the handler covers the argument too: an OverflowError raised
-            # anywhere inside it also gives inf
+            # anywhere inside it also gives inf.  A temporary assigned in
+            # the try block may be unset after it, so none is reused there.
             outer, self.lines = self.lines, []
+            memo = dict(self.memo)
             a = self.emit(node.args[0])
             inner, self.lines = self.lines, outer
+            self.memo = memo
             self.lines += ["try:", *("    " + line for line in inner),
                            f"    {out} = _exp({a})",
                            "except OverflowError:", f"    {out} = _inf"]
@@ -452,16 +461,24 @@ class _Emitter:
             return
         l = self.emit(node.left)
         r = self.emit(node.right)
+        # both operands of a power are Python floats: the evaluator makes
+        # each variable in one a float on entry, and parameters are bound
+        # as floats
         if node.op != "^":
             lines.append(f"{out} = {l} {node.op} {r}")
-        elif _always_float(node.left) and _always_float(node.right):
-            # a positive float base cannot fail a guard; overflow goes to inf
-            # as in _pow_scalar
+        elif (isinstance(node.right, Const) and node.right.value >= 0.0
+              and node.right.value.is_integer()):
+            # a whole, non-negative exponent cannot fail a guard for any
+            # base; _pow_scalar gives the signed inf of an overflow
+            lines += ["try:", f"    {out} = {l} ** {r}",
+                      "except OverflowError:",
+                      f"    {out} = _pow({l}, {r}, {span!r})"]
+        else:
+            # a positive base cannot fail a guard; overflow goes to inf as in
+            # _pow_scalar
             lines += [f"if {l} > 0.0:", "    try:", f"        {out} = {l} ** {r}",
                       "    except OverflowError:", f"        {out} = _inf",
                       "else:", f"    {out} = _pow({l}, {r}, {span!r})"]
-        else:
-            lines.append(f"{out} = _pow({l}, {r}, {span!r})")
 
     def array_binop(self, out: str, node: BinOp):
         lines, span = self.lines, node.span
@@ -499,6 +516,8 @@ def _build(root: Node, backend: str, fold: bool = True):
         first.setdefault(p.name, p.span)
     args = {name: f"p{i}" for i, name in enumerate(first)}
     em = _Emitter(backend, args, fold)
+    if backend == "scalar":
+        em.lines += [f"{v} = _float({v})" for v in _power_vars(root)]
     result = em.emit(root)
     body = "".join(f"        {line}\n" for line in em.lines)
     source = (f"def _make({', '.join(args.values())}):\n"
@@ -529,18 +548,22 @@ def _print(node: Node) -> str:
     raise AssertionError(node)
 
 
-def _param_nodes(node: Node):
-    """Param nodes in preorder, left to right."""
-    if isinstance(node, Param):
-        yield node
-    elif isinstance(node, Neg):
-        yield from _param_nodes(node.arg)
+def _walk(node: Node):
+    """node and all its descendants in preorder, left to right."""
+    yield node
+    if isinstance(node, Neg):
+        yield from _walk(node.arg)
     elif isinstance(node, Call):
         for a in node.args:
-            yield from _param_nodes(a)
+            yield from _walk(a)
     elif isinstance(node, BinOp):
-        yield from _param_nodes(node.left)
-        yield from _param_nodes(node.right)
+        yield from _walk(node.left)
+        yield from _walk(node.right)
+
+
+def _param_nodes(node: Node):
+    """Param nodes in preorder, left to right."""
+    return (n for n in _walk(node) if isinstance(n, Param))
 
 
 def _transform(node: Node, fn) -> Node:

@@ -153,12 +153,25 @@ def _trajectory_hash(traj: Trajectory) -> str:
                            "provenance": traj.provenance})
 
 
+_CSV_CHUNK = 1 << 16  # rows rendered per batch by trajectory_csv
+
+
 def trajectory_csv(traj: Trajectory) -> str:
-    """Columns t, value; one row per sample."""
-    grid = traj.grid()
-    rows = zip(grid.tolist(), traj.values.tolist())
-    return csv_text(["t", "value"], rows, _trajectory_hash(traj),
-                    extra_meta={"kind": traj.kind, "samples": len(traj.values)})
+    """Columns t, value; one row per sample.
+
+    The rows are all floats, so each is written directly as csv_text would
+    render it, a batch of rows at a time.
+    """
+    buf = io.StringIO()
+    buf.write(csv_text(["t", "value"], (), _trajectory_hash(traj),
+                       extra_meta={"kind": traj.kind,
+                                   "samples": len(traj.values)}))
+    grid, values = traj.grid(), traj.values
+    for i in range(0, len(values), _CSV_CHUNK):
+        rows = zip(grid[i:i + _CSV_CHUNK].tolist(),
+                   values[i:i + _CSV_CHUNK].tolist())
+        buf.write("".join([f"{t!r},{v!r}\n" for t, v in rows]))
+    return buf.getvalue()
 
 
 def trajectory_json(traj: Trajectory) -> str:

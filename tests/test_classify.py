@@ -913,11 +913,18 @@ def _tail_sup_by_window(traj, tau, window):
 
 
 def _triangle_by_pairs(traj, tau, window, budget):
-    """_triangle_check as two tail_sup calls for each k."""
+    """_triangle_check as two tail_sup calls for each k, over the window
+    clamped to start inside the span."""
     lo, hi = window
+    before = hi <= traj.t0
+    lo = max(lo, traj.t0)
     checks = []
     for k in (2, 3):
         name = f"triangle k={k}"
+        if before:
+            checks.append({"name": name, "status": "skipped", "detail":
+                           "window lies before the sampled span"})
+            continue
         if hi + k * tau > traj.t_end + 1e-9:
             checks.append({"name": name, "status": "skipped", "detail":
                            "span too short for the stretched window"})

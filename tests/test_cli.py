@@ -413,6 +413,15 @@ class TestClassifyCommand:
                                  "--span=-100:100")
         assert code_eq == 0 and out_eq == out
 
+    def test_window_before_the_span_is_clamped_for_the_triangle_checks(
+            self, capsys):
+        code, out, err = run(capsys, "classify", "--fn", "sin(t)",
+                             "--span", "0:100", "--tau-max", "20",
+                             "--windows", "-5:60")
+        assert code == 0, err
+        assert "note: triangle checks clamp window (-5.0, 60.0)" in out
+        assert "hierarchy consistency: ok" in out
+
 
 class TestScanCommand:
     def test_negative_window_start_parses(self, capsys):

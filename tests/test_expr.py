@@ -413,3 +413,206 @@ def test_fuzz_bytes_never_crash(bs):
         parse(s)
     except ParseError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the scalar backend against a plain recursive evaluator
+# ---------------------------------------------------------------------------
+
+def _reference(node, t, x, params):
+    """The scalar backend's semantics, node by node on Python floats.
+
+    Written apart from the emitter: no folding, no reuse of repeated
+    subtrees, no coercion.  A quotient evaluates its denominator first.
+    """
+    def ev(n):
+        if isinstance(n, Const):
+            return n.value
+        if isinstance(n, Var):
+            return t if n.name == "t" else x
+        if isinstance(n, Param):
+            return params[n.name]
+        if isinstance(n, Neg):
+            return -ev(n.arg)
+        if isinstance(n, Call):
+            if n.func == "exp":
+                try:
+                    return math.exp(ev(n.args[0]))
+                except OverflowError:
+                    return math.inf
+            a = ev(n.args[0])
+            if n.func in ("sin", "cos"):
+                try:
+                    return getattr(math, n.func)(a)
+                except ValueError:
+                    return math.nan
+            if n.func == "abs":
+                return abs(a)
+            if n.func == "ln":
+                if a <= 0.0:
+                    raise EvalError("log of non-positive value " + repr(a),
+                                    n.span)
+                return math.log(a)
+            if n.func == "sqrt":
+                if a < 0.0:
+                    raise EvalError("square root of negative value " + repr(a),
+                                    n.span)
+                return math.sqrt(a)
+            try:
+                return float(math.floor(a))
+            except (OverflowError, ValueError):
+                return a
+        if n.op == "/":
+            r = ev(n.right)
+            if r == 0.0:
+                raise EvalError("division by zero", n.span)
+            return ev(n.left) / r
+        l, r = ev(n.left), ev(n.right)
+        if n.op == "+":
+            return l + r
+        if n.op == "-":
+            return l - r
+        if n.op == "*":
+            return l * r
+        if l == 0.0 and r < 0.0:
+            raise EvalError("zero raised to a negative power", n.span)
+        if l < 0.0 and not r.is_integer():
+            raise EvalError("fractional power of a negative base", n.span)
+        try:
+            return l ** r
+        except OverflowError:
+            odd = l < 0.0 and r.is_integer() and int(r) % 2 == 1
+            return -math.inf if odd else math.inf
+
+    return ev(node)
+
+
+def _bits(value):
+    """float64 bytes, signed zeros apart; every NaN alike, since a folded
+    NaN is emitted as one literal whatever its payload."""
+    return "nan" if math.isnan(value) else np.float64(value).tobytes()
+
+
+def _has_power_of_a_variable(node):
+    return any(isinstance(n, BinOp) and n.op == "^"
+               and any(isinstance(v, Var) for v in expr._walk(n))
+               for n in expr._walk(node))
+
+
+def _check_against_reference(e, t, x, params):
+    def outcome(fn):
+        try:
+            return fn()
+        except EvalError as err:
+            return err
+
+    want = outcome(lambda: _reference(e.root, t, x, params))
+    f = e.bind(params)
+    got = outcome(lambda: f(t, x))
+    if isinstance(want, EvalError):
+        assert isinstance(got, EvalError), got
+        assert (got.span, str(got)) == (want.span, str(want))
+    else:
+        assert type(got) is float and _bits(got) == _bits(want)
+    if not all(float(v).is_integer() and abs(v) <= 3 for v in (t, x)):
+        return
+    # small whole t and x given as ints and as numpy scalars: int
+    # arithmetic on them stays exact, and an int has no -0.0
+    for cast in (int, np.float64):
+        want = outcome(lambda: _reference(e.root, float(cast(t)),
+                                          float(cast(x)), params))
+        with np.errstate(all="ignore"):
+            other = outcome(lambda: f(cast(t), cast(x)))
+        if isinstance(want, EvalError):
+            assert isinstance(other, EvalError), other
+            assert other.span == want.span
+            continue
+        assert isinstance(other, (int, float)), other
+        if _has_power_of_a_variable(e.root):
+            assert type(other) is float and _bits(other) == _bits(want)
+        else:
+            assert other == want or math.isnan(other) and math.isnan(want)
+
+
+_whole_or_moderate = st.one_of(st.integers(-3, 3).map(float), _moderate)
+
+
+@given(src=st.sampled_from(GOLDEN_EXPRESSIONS), t=_whole_or_moderate,
+       x=_whole_or_moderate, p=st.floats(min_value=-5.0, max_value=5.0))
+@settings(max_examples=600, deadline=None)
+def test_scalar_backend_matches_reference_on_golden(src, t, x, p):
+    e = parse(src)
+    _check_against_reference(e, t, x, {name: p for name in e.params})
+
+
+_wraps = (lambda s: s, Neg, lambda s: Call("exp", (s,)),
+          lambda s: Call("sqrt", (s,)), lambda s: BinOp("^", s, Const(2.0)))
+
+
+def _repeats(p):
+    """A tree in which subtree s occurs twice: BinOp(op, s, s), or s and a
+    wrapped s in either order, so a reuse inside an exp argument and one
+    outside it are both drawn."""
+    op, s, wrap, first = p
+    a, b = (s, _wraps[wrap](s)) if first else (_wraps[wrap](s), s)
+    return BinOp(op, a, b)
+
+
+_repeated_tree = st.tuples(st.sampled_from("+-*/^"), _tree,
+                           st.integers(0, len(_wraps) - 1),
+                           st.booleans()).map(_repeats)
+
+
+@given(root=st.one_of(_tree, _repeated_tree), t=_whole_or_moderate,
+       x=_whole_or_moderate, a=_moderate, b=_moderate)
+@settings(max_examples=400, deadline=None)
+def test_scalar_backend_matches_reference_on_random_trees(root, t, x, a, b):
+    _check_against_reference(expr.Expression(root, "<synthetic>"), t, x,
+                              {"a": a, "b_2": b})
+
+
+def _counting(f, name):
+    """Calls of the helper name made by the compiled evaluator f."""
+    calls = []
+    helper = f.__globals__[name]
+    f.__globals__[name] = lambda *a: calls.append(a) or helper(*a)
+    return calls
+
+
+def test_repeated_subtrees_are_computed_once():
+    src = "mu*(10+sin(ln(1+t)))*x/((10+sin(ln(1+t)))+(mu-1)*x)"
+    f = parse(src).bind({"mu": 2.0})
+    logs = _counting(f, "_log")
+    assert f(5.0, 3.0) == _reference(parse(src).root, 5.0, 3.0, {"mu": 2.0})
+    assert logs == [(6.0,)]
+
+
+@pytest.mark.parametrize("t", [0.5, 3, np.float64(-2.0)])
+def test_powers_of_variables_are_raised_inline(t):
+    f = parse("2*t*cos((t^2+pi^3)^(1/3))/(3*(t^2+pi^3)^(2/3))").bind()
+    pows = _counting(f, "_pow")
+    v = f(t, 0.0)
+    assert type(v) is float and pows == []
+    g = parse("x^0.5").bind()
+    pows = _counting(g, "_pow")
+    with pytest.raises(EvalError):
+        g(0.0, -4)
+    assert pows == [(-4.0, 0.5, (0, 5))]
+
+
+def test_whole_exponent_overflow_keeps_its_sign():
+    assert parse("x^3").eval(x=-1e200) == -math.inf
+    assert parse("x^2").eval(x=-1e200) == math.inf
+
+
+def test_expressions_without_a_power_take_their_inputs_as_given():
+    assert type(parse("-x+t").bind()(1, 2)) is int
+
+
+def test_subtrees_differing_in_a_signed_zero_stay_apart():
+    # Const(0.0) == Const(-0.0), but at x = -0.0 the sums differ in sign
+    root = BinOp("*", BinOp("+", Var("x"), Const(-0.0)),
+                 BinOp("+", Var("x"), Const(0.0)))
+    e = expr.Expression(root, "<synthetic>")
+    _check_against_reference(e, 1.0, -0.0, {})
+    assert math.copysign(1.0, e.bind()(1.0, -0.0)) == -1.0

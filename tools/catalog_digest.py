@@ -17,7 +17,12 @@ byte.  One line per artifact, ``<sha256>  <name>``:
   and ``--threads`` 1 and 2;
 * the JSON of ``rapflow classify --example sine --seed 8``, whose
   randomized fifth probe differs from seed 0's;
-* the stdout of ``rapflow verify all``.
+* the stdout of ``rapflow verify all``;
+* the artifacts of the evolve-pairs benchmark workload, which run scalar
+  ``bind()`` evaluators under ``integrate`` and ``iterate``: the slow-chirp
+  ``trajectory_csv`` integrated on [0, 1000] at dt 0.05, the drifting
+  Beverton-Holt orbit over 102000 steps as float64 bytes, and the times,
+  gaps and report of one ``-x+sin(t)`` contraction pair.
 """
 
 from __future__ import annotations
@@ -31,13 +36,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rapflow import catalog, classify, cli, serialize  # noqa: E402
+from rapflow import catalog, classify, cli, dynamics, serialize  # noqa: E402
 
 # entries sampled from their solution curve, as the benchmark samples them
 CURVE_SOURCED = frozenset({"slow-chirp"})
 SCAN_MODES = (("global", []), ("remote", ["--window", "200:360"]))
 TAU_STEPS = ("0.01", "0.0137")
 THREADS = ("1", "2")
+# the evolve-pairs workload's horizons and output spacings
+CHIRP_SPAN, CHIRP_DT = (0.0, 1000.0), 0.05
+BH_STEPS = 102_000
+PAIR, PAIR_SPAN, PAIR_DT = (-3.7, 4.2), (0.0, 20.0), 0.02
 
 
 def _sha(data: bytes) -> str:
@@ -83,12 +92,26 @@ def command_digests(workdir: Path):
     yield _sha(_run(["verify", "all"])), "verify all stdout"
 
 
+def evolve_digests():
+    chirp = catalog.get("slow-chirp").trajectory(span=CHIRP_SPAN, dt=CHIRP_DT)
+    yield (_sha(serialize.trajectory_csv(chirp).encode("utf-8")),
+           f"integrate slow-chirp {CHIRP_SPAN} dt {CHIRP_DT} csv")
+    orbit = catalog.get("beverton-holt").trajectory(steps=BH_STEPS)
+    yield _sha(orbit.values.tobytes()), f"iterate beverton-holt {BH_STEPS} steps"
+    fld = dynamics.ScalarField(kind="continuous", rhs="-x+sin(t)")
+    times, gaps, report = dynamics.contraction_gap(
+        fld, *PAIR, PAIR_SPAN, dynamics.IntegratorConfig(dt_out=PAIR_DT))
+    data = times.tobytes() + gaps.tobytes() + repr(report).encode("utf-8")
+    yield _sha(data), f"contraction_gap -x+sin(t) u={PAIR} {PAIR_SPAN}"
+
+
 def main() -> int:
     for digest, name in catalog_digests():
         print(f"{digest}  {name}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for digest, name in (*scan_digests(Path(tmp)),
-                             *command_digests(Path(tmp))):
+                             *command_digests(Path(tmp)),
+                             *evolve_digests()):
             print(f"{digest}  {name}", flush=True)
     return 0
 
