@@ -66,6 +66,9 @@ CLASS_ORDER = (
 )
 
 _POS_TOL = 1e-9
+# the most shifts a scan grid may hold: a million-shift scan peaks at about
+# 230 MB, below the 320 MB of the largest trajectory the CLI builds
+_MAX_SHIFTS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -161,30 +164,20 @@ def default_probes(kind: str, seed: int = 0) -> tuple[float, ...]:
 # the basic statistic
 
 
-def _index_range(traj: Trajectory, lo: float, hi: float) -> tuple[int, int]:
-    """Grid indices covering [lo, hi], inclusive, clipped to the span."""
-    dt = traj.dt
-    tol = _POS_TOL * max(1.0, abs(dt))
-    i0 = int(math.ceil((lo - traj.t0) / dt - tol))
-    i1 = int(math.floor((hi - traj.t0) / dt + tol))
-    i0 = max(i0, 0)
-    i1 = min(i1, len(traj.values) - 1)
-    return i0, i1
-
-
 def _resolve_windows(traj: Trajectory, taus, windows):
     """Every window clamped for every shift, as grid index ranges.
 
     Window (lo, hi) under shift tau is clamped to [max(lo, t0),
     min(hi, t_end - tau)], where the shifted comparison stays inside the
-    span, and covers the grid indices :func:`_index_range` gives for it.
-    Returns the clamped lo and hi and the index ranges starts..ends, of
-    shape (windows, shifts), and where, true for a clamped window that is
-    not empty and holds a grid point.  As Python's max and min do, a tie
-    or a NaN keeps the window's own bound.
+    span, and covers the grid indices i with t0 + i*dt in it, up to
+    1e-9*max(1, dt) steps at either end.  Returns the clamped lo and hi
+    and the index ranges starts..ends, of shape (windows, shifts), and
+    where, true for a clamped window that is not empty and holds a grid
+    point.  As Python's max and min do, a tie or a NaN keeps the window's
+    own bound.
     """
     t0, dt = traj.t0, traj.dt
-    tol = _POS_TOL * max(1.0, abs(dt))
+    tol = _POS_TOL * max(1.0, dt)
     lo, hi = np.array(windows, float).reshape(-1, 2, 1).transpose(1, 0, 2)
     room = traj.t_end - np.asarray(taus, float)
     lo, hi = np.broadcast_arrays(np.where(t0 > lo, t0, lo),
@@ -212,7 +205,7 @@ def _tail_sups(traj: Trajectory, pairs) -> list:
     # a window is checked to leave room for its shift, up to tol, and
     # resolved as under shift 0, so no clamp cuts into that tolerance
     _, _, starts, ends, where = _resolve_windows(traj, [0.0], wins)
-    tol = _POS_TOL * max(1.0, abs(traj.dt))
+    tol = _POS_TOL * max(1.0, traj.dt)
     for q, (tau, (lo, hi)) in enumerate(zip(taus, wins)):
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"bad window ({lo}, {hi})")
@@ -460,18 +453,27 @@ class AlmostPeriodSet:
 
 
 def _scan_grid(traj: Trajectory, tau_range, tau_step: float) -> np.ndarray:
+    """The shifts lo, lo + tau_step, ... <= hi, whole numbers on a discrete
+    trajectory; more than _MAX_SHIFTS of them are refused unbuilt."""
     lo, hi = float(tau_range[0]), float(tau_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and 0 <= lo < hi):
         raise ValueError("tau_range must satisfy 0 <= lo < hi")
+    if not (tau_step > 0 and math.isfinite(tau_step)):
+        raise ValueError("tau_step must be positive")
     if traj.kind == "discrete":
-        step = max(1, int(round(tau_step)))
-        first = int(math.ceil(lo - _POS_TOL))
-        last = int(math.floor(hi + _POS_TOL))
-        if last < first:
+        tau_step = max(1, round(tau_step))
+        lo, hi = math.ceil(lo - _POS_TOL), math.floor(hi + _POS_TOL)
+        if hi < lo:
             raise ValueError("tau_range holds no whole-number shift")
-        return np.arange(first, last + 1, step, dtype=float)
-    n = int(math.floor((hi - lo) / tau_step + _POS_TOL))
-    return lo + tau_step * np.arange(n + 1)
+        count = (hi - lo) // tau_step + 1
+    else:
+        n = (hi - lo) / tau_step + _POS_TOL
+        count = math.floor(n) + 1 if math.isfinite(n) else math.inf
+    if count > _MAX_SHIFTS:
+        raise ValueError(f"the shift grid would hold {count:.4g} shifts, more "
+                         f"than the limit of {_MAX_SHIFTS}; shorten the shift "
+                         "range or widen the step")
+    return lo + tau_step * np.arange(count, dtype=float)
 
 
 def almost_period_scan(traj: Trajectory, eps: float, tau_range,
@@ -584,6 +586,16 @@ class AsymptoticReport:
     notes: list[str] = field(default_factory=list)
 
 
+def _tail(traj: Trajectory, series, tail_from: float) -> np.ndarray:
+    """series at the grid times of [tail_from, t_end]; two samples at least."""
+    _, _, starts, ends, where = _resolve_windows(
+        traj, [0.0], [(tail_from, traj.t_end)])
+    i0, i1 = int(starts[0, 0]), int(ends[0, 0])
+    if not (where[0, 0] and i1 > i0):
+        raise ValueError("tail holds fewer than two samples")
+    return series[i0:i1 + 1]
+
+
 def _verdict_near(stat: float, eps: float) -> str:
     if stat <= eps:
         return "pass"
@@ -606,10 +618,7 @@ def asymptotic_stationary_test(traj: Trajectory, eps: float,
         raise ValueError("tail_fraction must lie in (0, 1)")
     t_end = traj.t_end
     tail_from = t_end - tail_fraction * (t_end - traj.t0)
-    i0, i1 = _index_range(traj, tail_from, t_end)
-    tail = traj.values[i0:i1 + 1]
-    if tail.size < 2:
-        raise ValueError("tail holds fewer than two samples")
+    tail = _tail(traj, traj.values, tail_from)
     stat = float(np.max(tail) - np.min(tail))
     return AsymptoticReport(kind="stationary", tau=None, eps=float(eps),
                             statistic=stat, tail_from=float(tail_from),
@@ -637,7 +646,6 @@ def asymptotic_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
         raise ValueError("tau must be positive")
     if traj.kind == "discrete" and abs(tau - round(tau)) > _POS_TOL:
         raise ValueError("discrete trajectories need whole-number shifts")
-    notes: list[str] = []
     t_end = traj.t_end
     span = t_end - traj.t0
     n_mult = int(math.floor(span / tau + _POS_TOL))
@@ -670,7 +678,7 @@ def asymptotic_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
                             eps=float(eps), statistic=stat,
                             tail_from=float(tail_from),
                             verdict=_verdict_near(stat, eps),
-                            residue_osc=worst, dense_sup=dense, notes=notes)
+                            residue_osc=worst, dense_sup=dense)
 
 
 # ---------------------------------------------------------------------------
@@ -711,10 +719,7 @@ def separation_constancy_test(a: Trajectory, b: Trajectory,
     t_end = a.t_end
     if tail_from is None:
         tail_from = a.t0 + 0.75 * (t_end - a.t0)
-    i0, i1 = _index_range(a, tail_from, t_end)
-    tail = sep[i0:i1 + 1]
-    if tail.size < 2:
-        raise ValueError("tail holds fewer than two samples")
+    tail = _tail(a, sep, tail_from)
     drift = float(np.max(tail) - np.min(tail))
     return SeparationReport(initial=float(sep[0]), limit=float(tail[-1]),
                             drift=drift, tail_from=float(tail_from),

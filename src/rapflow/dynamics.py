@@ -116,9 +116,6 @@ class ScalarField:
         """Scalar callable f(t, x)."""
         return self.rhs.bind(self.params)
 
-    def eval(self, t: float, x: float) -> float:
-        return self.bind()(float(t), float(x))
-
     def eval_grid(self, t_grid, x_grid) -> np.ndarray:
         """Values f(t_i, x_j) as an array of shape (len(t_grid), len(x_grid))."""
         t_grid = np.asarray(t_grid, float)
@@ -280,6 +277,10 @@ class Trajectory:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not math.isfinite(self.t0):
+            raise ValueError("trajectory t0 must be finite")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError("trajectory dt must be positive and finite")
         self.values = np.asarray(self.values, float)
         if self.values.ndim != 1 or len(self.values) < 2:
             raise ValueError("a trajectory needs at least two samples")
@@ -344,18 +345,6 @@ class Trajectory:
                 h00 * v[idx] + h01 * v[idx + 1]
                 + self.dt * (h10 * d[idx] + h11 * d[idx + 1]))
         return out.reshape(pos.shape)
-
-    def value_at(self, t: float) -> float:
-        return float(self.values_at(np.array([t]))[0])
-
-    def shift_sup(self, tau: float, i0: int, i1: int, stride: int = 1) -> float:
-        """sup of |phi(t_i + tau) - phi(t_i)| over i = i0, i0 + stride, ... <= i1.
-
-        One shift and one window of :meth:`shift_sups`; see there for how
-        the shifted series is formed, which indices are left out and what
-        is raised.
-        """
-        return float(self.shift_sups([tau], [[i0]], [[i1]], stride)[0, 0])
 
     def shift_sups(self, taus, starts, ends, stride: int = 1,
                    where=None) -> np.ndarray:
@@ -525,20 +514,27 @@ class Trajectory:
 
         The fourth central difference of the samples approximates
         dt^4 * x''''(t); the Hermite error bound is |x''''| dt^4 / 384.
+        Without stored derivatives the ``np.gradient`` fallback errs by
+        about |third difference| / (6*dt) inside and |second difference| /
+        (2*dt) at the two ends, and a Hermite cell moves by at most dt/4
+        times the larger error of its end derivatives, so that is added.
         """
         if self.kind == "discrete" or len(self.values) < 5:
             return 0.0
-        # chunks overlap by 4 samples, so every difference is taken once
         v = self.values
-        return float(np.max([np.abs(np.diff(v[c0:c0 + _CHUNK + 4], 4)).max()
-                             for c0 in range(0, len(v) - 4, _CHUNK)])) / 384.0
-
-    def scaled(self, c: float) -> "Trajectory":
-        return Trajectory(
-            kind=self.kind, t0=self.t0, dt=self.dt,
-            values=self.values * c,
-            derivs=None if self.derivs is None else self.derivs * c,
-            provenance=dict(self.provenance, scaled=repr(float(c))))
+        stored = self.derivs is not None
+        fourth = third = 0.0
+        # chunks overlap by 4 samples, so every difference is taken once
+        for c0 in range(0, len(v) - 4, _CHUNK):
+            d3 = np.diff(v[c0:c0 + _CHUNK + 4], 3)
+            fourth = max(fourth, float(np.abs(np.diff(d3)).max()))
+            if not stored:
+                third = max(third, float(np.abs(d3).max()))
+        if stored:
+            return fourth / 384.0
+        ends = float(max(abs(v[0] - 2 * v[1] + v[2]),
+                         abs(v[-1] - 2 * v[-2] + v[-3])))
+        return fourth / 384.0 + max(third / 24.0, ends / 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -768,13 +764,6 @@ class PropertyReport:
     def __post_init__(self):
         if self.verdict == "fail" and self.witness is None:
             raise ValueError("failing reports must carry a witness")
-
-    def to_dict(self) -> dict:
-        return {
-            "property": self.property, "verdict": self.verdict,
-            "extreme": self.extreme, "witness": self.witness,
-            "tolerance": self.tolerance, "samples": self.samples,
-            "notes": self.notes}
 
 
 def check_monotone_in_x(fld: ScalarField, t_grid, x_grid,

@@ -296,7 +296,8 @@ _COMMON = {"_EvalError": EvalError, "_inf": math.inf, "_nan": math.nan}
 _NAMESPACES = {
     "scalar": dict(_COMMON, _sin=math.sin, _cos=math.cos, _abs=abs,
                    _exp=math.exp, _log=math.log, _sqrt=math.sqrt,
-                   _floor=math.floor, _float=float, _pow=_pow_scalar),
+                   _floor=math.floor, _copysign=math.copysign,
+                   _float=float, _pow=_pow_scalar),
     "array": dict(_COMMON, _sin=np.sin, _cos=np.cos, _abs=np.abs,
                   _exp=np.exp, _log=np.log, _sqrt=np.sqrt, _floor=np.floor,
                   _power=np.power, _any=np.any, _asarray=np.asarray,
@@ -438,8 +439,8 @@ class _Emitter:
             lines += ['with _errstate(over="ignore"):', f"    {out} = _exp({a})"]
         elif func == "floor" and not self.array:
             # math.floor rejects inf and nan; as in numpy, each is its own
-            # floor
-            lines += ["try:", f"    {out} = _float(_floor({a}))",
+            # floor.  copysign keeps the sign of a zero, as numpy does
+            lines += ["try:", f"    {out} = _copysign(_floor({a}), {a})",
                       "except (OverflowError, ValueError):",
                       f"    {out} = _float({a})"]
         elif func in ("sin", "cos") and not self.array:

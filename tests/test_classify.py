@@ -32,7 +32,6 @@ from rapflow.classify import (
 from rapflow.classify import (
     _auto_windows,
     _geometric_windows,
-    _index_range,
     _scan,
     _scan_grid,
     _triangle_check,
@@ -52,6 +51,16 @@ TWO_PI = 2.0 * math.pi
 def discrete_traj(values, t0=0.0):
     return Trajectory(kind="discrete", t0=t0, dt=1.0,
                       values=np.asarray(values, float))
+
+
+def _grid_range(traj, lo, hi):
+    """Grid indices i with t0 + i*dt in [lo, hi], up to 1e-9*max(1, dt)
+    steps at either end, clipped to the span; written out here so the
+    references below stay independent of classify's window resolver."""
+    tol = 1e-9 * max(1.0, traj.dt)
+    i0 = max(int(math.ceil((lo - traj.t0) / traj.dt - tol)), 0)
+    i1 = min(int(math.floor((hi - traj.t0) / traj.dt + tol)), len(traj) - 1)
+    return i0, i1
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +385,8 @@ def _assert_same_scan(got, want):
 
 
 def _scan_per_shift(traj, taus, window):
-    """The scan as a loop over shifts: _index_range and shift_sup each."""
+    """The scan as a loop over shifts: _grid_range and a one-shift
+    shift_sups call each."""
     t_end = traj.t_end
     w_lo, w_hi = (traj.t0, t_end) if window is None else window
     w_lo = max(w_lo, traj.t0)
@@ -386,10 +396,10 @@ def _scan_per_shift(traj, taus, window):
         hi = min(w_hi, t_end - tau)
         if hi <= w_lo:
             continue
-        i0, i1 = _index_range(traj, w_lo, hi)
+        i0, i1 = _grid_range(traj, w_lo, hi)
         if i1 - i0 + 1 < 2:
             continue
-        sups[idx] = traj.shift_sup(tau, i0, i1)
+        sups[idx] = traj.shift_sups([tau], [[i0]], [[i1]])[0, 0]
         assessable[idx] = True
     return sups, assessable
 
@@ -696,7 +706,9 @@ class TestClassifyTrajectory:
             eps=base_cfg.eps * 4.0, exact_eps=base_cfg.exact_eps * 4.0,
             tau=base_cfg.tau, tau_range=base_cfg.tau_range,
             tau_step=base_cfg.tau_step, windows=base_cfg.windows)
-        res2 = classify_trajectory(tr.scaled(4.0), scaled_cfg)
+        scaled = Trajectory(kind=tr.kind, t0=tr.t0, dt=tr.dt,
+                            values=4.0 * tr.values, derivs=4.0 * tr.derivs)
+        res2 = classify_trajectory(scaled, scaled_cfg)
         assert res1.label == res2.label == "asymptotically-tau-periodic"
         assert res1.verdicts == res2.verdicts
         c1 = res1.reports["remotely-tau-periodic"]
@@ -814,6 +826,62 @@ class TestStructuralProperties:
         idx = np.flatnonzero(np.abs(scan.taus - period) < 0.5)[0]
         assert scan.admitted[idx]
 
+    @settings(max_examples=40, deadline=None)
+    @given(t0=st.floats(-50.0, 50.0), dt=st.floats(0.05, 1.0),
+           n=st.integers(10, 300), frac=st.floats(0.01, 0.99))
+    def test_tails_follow_the_grid_rule(self, t0, dt, n, frac):
+        # the tails of the asymptotic and separation tests against the
+        # grid rule written out above
+        values = np.sin(0.3 * np.arange(n)) + 0.01 * np.arange(n)
+        tr = Trajectory(kind="continuous", t0=t0, dt=dt, values=values)
+        other = Trajectory(kind="continuous", t0=t0, dt=dt, values=2 * values)
+        tail_from = tr.t_end - frac * (tr.t_end - tr.t0)
+        i0, i1 = _grid_range(tr, tail_from, tr.t_end)
+        if i1 - i0 < 1:
+            with pytest.raises(ValueError, match="fewer than two"):
+                asymptotic_stationary_test(tr, 0.05, frac)
+            with pytest.raises(ValueError, match="fewer than two"):
+                separation_constancy_test(tr, other, tail_from=tail_from)
+            return
+        tail = values[i0:i1 + 1]
+        rep = asymptotic_stationary_test(tr, 0.05, frac)
+        assert rep.statistic == np.max(tail) - np.min(tail)
+        sep = separation_constancy_test(tr, other, tail_from=tail_from)
+        assert sep.drift == np.max(np.abs(tail)) - np.min(np.abs(tail))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["stored", "free", "discrete"]),
+           t0=st.floats(-1000.0, 1000.0), dt=st.floats(1e-3, 1.0),
+           n=st.integers(10, 800), rate=st.floats(0.01, 1.5),
+           drift=st.sampled_from([0.0, 1.0]), steps=st.floats(0.5, 8.0))
+    def test_random_trajectories_keep_the_hierarchy(self, kind, t0, dt, n,
+                                                    rate, drift, steps):
+        # sines with and without a smooth log drift; without stored
+        # derivatives the np.gradient fallback must stay inside the
+        # triangle slack
+        if kind == "discrete":
+            t0, dt = float(round(t0)), 1.0
+        ts = t0 + dt * np.arange(n)
+        phase = rate * ts + drift * np.log(2001.0 + ts)
+        derivs = (rate + drift / (2001.0 + ts)) * np.cos(phase)
+        tr = Trajectory(kind="continuous" if kind != "discrete" else kind,
+                        t0=t0, dt=dt, values=np.sin(phase),
+                        derivs=derivs if kind == "stored" else None)
+        span = tr.t_end - tr.t0
+        cfg = ClassifyConfig(eps=0.05, tau_range=(0.0, span),
+                             tau_step=steps * dt)
+        res = classify_trajectory(tr, cfg)
+        assert res.hierarchy_ok(), res.hierarchy
+
+    def test_derivative_free_sine_keeps_the_triangle_slack(self):
+        tr = Trajectory(kind="continuous", t0=0.0, dt=0.2,
+                        values=np.sin(np.arange(0.0, 400.1, 0.2)))
+        cfg = ClassifyConfig(eps=0.05, tau_range=(0.0, 100.0), tau_step=0.1)
+        res = classify_trajectory(tr, cfg)
+        assert res.hierarchy_ok(), res.hierarchy
+        assert all(h["status"] == "ok" for h in res.hierarchy
+                   if h["name"].startswith("triangle"))
+
 
 # ---------------------------------------------------------------------------
 # remote tests and the triangle check: one kernel call each
@@ -828,7 +896,7 @@ def _outcome(fn, *args):
 
 def _curve_by_windows(traj, tau, eps, windows):
     """remote_tau_periodic_test as a loop over windows: clamp, then
-    _index_range, then a one-window shift_sups call each."""
+    _grid_range, then a one-window shift_sups call each."""
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
     used, sups, notes = [], [], []
@@ -842,7 +910,7 @@ def _curve_by_windows(traj, tau, eps, windows):
             raise ValueError("tau must be finite and non-negative")
         if traj.kind == "discrete" and abs(tau - round(tau)) > 1e-9:
             raise ValueError("discrete trajectories need whole-number shifts")
-        i0, i1 = _index_range(traj, eff_lo, eff_hi)
+        i0, i1 = _grid_range(traj, eff_lo, eff_hi)
         if i1 < i0:
             raise ValueError("window contains no grid points")
         sups.append(float(traj.shift_sups([tau], [[i0]], [[i1]])[0, 0]))
@@ -906,7 +974,7 @@ def _tail_sup_by_window(traj, tau, window):
             f"window end {hi} plus shift {tau} leaves the sampled span")
     if lo < traj.t0 - tol:
         raise ValueError(f"window start {lo} precedes the sampled span")
-    i0, i1 = _index_range(traj, lo, hi)
+    i0, i1 = _grid_range(traj, lo, hi)
     if i1 < i0:
         raise ValueError("window contains no grid points")
     return float(traj.shift_sups([tau], [[i0]], [[i1]])[0, 0])

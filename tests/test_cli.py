@@ -212,6 +212,45 @@ class TestSampleLimit:
         assert code == 2 and "102 samples" in err
 
 
+class TestShiftGridLimit:
+    # a shift grid with a step that is not positive, or with more shifts
+    # than the limit, is refused before any array of shifts is built
+    @pytest.mark.parametrize("argv, message", [
+        (("--fn=sin(t)", "--span", "0:50", "--tau-step", "0"),
+         "tau_step must be positive"),
+        (("--fn=sin(t)", "--span", "0:50", "--tau-step", "-1"),
+         "tau_step must be positive"),
+        (("--map=x/2", "--steps", "50", "--tau-step", "0"),
+         "tau_step must be positive"),
+        (("--fn=sin(t)", "--span", "0:50", "--tau-step", "1e-12"),
+         "1e+14 shifts, more than the limit of 1048576"),
+        (("--fn=sin(t)", "--span", "0:50", "--tau-max", "1e300",
+          "--tau-step", "1e-300"),
+         "inf shifts, more than the limit of 1048576"),
+        (("--map=x/2", "--steps", "50", "--tau-max", "1e300"),
+         "1e+300 shifts, more than the limit of 1048576"),
+    ])
+    def test_scan_refuses_the_grid(self, capsys, argv, message):
+        code, _, err = run(capsys, "scan", *argv)
+        assert code == 2
+        assert message in err
+
+    def test_classify_notes_the_refused_grid(self, capsys):
+        code, out, err = run(capsys, "classify", "--fn", "sin(t)",
+                             "--span", "0:50", "--tau-step", "1e-12")
+        assert code == 0, err
+        assert ("note: global scan unavailable: the shift grid would hold "
+                "2.5e+13 shifts") in out
+
+    def test_grids_at_the_limit_are_built(self, monkeypatch, capsys):
+        monkeypatch.setattr("rapflow.classify._MAX_SHIFTS", 101)
+        base = ("scan", "--fn=sin(t)", "--span", "0:50", "--tau-step", "0.1")
+        code, out, _ = run(capsys, *base, "--tau-max", "10")
+        assert code == 0 and "shifts scanned: 101" in out
+        code, _, err = run(capsys, *base, "--tau-max", "10.1")
+        assert code == 2 and "102 shifts" in err
+
+
 class TestOptionValues:
     @pytest.mark.parametrize("argv", [
         ("simulate", "--ode=-x", "--span", "0:5", "--horizon", "inf"),

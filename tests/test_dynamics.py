@@ -64,7 +64,7 @@ def bh_varying_field(mu=2.0):
 def test_linear_decay_endpoint():
     fld = ScalarField(kind="continuous", rhs="-x")
     traj = integrate(fld, 1.0, (0.0, 1.0))
-    assert abs(traj.value_at(1.0) - math.exp(-1.0)) <= 1e-9
+    assert abs(traj.values_at(1.0)[0] - math.exp(-1.0)) <= 1e-9
 
 
 def test_chirp_matches_closed_form():
@@ -85,8 +85,8 @@ def test_cocycle_identity():
     fld = relax_sin_field()
     full = integrate(fld, 2.0, (0.0, 2.0))
     leg1 = integrate(fld, 2.0, (0.0, 1.0))
-    leg2 = integrate(fld, leg1.value_at(1.0), (1.0, 2.0))
-    assert abs(full.value_at(2.0) - leg2.value_at(2.0)) <= 1e-8
+    leg2 = integrate(fld, float(leg1.values_at(1.0)[0]), (1.0, 2.0))
+    assert abs(full.values_at(2.0)[0] - leg2.values_at(2.0)[0]) <= 1e-8
 
 
 def test_order_preservation():
@@ -392,9 +392,14 @@ def test_values_at_outside_span_raises():
 
 def test_discrete_values_at_integer_only():
     traj = iterate(bh_const_field(), 1.0, 10)
-    assert traj.value_at(3.0) == traj.values[3]
+    assert traj.values_at(3.0)[0] == traj.values[3]
     with pytest.raises(DynamicsError):
-        traj.value_at(3.5)
+        traj.values_at(3.5)
+
+
+def _sup(traj, tau, i0, i1, stride=1):
+    """One shift over one window of Trajectory.shift_sups."""
+    return float(traj.shift_sups([tau], [[i0]], [[i1]], stride)[0, 0])
 
 
 def _shift_reference(traj, tau, i0, i1):
@@ -429,9 +434,9 @@ def test_shift_sup_matches_values_at(t0, dt, n, amp, level, rate, phase,
     i0 = math.floor(lo * last)
     i1 = i0 + math.floor(length * (last - i0))
     tol = 1e-12 * (1.0 + float(np.max(np.abs(traj.values))))
-    got = traj.shift_sup(tau, i0, i1)
+    got = _sup(traj, tau, i0, i1)
     assert abs(got - _shift_reference(traj, tau, i0, i1)) <= tol
-    strided = traj.shift_sup(tau, i0, i1, stride)
+    strided = _sup(traj, tau, i0, i1, stride)
     ts = traj.t0 + traj.dt * np.arange(i0, i1 + 1, stride)
     ref = float(np.max(np.abs(traj.values_at(ts + tau)
                               - traj.values[i0:i1 + 1:stride])))
@@ -461,9 +466,9 @@ def test_chunked_shift_sup_matches_values_at(t0, dt, n, chunk, whole, off,
     last = n - 1 - math.ceil(tau / dt - 1e-9)
     i0 = math.floor(lo * last)
     i1 = i0 + math.floor(length * (last - i0))
-    want = traj.shift_sup(tau, i0, i1, stride)
+    want = _sup(traj, tau, i0, i1, stride)
     with mock.patch.object(dynamics, "_CHUNK", chunk):
-        got = traj.shift_sup(tau, i0, i1, stride)
+        got = _sup(traj, tau, i0, i1, stride)
     assert got == want
     ts = traj.t0 + traj.dt * np.arange(i0, i1 + 1, stride)
     ref = float(np.max(np.abs(traj.values_at(ts + tau)
@@ -490,7 +495,7 @@ def test_batched_windows_match_one_window_at_a_time(chunk):
             if not where[w, j]:
                 continue
             i0, i1 = int(starts[w, 0]), int(ends[w, 0])
-            assert sups[w, j] == traj.shift_sup(tau, i0, i1)
+            assert sups[w, j] == _sup(traj, tau, i0, i1)
             i1 = min(i1, len(traj) - 1 - math.ceil(tau / traj.dt - 1e-9))
             ts = traj.t0 + traj.dt * np.arange(i0, i1 + 1)
             ref = np.max(np.abs(traj.values_at(ts + tau)
@@ -638,7 +643,7 @@ def test_shift_sup_on_grid_is_exact():
     traj = sample_function("sin(t)+0.3*sin(3.7*t)", (-20.0, 30.0), 0.01)
     for k in (0, 1, 628, 2000):
         direct = np.max(np.abs(traj.values[k:] - traj.values[:len(traj) - k]))
-        assert traj.shift_sup(k * 0.01, 0, len(traj) - 1 - k) == direct
+        assert _sup(traj, k * 0.01, 0, len(traj) - 1 - k) == direct
 
 
 def test_shift_sup_drops_points_past_the_span():
@@ -646,22 +651,22 @@ def test_shift_sup_drops_points_past_the_span():
     n = len(traj)
     # the shifted times of the last points fall past t_end; they are left
     # out rather than raising, on and off the grid
-    assert traj.shift_sup(0.5, 0, n - 1) == traj.shift_sup(0.5, 0, n - 6)
-    assert traj.shift_sup(0.55, 0, n - 1) == traj.shift_sup(0.55, 0, n - 7)
+    assert _sup(traj, 0.5, 0, n - 1) == _sup(traj, 0.5, 0, n - 6)
+    assert _sup(traj, 0.55, 0, n - 1) == _sup(traj, 0.55, 0, n - 7)
     with pytest.raises(ValueError, match="comparable"):
-        traj.shift_sup(9.95, n - 1, n - 1)
+        _sup(traj, 9.95, n - 1, n - 1)
     with pytest.raises(ValueError):
-        traj.shift_sup(-0.1, 0, 10)
+        _sup(traj, -0.1, 0, 10)
     with pytest.raises(ValueError):
-        traj.shift_sup(0.1, 0, n)
+        _sup(traj, 0.1, 0, n)
 
 
 def test_discrete_shift_sup_rejects_off_grid_shifts():
     traj = iterate(bh_const_field(), 1.0, 40)
-    assert traj.shift_sup(3.0, 0, 30) == float(
+    assert _sup(traj, 3.0, 0, 30) == float(
         np.max(np.abs(traj.values[3:34] - traj.values[:31])))
     with pytest.raises(DynamicsError, match="integer"):
-        traj.shift_sup(2.5, 0, 30)
+        _sup(traj, 2.5, 0, 30)
 
 
 def test_interp_budget():
@@ -670,18 +675,25 @@ def test_interp_budget():
     assert iterate(bh_const_field(), 1.0, 10).interp_budget() == 0.0
 
 
-def test_scaled_trajectory():
-    traj = sample_function("sin(t)", (0.0, 3.0), 0.1)
-    doubled = traj.scaled(2.0)
-    assert np.array_equal(doubled.values, 2.0 * traj.values)
-    assert np.array_equal(doubled.derivs, 2.0 * traj.derivs)
-    assert "scaled" in doubled.provenance
-
-
 def test_trajectory_rejects_nonfinite():
     with pytest.raises(ValueError):
         Trajectory(kind="continuous", t0=0.0, dt=0.1,
                    values=np.array([0.0, math.inf, 1.0]))
+
+
+@pytest.mark.parametrize("t0, dt, match", [
+    (0.0, 0.0, "dt must be positive"),
+    (0.0, -0.01, "dt must be positive"),
+    (0.0, math.inf, "dt must be positive"),
+    (math.nan, 0.01, "t0 must be finite"),
+    (-math.inf, 0.01, "t0 must be finite"),
+])
+def test_trajectory_rejects_a_grid_it_cannot_sample(t0, dt, match):
+    # a zero step divided by zero, a negative one read as a short span and
+    # a nan origin broke the window ladder, all inside classify_trajectory
+    values = np.sin(0.01 * np.arange(2000))
+    with pytest.raises(ValueError, match=match):
+        Trajectory(kind="continuous", t0=t0, dt=dt, values=values)
 
 
 def test_sample_function_rejects_unbound_param():
@@ -749,15 +761,24 @@ def test_chunked_sampling_matches_the_whole_array_formula(monkeypatch, fn, span,
 @pytest.mark.parametrize("size", [5, 11, 12, 23])
 def test_chunked_interp_budget_sees_a_spike_on_every_seam(monkeypatch, size):
     # with chunks of 7 samples overlapping by 4, a spike at index i enters
-    # the differences i-4..i, which straddle a seam for most i
+    # the differences i-4..i, which straddle a seam for most i.  With
+    # stored derivatives the budget is the fourth-difference term alone;
+    # without them the third differences and the two end second
+    # differences of the np.gradient fallback are added
     monkeypatch.setattr(dynamics, "_CHUNK", 7)
     base = np.sin(0.2 * np.arange(size))
     for i in range(size):
         values = base.copy()
         values[i] += 1.0 + i
-        traj = Trajectory(kind="continuous", t0=0.0, dt=0.1, values=values)
+        traj = Trajectory(kind="continuous", t0=0.0, dt=0.1, values=values,
+                          derivs=np.zeros(size))
         want = float(np.max(np.abs(np.diff(values, 4)))) / 384.0
         assert traj.interp_budget() == want
+        free = Trajectory(kind="continuous", t0=0.0, dt=0.1, values=values)
+        ends = np.abs(np.diff(values, 2)[[0, -1]]).max()
+        third = np.abs(np.diff(values, 3)).max()
+        assert free.interp_budget() == pytest.approx(
+            want + max(third / 24.0, ends / 8.0), rel=1e-12)
 
 
 def test_chunked_values_at_matches_the_whole_array_formula(monkeypatch):
@@ -818,7 +839,7 @@ def test_field_validation_errors():
 def test_shift_field_evaluation():
     fld = ScalarField(kind="continuous", rhs="sin(t)+x")
     g = shift_field(fld, 2.5)
-    assert g.eval(0.0, 1.0) == pytest.approx(math.sin(2.5) + 1.0, abs=1e-15)
+    assert g.bind()(0.0, 1.0) == pytest.approx(math.sin(2.5) + 1.0, abs=1e-15)
     assert g.field_id != fld.field_id
 
 
@@ -835,8 +856,8 @@ def test_shift_field_seq_params():
     # discrete field 3 steps makes it read f(n + 3)
     fld = ScalarField(kind="discrete", rhs="t+0*x", time_domain="half-line")
     g = shift_field(fld, 3)
-    assert g.eval(0.0, 0.0) == 3.0
-    assert g.eval(2.0, 0.0) == 5.0
+    assert g.bind()(0.0, 0.0) == 3.0
+    assert g.bind()(2.0, 0.0) == 5.0
     assert g.field_id != fld.field_id
 
 

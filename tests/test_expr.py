@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rapflow import expr
 from rapflow.expr import BinOp, Call, Const, EvalError, Neg, Param, ParseError, Var, parse
@@ -261,6 +261,8 @@ _moderate = st.floats(min_value=-100.0, max_value=100.0)
 
 @given(src=st.sampled_from(GOLDEN_EXPRESSIONS), t=_moderate, x=_moderate,
        p=st.floats(min_value=-5.0, max_value=5.0))
+@example(src="floor(t)", t=-0.0, x=0.0, p=0.0)
+@example(src="floor(t/2)", t=-0.0, x=0.0, p=0.0)
 @settings(max_examples=600, deadline=None)
 def test_scalar_and_array_backends_agree_on_golden(src, t, x, p):
     e = parse(src)
