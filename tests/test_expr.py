@@ -461,7 +461,8 @@ def _reference(node, t, x, params):
                                     n.span)
                 return math.sqrt(a)
             try:
-                return float(math.floor(a))
+                # as numpy's floor, the floor of a zero keeps its sign
+                return math.copysign(math.floor(a), a)
             except (OverflowError, ValueError):
                 return a
         if n.op == "/":
@@ -567,6 +568,7 @@ _repeated_tree = st.tuples(st.sampled_from("+-*/^"), _tree,
 
 @given(root=st.one_of(_tree, _repeated_tree), t=_whole_or_moderate,
        x=_whole_or_moderate, a=_moderate, b=_moderate)
+@example(root=Call("floor", (Neg(Const(0.0)),)), t=0.0, x=0.0, a=0.0, b=0.0)
 @settings(max_examples=400, deadline=None)
 def test_scalar_backend_matches_reference_on_random_trees(root, t, x, a, b):
     _check_against_reference(expr.Expression(root, "<synthetic>"), t, x,
