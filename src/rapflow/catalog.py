@@ -55,18 +55,21 @@ class AnalyticExample:
         return ScalarField(
             kind="continuous" if self.kind == "ode" else "discrete",
             rhs=self.rhs, params=dict(self.params),
-            state_domain=self.state_domain,
-            time_domain="half-line" if self.kind == "map" else "full-line",
-            name=self.name)
+            state_domain=self.state_domain, name=self.name)
+
+    @property
+    def default_dt(self) -> float:
+        """The output spacing a trajectory is sampled at when none is given."""
+        return self.recommended.get("dt", 0.01)
 
     def trajectory(self, u0: float | None = None, span=None, dt: float | None = None,
                    steps: int | None = None, config=None,
                    source: str | None = None) -> Trajectory:
         """Sample the example, defaulting to its recommended resolution.
 
-        An ode is integrated with ``config`` when one is given, and
-        otherwise with the default integrator at output spacing ``dt``
-        (the recommended one unless ``dt`` is passed).
+        Only an argument left as None takes the recommended value.  An ode
+        is integrated with ``config`` when one is given, and otherwise with
+        the default integrator at output spacing ``dt``.
 
         For an ode carrying a reference curve, source='curve' samples that
         curve instead of integrating.  That is the right choice for very
@@ -78,24 +81,23 @@ class AnalyticExample:
         """
         if source not in (None, "integrate", "curve"):
             raise ValueError(f"unknown trajectory source {source!r}")
+        rec = self.recommended
+        span = rec.get("span", (0.0, 400.0)) if span is None else span
+        dt = self.default_dt if dt is None else dt
         if self.kind == "curve" or source == "curve":
             if self.curve is None or self.kind == "map":
                 raise ValueError(f"{self.name!r} has no known solution curve")
-            span = span or self.recommended.get("span", (0.0, 400.0))
-            dt = dt or self.recommended.get("dt", 0.01)
             return sample_function(self.curve, span, dt, name=self.name)
         if self.kind == "ode":
             if u0 is None:
-                u0 = self.recommended.get("u0", 0.0)
-            span = span or self.recommended.get("span", (0.0, 400.0))
+                u0 = rec.get("u0", 0.0)
             if config is None:
-                config = IntegratorConfig(
-                    dt_out=dt or self.recommended.get("dt", 0.01))
+                config = IntegratorConfig(dt_out=dt)
             return integrate(self.system(), u0, span, config)
         if u0 is None:
-            u0 = self.recommended.get("u0", 1.0)
-        steps = steps or self.recommended.get("steps", 1000)
-        return iterate(self.system(), u0, steps)
+            u0 = rec.get("u0", 1.0)
+        return iterate(self.system(), u0,
+                       rec.get("steps", 1000) if steps is None else steps)
 
 
 def _entries() -> list[AnalyticExample]:
@@ -363,8 +365,7 @@ def make_beverton_holt(mu: float = 2.0, capacity=DEFAULT_CAPACITY,
     rhs = parse(BH_RHS).substitute_param("K", cap_expr)
     fld = ScalarField(
         kind="discrete", rhs=rhs, params={"mu": float(mu)},
-        state_domain=(0.0, math.inf), time_domain="half-line",
-        name="beverton-holt")
+        state_domain=(0.0, math.inf), name="beverton-holt")
     ratio = mu * beta * beta / (alpha * alpha)
     flags = {
         "expansion_possible": mu > 1.0,

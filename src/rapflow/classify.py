@@ -872,11 +872,13 @@ def _triangle_check(traj: Trajectory, tau: float, window,
     """For k = 2 and 3, sup over W of the k-fold shift comparison against
     k times the single-shift comparison over the window stretched by
     (k - 1) shifts, all in one kernel call.  This is a triangle inequality
-    for the sampled interpolant, so a violation beyond interpolation
-    slack, ten times ``budget`` (the trajectory's interp_budget) plus
-    round-off, is an implementation bug.  A window that starts before the
-    sampled span is clamped to its start, as the remote tests clamp it; one
-    that ends by that start skips both checks."""
+    for the sampled interpolant, so a violation beyond the slack is an
+    implementation bug.  The slack is ten times ``budget`` (the
+    trajectory's interp_budget), round-off and, since the k - 1 middle
+    points t + j*tau fall between grid points for a shift off the grid,
+    k - 1 times :meth:`Trajectory.shift_rise`.  A window that starts
+    before the sampled span is clamped to its start, as the remote tests
+    clamp it; one that ends by that start skips both checks."""
     lo, hi = window
     before = hi <= traj.t0
     lo = max(lo, traj.t0)
@@ -884,6 +886,7 @@ def _triangle_check(traj: Trajectory, tau: float, window,
           if not (before or hi + k * tau > traj.t_end + _POS_TOL)]
     sups = iter(_tail_sups(traj, [pair for k in ks for pair in (
         (k * tau, (lo, hi)), (tau, (lo, hi + (k - 1) * tau)))]))
+    rise = traj.shift_rise(tau, lo, hi + ks[-1] * tau) if ks else 0.0
     reason = ("window lies before the sampled span" if before else
               "span too short for the stretched window")
     checks = [{"name": f"triangle k={k}", "status": "skipped",
@@ -892,7 +895,8 @@ def _triangle_check(traj: Trajectory, tau: float, window,
         if k not in ks:
             continue
         lhs, rhs = next(sups), next(sups)
-        slack = 10.0 * budget + 1e-6 * max(1.0, rhs) + 1e-12
+        slack = (10.0 * budget + (k - 1) * rise + 1e-6 * max(1.0, rhs)
+                 + 1e-12)
         ok = lhs <= k * rhs + slack
         check["status"] = "ok" if ok else "violation"
         check["detail"] = (

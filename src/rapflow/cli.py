@@ -91,6 +91,13 @@ def _parse_float(text: str) -> float:
     return v
 
 
+def _parse_dt(text: str) -> float:
+    v = _parse_float(text)
+    if not v > 0:
+        raise ConfigError(f"dt must be positive, got {text!r}")
+    return v
+
+
 def _parse_int(text: str) -> int:
     try:
         return int(text)
@@ -201,7 +208,7 @@ _SYSTEM_OPTIONS = (
     ("--u0", _parse_float, dict(help="initial value")),
     ("--span", _parse_span, dict(metavar="T0:T1", help="time span, e.g. 0:100")),
     ("--steps", _parse_int, dict(help="iteration count for maps")),
-    ("--dt", _parse_float, dict(help="output grid spacing (default 0.01; for "
+    ("--dt", _parse_dt, dict(help="output grid spacing (default 0.01; for "
                                      "an example, its recommended dt)")),
     ("--method", _parse_choice("method", ("rkf45", "rk4")),
      dict(help="integration scheme (default rkf45)")),
@@ -325,10 +332,8 @@ def _mk_field(kind: str, rhs: str, params: dict) -> ScalarField:
         raise ConfigError(
             f"unbound parameters {', '.join(sorted(missing))}; bind them with --param")
     try:
-        return ScalarField(
-            kind=kind, rhs=expr, params=params,
-            time_domain="half-line" if kind == "discrete" else "full-line",
-            name="command-line")
+        return ScalarField(kind=kind, rhs=expr, params=params,
+                           name="command-line")
     except FieldValidationError as exc:
         raise ConfigError(str(exc))
 
@@ -339,34 +344,6 @@ def _integrator_config(o, default_dt: float = 0.01) -> IntegratorConfig:
         abs_tol=o.abs_tol if o.abs_tol is not None else 1e-9,
         rel_tol=o.rel_tol if o.rel_tol is not None else 1e-9,
         dt_out=o.dt if o.dt is not None else default_dt)
-
-
-# the most samples a command builds into one trajectory: with values and
-# derivatives at 8 bytes each, about 320 MB.  A --fn curve is sampled a chunk
-# at a time, so building it peaks near those two arrays, not several times them
-_MAX_SAMPLES = 20_000_000
-
-
-def _check_samples(span=None, dt=None, steps=None) -> None:
-    """Refuse a trajectory of more than _MAX_SAMPLES samples up front.
-
-    The count is the one integrate, sample_function (span and dt) or
-    iterate (steps) would allocate; a span or dt those reject is left to
-    them.
-    """
-    if steps is not None:
-        count = steps + 1
-    else:
-        if not (dt > 0 and span[1] > span[0]):
-            return
-        cells = (span[1] - span[0]) / dt
-        count = (math.ceil(cells - 1e-9) + 1 if math.isfinite(cells)
-                 else math.inf)
-    if count > _MAX_SAMPLES:
-        raise ConfigError(
-            f"the trajectory would hold {count:.4g} samples, more than the "
-            f"limit of {_MAX_SAMPLES}; shorten the span or the step count, "
-            "or widen dt")
 
 
 def _build_trajectory(o):
@@ -386,34 +363,26 @@ def _build_trajectory(o):
         raise ConfigError("horizon must be positive")
     if o.steps is not None and o.steps < 1:
         raise ConfigError("steps must be at least 1")
+    span, steps = o.span, o.steps
+    if o.horizon is not None:
+        span = ((span or (0.0, 0.0))[0], float(o.horizon))
+        steps = int(round(o.horizon))
     meta = {}
 
     if src == "ode":
         fld = _mk_field("continuous", o.ode, params)
-        span = o.span or (0.0, 100.0)
-        if o.horizon is not None:
-            span = (span[0], float(o.horizon))
-        config = _integrator_config(o)
-        _check_samples(span, config.dt_out)
         traj = integrate(fld, o.u0 if o.u0 is not None else 0.0,
-                         span, config)
+                         span or (0.0, 100.0), _integrator_config(o))
         meta["field"] = fld
     elif src == "map":
         fld = _mk_field("discrete", o.map, params)
-        steps = o.steps if o.steps is not None else 1000
-        if o.horizon is not None:
-            steps = int(round(o.horizon))
-        _check_samples(steps=steps)
-        traj = iterate(fld, o.u0 if o.u0 is not None else 1.0, steps)
+        traj = iterate(fld, o.u0 if o.u0 is not None else 1.0,
+                       steps if steps is not None else 1000)
         meta["field"] = fld
     elif src == "fn":
-        span = o.span or (0.0, 100.0)
-        if o.horizon is not None:
-            span = (span[0], float(o.horizon))
-        dt = o.dt if o.dt is not None else 0.01
-        _check_samples(span, dt)
         try:
-            traj = sample_function(o.fn, span, dt,
+            traj = sample_function(o.fn, span or (0.0, 100.0),
+                                   o.dt if o.dt is not None else 0.01,
                                    params=params or None, name="command-line")
         except ParseError as exc:
             raise ConfigError(f"bad expression {o.fn!r}: {exc}")
@@ -422,11 +391,8 @@ def _build_trajectory(o):
             fld, flags = catalog.make_beverton_holt(**_parse_bh(o.bh))
         except (ValueError, ParseError) as exc:
             raise ConfigError(f"bad Beverton-Holt spec: {exc}")
-        steps = o.steps if o.steps is not None else 1000
-        if o.horizon is not None:
-            steps = int(round(o.horizon))
-        _check_samples(steps=steps)
-        traj = iterate(fld, o.u0 if o.u0 is not None else 1.0, steps)
+        traj = iterate(fld, o.u0 if o.u0 is not None else 1.0,
+                       steps if steps is not None else 1000)
         meta["field"] = fld
         meta["flags"] = flags
     else:
@@ -435,40 +401,13 @@ def _build_trajectory(o):
         except KeyError:
             known = ", ".join(catalog.catalog())
             raise ConfigError(f"unknown example {o.example!r} (known: {known})")
-        kwargs = {}
-        if o.u0 is not None:
-            kwargs["u0"] = o.u0
-        if o.span is not None:
-            kwargs["span"] = o.span
-        if o.steps is not None:
-            kwargs["steps"] = o.steps
-        if o.dt is not None:
-            kwargs["dt"] = o.dt
-        if o.horizon is not None:
-            if ex.kind == "map":
-                kwargs["steps"] = int(round(o.horizon))
-            else:
-                lo = (o.span or (0.0, 0.0))[0]
-                kwargs["span"] = (lo, float(o.horizon))
-        if o.source is not None:
-            kwargs["source"] = o.source
-        integrated_ode = ex.kind == "ode" and kwargs.get("source") != "curve"
-        if integrated_ode and any(
-                getattr(o, n) is not None
-                for n in ("dt", "method", "abs_tol", "rel_tol")):
-            kwargs["config"] = _integrator_config(
-                o, ex.recommended.get("dt", 0.01))
-        # the resolution AnalyticExample.trajectory falls back to
-        rec = ex.recommended
-        if ex.kind == "map":
-            _check_samples(steps=kwargs.get("steps") or rec.get("steps", 1000))
-        else:
-            _check_samples(
-                kwargs.get("span") or rec.get("span", (0.0, 400.0)),
-                kwargs["config"].dt_out if "config" in kwargs
-                else kwargs.get("dt") or rec.get("dt", 0.01))
+        # the example takes its recommendation for each setting left None
+        config = None
+        if ex.kind == "ode" and o.source != "curve":
+            config = _integrator_config(o, ex.default_dt)
         try:
-            traj = ex.trajectory(**kwargs)
+            traj = ex.trajectory(u0=o.u0, span=span, dt=o.dt, steps=steps,
+                                 config=config, source=o.source)
         except ValueError as exc:
             raise ConfigError(str(exc))
         meta["example"] = ex

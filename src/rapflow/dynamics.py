@@ -39,6 +39,9 @@ _GRID_TOL = 1e-9
 # sampling, the fourth difference, dense output and the boundedness check
 # hold temporaries of this size only
 _CHUNK = 1 << 16
+# the most samples of one trajectory: its values and derivatives take about
+# 320 MB, and sampling a curve a chunk at a time peaks near them
+_MAX_SAMPLES = 20_000_000
 
 
 class DynamicsError(RuntimeError):
@@ -90,11 +93,14 @@ class ScalarField:
     rhs: Expression
     params: dict = field(default_factory=dict)
     state_domain: tuple = (-math.inf, math.inf)
-    time_domain: str = "full-line"  # 'half-line' | 'full-line'
+    time_domain: str | None = None  # 'half-line' | 'full-line'; None: by kind
     name: str = ""
 
     def __post_init__(self):
         self.rhs = _as_expression(self.rhs)
+        if self.time_domain is None:
+            self.time_domain = ("half-line" if self.kind == "discrete"
+                                else "full-line")
         if self.kind not in ("continuous", "discrete"):
             raise FieldValidationError(f"unknown kind {self.kind!r}")
         if self.time_domain not in ("half-line", "full-line"):
@@ -200,8 +206,12 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rkf45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.dt_out <= 0 or self.max_step <= 0:
-            raise ValueError("dt_out and max_step must be positive")
+        if any(math.isnan(v) for v in (self.abs_tol, self.rel_tol,
+                                        self.max_step, self.dt_out)):
+            raise ValueError("integrator settings must not be NaN")
+        if not (0 < self.dt_out < math.inf and self.max_step > 0):
+            raise ValueError("dt_out must be finite and positive, and "
+                             "max_step positive")
         if self.method == "rkf45" and (self.abs_tol <= 0 or self.rel_tol < 0):
             raise ValueError("rkf45 needs abs_tol > 0 and rel_tol >= 0")
 
@@ -509,6 +519,31 @@ class Trajectory:
             out[:, js] = np.where(use[:, blk], sups, np.nan)
         return out
 
+    def shift_rise(self, tau: float, lo: float, hi: float) -> float:
+        """How far |H(s + tau) - H(s)| can rise between two grid points.
+
+        H is the dense output.  For s and s + tau in [lo, hi], it exceeds
+        its larger value at the grid points around s by at most dt^2/8 *
+        sup |H''(s + tau) - H''(s)|, so by dt^2/4 times the largest |H''|
+        on the cells meeting [lo, hi].  A shift on the grid rises by 0.
+        """
+        k = tau / self.dt
+        if abs(k - round(k)) <= _GRID_TOL * max(1.0, k):
+            return 0.0
+        c0 = max(0, math.floor((lo - self.t0) / self.dt))
+        c1 = min(len(self.values) - 1, math.ceil((hi - self.t0) / self.dt))
+        v, d = self.values, self._hermite_derivs()
+        top = 0.0
+        # dt^2 * H'' is linear on a cell, mid + gap at its start and
+        # -(mid - gap) at its end, so it peaks at |mid| + |gap|
+        for a in range(c0, c1, _CHUNK):
+            b = min(c1, a + _CHUNK)
+            d0, d1 = d[a:b], d[a + 1:b + 1]
+            mid = 6.0 * (v[a + 1:b + 1] - v[a:b]) - 3.0 * self.dt * (d0 + d1)
+            gap = self.dt * (d1 - d0)
+            top = max(top, float((np.abs(mid) + np.abs(gap)).max()))
+        return top / 4.0
+
     def interp_budget(self) -> float:
         """Crude bound on the cubic Hermite dense-output error.
 
@@ -578,6 +613,25 @@ def _rk4_step(f, t, y, h):
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _grid_cells(t0: float, t1: float, dt: float) -> int:
+    """Cells of the grid t0 + k*dt over [t0, t1], at least one; ValueError
+    refuses a dt that is not finite and positive and a grid of more than
+    ``_MAX_SAMPLES`` samples (cells + 1)."""
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError("dt must be finite and positive")
+    try:
+        cells = (t1 - t0) / dt
+    except OverflowError:  # a step count past the float range
+        cells = math.inf
+    cells = max(1, math.ceil(cells - 1e-9)) if math.isfinite(cells) else cells
+    if not cells + 1 <= _MAX_SAMPLES:
+        raise ValueError(
+            f"the trajectory would hold {cells + 1:.4g} samples, more than "
+            f"the limit of {_MAX_SAMPLES}; shorten the span or the step "
+            "count, or widen dt")
+    return cells
+
+
 def integrate(fld: ScalarField, u0: float, t_span, config: IntegratorConfig | None = None
               ) -> Trajectory:
     """Integrate a continuous field over [t0, t1], sampling at t0 + k*dt_out.
@@ -603,7 +657,7 @@ def integrate(fld: ScalarField, u0: float, t_span, config: IntegratorConfig | No
         raise DynamicsError(f"u0 = {u0!r} outside the state domain")
 
     dt = cfg.dt_out
-    n_cells = max(1, math.ceil((t1 - t0) / dt - 1e-9))
+    n_cells = _grid_cells(t0, t1, dt)
     f = fld.bind()
     rk4 = cfg.method == "rk4"
     abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
@@ -670,6 +724,7 @@ def iterate(fld: ScalarField, u0: float, n_steps: int) -> Trajectory:
         raise DynamicsError("iterate expects a discrete field; use integrate")
     if n_steps < 1:
         raise DynamicsError("n_steps must be >= 1")
+    _grid_cells(0.0, n_steps, 1.0)
     lo, hi = fld.state_domain
     if not (lo <= u0 <= hi) or not math.isfinite(u0):
         raise DynamicsError(f"u0 = {u0!r} outside the state domain")
@@ -725,7 +780,7 @@ def sample_function(fn, t_span, dt: float, params: dict | None = None,
         curve = fn
         label = name or getattr(fn, "__name__", "callable")
 
-    size = max(1, math.ceil((t1 - t0) / dt - 1e-9)) + 1
+    size = _grid_cells(t0, t1, dt) + 1
     values = np.empty(size)
     derivs = np.empty(size)
     for c0 in range(0, size, _CHUNK):

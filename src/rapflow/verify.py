@@ -69,8 +69,7 @@ def _suite_contraction():
         ok = ok and rep.verdict == "pass" and gaps[-1] <= g0 * decay * (1 + 1e-3)
     out.append((ok, "the forcing term does not affect the gap decay rate"))
 
-    half = ScalarField(kind="discrete", rhs="x/2", time_domain="half-line",
-                       name="halving")
+    half = ScalarField(kind="discrete", rhs="x/2", name="halving")
     _, gaps, rep = contraction_gap(half, 1.0, -1.0, 30)
     exact = np.array_equal(gaps, 2.0 * 0.5 ** np.arange(31.0))
     out.append((rep.verdict == "pass" and exact,
@@ -135,8 +134,7 @@ def _suite_monotone():
                 and flags["sup_bound"] == 22.0,
                 f"the coarse ratio certificate is reported as not applying "
                 f"(ratio {flags['certificate_ratio']:.4f} > 1)"))
-    doubling = ScalarField(kind="discrete", rhs="2*x", time_domain="half-line",
-                           name="doubling")
+    doubling = ScalarField(kind="discrete", rhs="2*x", name="doubling")
     rep = check_lipschitz_one(doubling, np.arange(3.0), np.linspace(-3.0, 3.0, 13))
     out.append((rep.verdict == "fail" and abs(rep.extreme - 2.0) <= 1e-9,
                 "the doubling map is flagged as expanding with ratio 2"))

@@ -15,7 +15,7 @@ from rapflow.catalog import (
     oracle_value,
     tail_bound,
 )
-from rapflow.dynamics import IntegratorConfig, integrate, iterate
+from rapflow.dynamics import DynamicsError, IntegratorConfig, integrate, iterate
 
 CLASS_LABELS = {
     "stationary", "tau-periodic", "almost-periodic",
@@ -240,6 +240,16 @@ def test_ode_entries_integrate_at_their_recommended_dt():
     assert chirp.trajectory(span=span, dt=0.25).dt == 0.25
     cfg = IntegratorConfig(method="rk4", dt_out=0.5)
     assert chirp.trajectory(span=span, dt=0.25, config=cfg).dt == 0.5
+
+
+def test_only_an_argument_left_as_none_takes_the_recommendation():
+    # a zero step count or dt was read as "not given" and replaced
+    with pytest.raises(DynamicsError, match="n_steps must be >= 1"):
+        get("beverton-holt").trajectory(steps=0)
+    with pytest.raises(DynamicsError, match="dt must be positive"):
+        get("sine").trajectory(span=(0.0, 1.0), dt=0.0)
+    with pytest.raises(ValueError, match="dt_out must be finite and positive"):
+        get("relax-sin").trajectory(span=(0.0, 1.0), dt=0.0)
 
 
 def test_recommended_resolution_is_self_consistent():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rapflow import catalog
+from rapflow import classify as classify_module
 from rapflow.classify import (
     CLASS_ORDER,
     ClassifyConfig,
@@ -882,6 +883,44 @@ class TestStructuralProperties:
         assert all(h["status"] == "ok" for h in res.hierarchy
                    if h["name"].startswith("triangle"))
 
+    def _off_grid_chirp(self):
+        # a log-drifting sine whose refined shift, 0.0394, is under half a
+        # grid step: the middle points of the k = 2 chain sit between
+        # grid points, where the single-shift comparison rises above its
+        # grid values by more than the interpolation budget
+        t0, dt = 878.9490934629612, 0.08739725839838235
+        tr = sample_function("sin(1.4206491362353828*t + ln(1+t))",
+                             (t0, t0 + 177 * dt), dt)
+        span = tr.t_end - tr.t0
+        cfg = ClassifyConfig(eps=0.05, tau=0.3619248603689105,
+                             tau_range=(0.0, span),
+                             tau_step=3.5147109509643695 * dt,
+                             probes=(span / 10,))
+        return tr, cfg
+
+    def test_off_grid_refined_shift_keeps_the_triangle_slack(self):
+        tr, cfg = self._off_grid_chirp()
+        res = classify_trajectory(tr, cfg)
+        assert res.candidate_tau == pytest.approx(0.0394, abs=1e-4)
+        assert res.hierarchy_ok(), res.hierarchy
+        assert [h["status"] for h in res.hierarchy
+                if h["name"].startswith("triangle")] == ["ok", "ok"]
+
+    def test_inflated_k_fold_sup_is_a_violation(self, monkeypatch):
+        # the added slack must not swallow a k-fold sup 10% too large
+        tr, cfg = self._off_grid_chirp()
+        res = classify_trajectory(tr, cfg)
+        tail_sups = classify_module._tail_sups
+
+        def inflated(traj, pairs):
+            sups = tail_sups(traj, pairs)
+            return [s * 1.1 if i % 2 == 0 else s for i, s in enumerate(sups)]
+
+        monkeypatch.setattr(classify_module, "_tail_sups", inflated)
+        checks = _triangle_check(tr, res.candidate_tau, res.windows[-1],
+                                 tr.interp_budget())
+        assert [c["status"] for c in checks] == ["violation", "violation"]
+
 
 # ---------------------------------------------------------------------------
 # remote tests and the triangle check: one kernel call each
@@ -982,10 +1021,16 @@ def _tail_sup_by_window(traj, tau, window):
 
 def _triangle_by_pairs(traj, tau, window, budget):
     """_triangle_check as two tail_sup calls for each k, over the window
-    clamped to start inside the span."""
+    clamped to start inside the span; an off-grid shift adds k - 1 times
+    its rise between grid points (checked against the written-out Hermite
+    formula in test_dynamics), up to the end of the largest checked k-fold
+    shift, to the slack."""
     lo, hi = window
     before = hi <= traj.t0
     lo = max(lo, traj.t0)
+    ks = [k for k in (2, 3)
+          if not before and hi + k * tau <= traj.t_end + 1e-9]
+    rise = traj.shift_rise(tau, lo, hi + ks[-1] * tau) if ks else 0.0
     checks = []
     for k in (2, 3):
         name = f"triangle k={k}"
@@ -999,7 +1044,8 @@ def _triangle_by_pairs(traj, tau, window, budget):
             continue
         lhs = _tail_sup_by_window(traj, k * tau, (lo, hi))
         rhs = _tail_sup_by_window(traj, tau, (lo, hi + (k - 1) * tau))
-        slack = 10.0 * budget + 1e-6 * max(1.0, rhs) + 1e-12
+        slack = (10.0 * budget + (k - 1) * rise + 1e-6 * max(1.0, rhs)
+                 + 1e-12)
         if lhs <= k * rhs + slack:
             checks.append({"name": name, "status": "ok", "detail":
                            f"sup({k}*tau)={lhs:.3e} <= {k}*sup(tau)+slack"})

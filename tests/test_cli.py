@@ -186,6 +186,7 @@ class TestSampleLimit:
     # count is refused before anything is allocated
     @pytest.mark.parametrize("argv", [
         ("--map=x/2", "--steps", "100000000000"),
+        ("--map=x/2", "--steps", "1" + "0" * 400),
         ("--fn=sin(t)", "--span", "0:1e12"),
         ("--ode=-x+sin(t)", "--span", "0:1e300"),
         ("--ode=-x", "--span", "-1e308:1e308"),
@@ -199,7 +200,7 @@ class TestSampleLimit:
         assert "more than the limit of 20000000" in err
 
     def test_counts_at_the_limit_are_built(self, monkeypatch, capsys):
-        monkeypatch.setattr("rapflow.cli._MAX_SAMPLES", 101)
+        monkeypatch.setattr("rapflow.dynamics._MAX_SAMPLES", 101)
         code, out, _ = run(capsys, "simulate", "--map=x/2", "--steps", "100")
         assert code == 0 and "samples: 101" in out
         code, _, err = run(capsys, "simulate", "--map=x/2", "--steps", "101")
@@ -270,6 +271,26 @@ class TestOptionValues:
                                 "--config", str(cfg))
         assert code == 2
         assert "value must be finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--fn", "sin(t)", "--span", "0:10", "--dt", "-1"),
+        ("--example", "sine", "--dt", "0"),
+        ("--example", "relax-sin", "--dt", "0"),
+        ("--ode=-x", "--span", "0:5", "--dt", "-0.5"),
+    ])
+    def test_non_positive_dt_is_config_error(self, capsys, argv):
+        # these exited 3, 0 (sampling at 0.01) and 2 by three routes
+        code, err = exit_status(capsys, "simulate", *argv)
+        assert code == 2
+        assert "dt must be positive" in err
+
+    def test_non_positive_file_dt_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "rf.ini"
+        cfg.write_text("[simulate]\ndt = 0\n")
+        code, err = exit_status(capsys, "simulate", "--example", "sine",
+                                "--config", str(cfg))
+        assert code == 2
+        assert "dt must be positive, got '0'" in err
 
     def test_leading_dash_windows_value_parses(self, capsys):
         argv = ("classify", "--fn", "sin(t)", "--span", "-200:0",

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rapflow import dynamics
+from rapflow.catalog import get as get_example
 from rapflow.catalog import make_beverton_holt
 from rapflow.dynamics import (
     BlowupError,
@@ -314,6 +315,71 @@ def test_integrate_rejects_bad_requests():
     bounded = ScalarField(kind="continuous", rhs="-x", state_domain=(0.0, 1.0))
     with pytest.raises(DynamicsError):
         integrate(bounded, 2.0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("settings", [
+    dict(max_step=math.nan), dict(abs_tol=math.nan), dict(rel_tol=math.nan),
+    dict(dt_out=math.nan), dict(dt_out=math.inf), dict(dt_out=0.0),
+    dict(dt_out=-0.01), dict(max_step=0.0), dict(max_step=-1.0),
+    dict(method="rk4", abs_tol=math.nan),
+])
+def test_integrator_config_refuses_settings_that_hang_or_mean_nothing(
+        settings):
+    # a nan max_step made the step-halving loop of integrate run forever;
+    # only the constructor is called here, so a regression cannot hang
+    with pytest.raises(ValueError):
+        IntegratorConfig(**settings)
+
+
+def test_integrator_config_allows_an_unbounded_step():
+    assert IntegratorConfig(max_step=math.inf).max_step == math.inf
+
+
+class _NumpyWithoutEmpty:
+    """numpy as rapflow.dynamics sees it, with np.empty failing the test."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        raise AssertionError(f"np.empty{args} was called")
+
+
+_TO_LIMIT = {
+    "integrate": lambda span, steps: integrate(
+        relax_sin_field(), 0.0, span, IntegratorConfig(dt_out=0.01)),
+    "sample_function": lambda span, steps: sample_function(
+        "sin(t)", span, 0.01),
+    "iterate": lambda span, steps: iterate(
+        ScalarField(kind="discrete", rhs="x/2"), 1.0, steps),
+    "sine.trajectory": lambda span, steps: get_example("sine").trajectory(
+        span=span, dt=0.01),
+    "relax-sin.trajectory": lambda span, steps: get_example(
+        "relax-sin").trajectory(span=span, dt=0.01),
+    "beverton-holt.trajectory": lambda span, steps: get_example(
+        "beverton-holt").trajectory(steps=steps),
+}
+
+
+@pytest.mark.parametrize("build", list(_TO_LIMIT))
+@pytest.mark.parametrize("span, steps", [
+    ((0.0, 1e12), 10**11), ((-1e308, 1e308), 10**300)])
+def test_oversized_grids_are_refused_before_allocation(monkeypatch, build,
+                                                       span, steps):
+    # numpy was asked for 728 TiB, and math.ceil overflowed on the
+    # infinite cell count of the widest span
+    monkeypatch.setattr(dynamics, "np", _NumpyWithoutEmpty())
+    with pytest.raises(ValueError, match="more than the limit of 20000000"):
+        _TO_LIMIT[build](span, steps)
+
+
+@pytest.mark.parametrize("build", list(_TO_LIMIT))
+def test_grids_at_the_limit_are_built(monkeypatch, build):
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 101)
+    assert len(_TO_LIMIT[build]((0.0, 1.0), 100)) == 101
+    with pytest.raises(ValueError, match="would hold 102 samples"):
+        _TO_LIMIT[build]((0.0, 1.01), 101)
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +741,70 @@ def test_interp_budget():
     assert iterate(bh_const_field(), 1.0, 10).interp_budget() == 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(t0=st.floats(-100.0, 100.0), dt=st.floats(0.01, 0.5),
+       rate=st.floats(0.1, 3.0), steps=st.floats(0.05, 20.0),
+       stored=st.booleans())
+def test_shift_rise_bounds_the_comparison_between_grid_points(
+        t0, dt, rate, steps, stored):
+    n = 200
+    ts = t0 + dt * np.arange(n)
+    tr = Trajectory(kind="continuous", t0=t0, dt=dt,
+                    values=np.sin(rate * ts),
+                    derivs=rate * np.cos(rate * ts) if stored else None)
+    tau = steps * dt
+    if tau > tr.t_end - tr.t0 - dt:
+        return
+    lo, hi = t0 + dt * 20, tr.t_end
+    rise = tr.shift_rise(tau, lo, hi)
+    if abs(steps - round(steps)) <= 1e-9 * max(1.0, steps):
+        assert rise == 0.0
+        return
+    grid = tr.grid()
+    a = grid[(grid >= lo) & (grid + dt + tau <= hi + 1e-9)]
+    # 19 points inside each cell [a, a + dt]
+    s = (a[:, None] + dt * np.linspace(0.05, 0.95, 19)).ravel()
+    gap = np.abs(tr.values_at(s + tau) - tr.values_at(s)).reshape(len(a), -1)
+    at_grid = np.abs(tr.values_at(a + dt + tau) - tr.values_at(a + dt))
+    ends = np.maximum(np.abs(tr.values_at(a + tau) - tr.values[
+        np.rint((a - t0) / dt).astype(int)]), at_grid)
+    assert np.all(gap.max(axis=1) <= ends + rise + 1e-12)
+
+
+def _rise_by_cells(traj, tau, lo, hi):
+    """Trajectory.shift_rise over whole arrays, from the Hermite second
+    derivative written out at both ends of each cell meeting [lo, hi]."""
+    k = tau / traj.dt
+    if abs(k - round(k)) <= 1e-9 * max(1.0, k):
+        return 0.0
+    v = traj.values
+    d = traj.derivs if traj.derivs is not None else np.gradient(v, traj.dt)
+    c0 = max(0, math.floor((lo - traj.t0) / traj.dt))
+    c1 = min(len(v) - 1, math.ceil((hi - traj.t0) / traj.dt))
+    if c1 <= c0:
+        return 0.0
+    dv, d0, d1 = np.diff(v)[c0:c1], d[c0:c1], d[c0 + 1:c1 + 1]
+    start = 6.0 * dv - traj.dt * (4.0 * d0 + 2.0 * d1)
+    end = -6.0 * dv + traj.dt * (2.0 * d0 + 4.0 * d1)
+    return float(np.maximum(np.abs(start), np.abs(end)).max()) / 4.0
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+@pytest.mark.parametrize("stored", [True, False])
+def test_chunked_shift_rise_matches_the_whole_array_formula(monkeypatch,
+                                                            chunk, stored):
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    values = np.sin(0.3 * np.arange(40)) + 0.1 * rng.standard_normal(40)
+    tr = Trajectory(kind="continuous", t0=-1.5, dt=0.25, values=values,
+                    derivs=rng.standard_normal(40) if stored else None)
+    for tau, lo, hi in ((0.6, -1.5, 8.25), (0.1, 0.3, 4.9), (2.49, 7.0, 7.1),
+                        (0.5, -1.5, 8.25), (1.3, 9.0, 12.0)):
+        want = _rise_by_cells(tr, tau, lo, hi)
+        assert tr.shift_rise(tau, lo, hi) == pytest.approx(want, rel=1e-12,
+                                                           abs=1e-15)
+
+
 def test_trajectory_rejects_nonfinite():
     with pytest.raises(ValueError):
         Trajectory(kind="continuous", t0=0.0, dt=0.1,
@@ -859,6 +989,16 @@ def test_shift_field_seq_params():
     assert g.bind()(0.0, 0.0) == 3.0
     assert g.bind()(2.0, 0.0) == 5.0
     assert g.field_id != fld.field_id
+
+
+def test_discrete_fields_default_to_the_half_line():
+    halving = ScalarField(kind="discrete", rhs="x/2")
+    assert halving.time_domain == "half-line"
+    assert ScalarField(kind="continuous", rhs="-x").time_domain == "full-line"
+    # the ids of earlier versions, where the half-line was spelled out
+    assert halving.field_id == "a0b4c148fdcf"
+    assert ScalarField(kind="continuous",
+                       rhs="-x+sin(t)").field_id == "e0424ab7d0df"
 
 
 def test_field_id_stable_and_sensitive():

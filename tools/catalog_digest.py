@@ -18,6 +18,9 @@ byte.  One line per artifact, ``<sha256>  <name>``:
 * the JSON of ``rapflow classify --example sine --seed 8``, whose
   randomized fifth probe differs from seed 0's;
 * the stdout of ``rapflow verify all``;
+* the ``rapflow simulate --out`` CSV of one command per system source:
+  ``--ode``, ``--map``, ``--fn``, ``--bh``, and ``--example`` for an ode, a
+  curve and a map;
 * the artifacts of the evolve-pairs benchmark workload, which run scalar
   ``bind()`` evaluators under ``integrate`` and ``iterate``: the slow-chirp
   ``trajectory_csv`` integrated on [0, 1000] at dt 0.05, the drifting
@@ -43,6 +46,16 @@ CURVE_SOURCED = frozenset({"slow-chirp"})
 SCAN_MODES = (("global", []), ("remote", ["--window", "200:360"]))
 TAU_STEPS = ("0.01", "0.0137")
 THREADS = ("1", "2")
+# one simulate command per system source
+SIMULATE = (
+    ("ode", ["--ode=-x+sin(t)", "--u0", "2", "--span", "0:50"]),
+    ("map", ["--map=0.5*x+sin(t)", "--steps", "500"]),
+    ("fn", ["--fn=sin(t)+sin(sqrt(2)*t)", "--span", "0:100", "--dt", "0.05"]),
+    ("bh", ["--bh", "mu=2,K=10+sin(ln(1+t))", "--steps", "2000"]),
+    ("example-ode", ["--example", "relax-sin", "--span", "0:50"]),
+    ("example-curve", ["--example", "sine"]),
+    ("example-map", ["--example", "beverton-holt-const"]),
+)
 # the evolve-pairs workload's horizons and output spacings
 CHIRP_SPAN, CHIRP_DT = (0.0, 1000.0), 0.05
 BH_STEPS = 102_000
@@ -90,6 +103,10 @@ def command_digests(workdir: Path):
     _run(["classify", "--example", "sine", "--seed", "8", "--out", str(out)])
     yield _sha(out.read_bytes()), "classify --example sine --seed 8"
     yield _sha(_run(["verify", "all"])), "verify all stdout"
+    for name, argv in SIMULATE:
+        out = workdir / f"simulate-{name}.csv"
+        _run(["simulate", *argv, "--out", str(out)])
+        yield _sha(out.read_bytes()), f"simulate {' '.join(argv)}"
 
 
 def evolve_digests():
