@@ -69,6 +69,10 @@ _POS_TOL = 1e-9
 # the most shifts a scan grid may hold: a million-shift scan peaks at about
 # 230 MB, below the 320 MB of the largest trajectory the CLI builds
 _MAX_SHIFTS = 1 << 20
+# classify_trajectory scans a grid of more shifts than this coarse to fine;
+# the kernel reads the trajectory once per 512 shifts, so a smaller grid
+# would be read twice, by the coarse and the fine pass, instead of once
+_CERTIFY_MIN = 512
 
 
 # ---------------------------------------------------------------------------
@@ -354,27 +358,25 @@ class StationaryBattery:
     notes: list[str] = field(default_factory=list)
 
 
-def remote_stationary_test(traj: Trajectory, eps: float, windows,
-                           probes=None, seed: int = 0) -> StationaryBattery:
-    """Test whether every fixed shift is eventually an almost period.
+def _battery(traj: Trajectory, eps: float, windows, probes, taus=()):
+    """:func:`remote_stationary_test` over probes, and the remote curves of
+    the shifts taus, in one kernel call.
 
-    Runs :func:`remote_tau_periodic_test` over a battery of spread-out
-    probe shifts, all compared in one kernel call.  Remote stationarity
-    requires all shifts to work, so the battery can only ever support the
-    claim; it refutes it outright when a single probe fails.
+    Returns (curves, battery): per shift in taus what
+    :func:`_remote_curves` gives for it, and the StationaryBattery or the
+    DynamicsError that the test raises.
     """
-    if probes is None:
-        probes = default_probes(traj.kind, seed)
     span = traj.dt * (len(traj.values) - 1)
     fits = [p for p in probes if not p > span / 3.0]
-    found = iter(_remote_curves(traj, fits, eps, windows))
+    found = _remote_curves(traj, [*taus, *fits], eps, windows)
+    own, found = found[:len(taus)], iter(found[len(taus):])
     curves: dict = {}
     notes: list[str] = []
     for p in probes:
         curve = ValueError("larger than a third of the span") if (
             p > span / 3.0) else next(found)
         if isinstance(curve, DynamicsError):
-            raise curve
+            return own, curve
         curves[p] = None if isinstance(curve, ValueError) else curve
         if curves[p] is None:
             notes.append(f"probe {p:g} skipped: {curve}")
@@ -388,8 +390,25 @@ def remote_stationary_test(traj: Trajectory, eps: float, windows,
         verdict = "inconclusive"
         if len(tested) < 3:
             notes.append("fewer than three probes could be tested")
-    return StationaryBattery(probes=tuple(float(p) for p in probes),
-                             curves=curves, verdict=verdict, notes=notes)
+    return own, StationaryBattery(probes=tuple(float(p) for p in probes),
+                                  curves=curves, verdict=verdict, notes=notes)
+
+
+def remote_stationary_test(traj: Trajectory, eps: float, windows,
+                           probes=None, seed: int = 0) -> StationaryBattery:
+    """Test whether every fixed shift is eventually an almost period.
+
+    Runs :func:`remote_tau_periodic_test` over a battery of spread-out
+    probe shifts, all compared in one kernel call.  Remote stationarity
+    requires all shifts to work, so the battery can only ever support the
+    claim; it refutes it outright when a single probe fails.
+    """
+    if probes is None:
+        probes = default_probes(traj.kind, seed)
+    _, battery = _battery(traj, eps, windows, probes)
+    if isinstance(battery, DynamicsError):
+        raise battery
+    return battery
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +439,10 @@ class AlmostPeriodSet:
     mode "global" compares over the whole sampled span; mode "remote"
     compares over one late window.  assessable marks grid shifts that left
     at least two comparison points; sups holds the corresponding suprema
-    (NaN where not assessable) and admitted marks sups <= eps.
+    (NaN where not assessable) and admitted marks sups <= eps.  certified
+    marks shifts proven rejected without a kernel comparison of their own
+    (only :func:`classify_trajectory`'s scans certify); their sups hold a
+    certified lower bound above eps, not the supremum itself.
     """
 
     mode: str
@@ -429,6 +451,7 @@ class AlmostPeriodSet:
     sups: np.ndarray
     admitted: np.ndarray
     assessable: np.ndarray
+    certified: np.ndarray
     window: tuple[float, float] | None = None
 
     def admitted_taus(self) -> np.ndarray:
@@ -517,7 +540,71 @@ def almost_period_scan(traj: Trajectory, eps: float, tau_range,
     return scan
 
 
-def _scan(traj: Trajectory, eps: float, taus: np.ndarray, windows) -> list:
+def _certified_sups(traj: Trajectory, eps: float, taus: np.ndarray, starts,
+                    ends, where):
+    """The kernel's sups of a scan, skipping shifts proven rejected.
+
+    For a fixed set of comparison indices the sup moves with the shift by
+    at most slope*|tau - tau'| + slack (:meth:`Trajectory.shift_slope`), so
+    one computed sup C above eps rejects every shift within (C - eps)/slope
+    of it.  A coarse pass compares every q-th shift, q about sqrt(len(taus)),
+    over its own windows and over each block's common windows: the indices
+    that every shift from one coarse shift to the next compares, which lie
+    inside its own.  A shift between the block's coarse ends a and b is
+    certified when, in each window it is assessable in, max(C_a - slope*
+    (tau - tau_a), C_b - slope*(tau_b - tau)) - slack > eps.  A fine pass
+    compares the rest.  Returns (sups, certified), both of where's shape:
+    every sup not certified is the one a single kernel call gives, and a
+    certified one is its lower bound.
+    """
+    slope, slack = traj.shift_slope(float(taus[-1]))
+    if not math.isfinite(slope):
+        return traj.shift_sups(taus, starts, ends, where=where), \
+            np.zeros_like(where)
+    size = taus.size
+    coarse = np.append(np.arange(0, size - 1, math.isqrt(size)), size - 1)
+    a, b = coarse[:-1], coarse[1:]
+    # each block's common window, where every shift of [a, b] has its own
+    last = np.minimum(ends, traj.last_compared(taus))
+    lo = np.maximum(np.maximum.reduceat(np.where(where, starts, -1), a, axis=1),
+                    starts[:, b])
+    hi = np.minimum(np.minimum.reduceat(np.where(where, last, len(traj)), a,
+                                        axis=1), last[:, b])
+    common = where[:, a] & where[:, b] & (hi >= lo)
+    rows = len(where)
+
+    def coarse_rows(own, per_block):
+        # the coarse shifts' own windows, then the block each one starts,
+        # then the block each one ends
+        pad = np.zeros((rows, 1), per_block.dtype)
+        return np.vstack([own[:, coarse], np.hstack([per_block, pad]),
+                          np.hstack([pad, per_block])])
+
+    sups = traj.shift_sups(taus[coarse], coarse_rows(starts, lo),
+                           coarse_rows(ends, hi),
+                           where=coarse_rows(where, common))
+    block = np.searchsorted(a, np.arange(size), side="right") - 1
+    dist_a = taus - taus[a][block]
+    dist_b = taus[b][block] - taus
+    bound = np.maximum(sups[rows:2 * rows, :-1][:, block] - slope * dist_a,
+                       sups[2 * rows:, 1:][:, block] - slope * dist_b) - slack
+    rejected = ~where | (common[:, block] & (bound > eps))
+    certified = rejected.all(axis=0) & where.any(axis=0)
+    certified[coarse] = False
+    fine = where.any(axis=0) & ~certified
+    fine[coarse] = False
+    out = np.full(where.shape, np.nan)
+    out[:, coarse] = sups[:rows]
+    if fine.any():
+        out[:, fine] = traj.shift_sups(taus[fine], starts[:, fine],
+                                       ends[:, fine], where=where[:, fine])
+    certified = certified & where
+    out[certified] = bound[certified]
+    return out, certified
+
+
+def _scan(traj: Trajectory, eps: float, taus: np.ndarray, windows,
+          certify: bool = False) -> list:
     """Scan one shift grid over several windows in one comparison pass.
 
     A window None is the whole span (mode "global"); a pair (lo, hi) is a
@@ -525,7 +612,10 @@ def _scan(traj: Trajectory, eps: float, taus: np.ndarray, windows) -> list:
     windows (:meth:`Trajectory.shift_sups`), so a remote window inside the
     span costs no second pass.  Returns, per window, the AlmostPeriodSet
     that :func:`almost_period_scan` gives for it alone, or the ValueError
-    or DynamicsError that that scan raises.
+    or DynamicsError that that scan raises.  With ``certify``, a continuous
+    grid of more than _CERTIFY_MIN shifts is scanned coarse to fine
+    (:func:`_certified_sups`): admitted and assessable stay those of the
+    exact scan, and so do the sups of the shifts that are not certified.
     """
     t0, t_end = traj.t0, traj.t_end
     out: list = [None] * len(windows)
@@ -547,18 +637,23 @@ def _scan(traj: Trajectory, eps: float, taus: np.ndarray, windows) -> list:
     _, _, starts, ends, where = _resolve_windows(traj, taus, spans)
     # a shift is assessable with at least two comparison points
     where &= ends > starts
+    certified = np.zeros_like(where)
     try:
-        sups = traj.shift_sups(taus, starts, ends, where=where)
+        if certify and traj.kind == "continuous" and taus.size > _CERTIFY_MIN:
+            sups, certified = _certified_sups(traj, eps, taus, starts, ends,
+                                              where)
+        else:
+            sups = traj.shift_sups(taus, starts, ends, where=where)
     except (ValueError, DynamicsError) as exc:
         # some window's scan raises; scan each alone to learn which
         return [exc] if len(windows) == 1 else [
             _scan(traj, eps, taus, [w])[0] for w in windows]
-    for w, span, ok, sup in zip(rows, spans, where, sups):
+    for w, span, ok, sup, cert in zip(rows, spans, where, sups, certified):
         remote = windows[w] is not None
         out[w] = AlmostPeriodSet(
             mode="remote" if remote else "global", eps=float(eps), taus=taus,
             sups=sup, admitted=ok & (np.nan_to_num(sup, nan=np.inf) <= eps),
-            assessable=ok, window=span if remote else None)
+            assessable=ok, certified=cert, window=span if remote else None)
     return out
 
 
@@ -765,6 +860,13 @@ class ClassificationResult:
             lines.append(f"  {name:<28s} {self.verdicts[name]}")
         checks = "ok" if self.hierarchy_ok() else "VIOLATED"
         lines.append(f"hierarchy consistency: {checks}")
+        for scan in (self.global_scan, self.remote_scan):
+            if scan is not None:
+                lines.append(
+                    f"{scan.mode} scan: {scan.taus.size} shifts, "
+                    f"{np.count_nonzero(scan.assessable & ~scan.certified)} "
+                    f"compared by the kernel, "
+                    f"{np.count_nonzero(scan.certified)} certified rejected")
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
@@ -956,7 +1058,7 @@ def classify_trajectory(traj: Trajectory,
             scans = [exc]
         else:
             scans = _scan(traj, cfg.eps, taus, [None] + (
-                [windows[-1]] if windows is not None else []))
+                [windows[-1]] if windows is not None else []), certify=True)
     else:
         notes.append("shift range leaves no room below half the span; "
                      "scans skipped")
@@ -1048,23 +1150,22 @@ def classify_trajectory(traj: Trajectory,
         except (ValueError, DynamicsError) as exc:
             notes.append(f"asymptotic periodicity untestable: {exc}")
 
-    # remote settling
-    if refined is not None and windows is not None:
-        try:
-            curve = remote_tau_periodic_test(traj, refined, cfg.eps, windows)
-            verdicts["remotely-tau-periodic"] = curve.verdict
-            reports["remotely-tau-periodic"] = curve
-        except (ValueError, DynamicsError) as exc:
-            notes.append(f"remote periodicity untestable: {exc}")
-
+    # remote settling: the candidate's ladder and the probe battery share
+    # one kernel call
     if windows is not None:
-        try:
-            battery = remote_stationary_test(traj, cfg.eps, windows,
-                                             probes=cfg.probes, seed=cfg.seed)
+        own, battery = _battery(traj, cfg.eps, windows, probes,
+                                [] if refined is None else [refined])
+        for curve in own:
+            if isinstance(curve, Exception):
+                notes.append(f"remote periodicity untestable: {curve}")
+            else:
+                verdicts["remotely-tau-periodic"] = curve.verdict
+                reports["remotely-tau-periodic"] = curve
+        if isinstance(battery, Exception):
+            notes.append(f"remote stationarity untestable: {battery}")
+        else:
             verdicts["remotely-stationary"] = battery.verdict
             reports["remotely-stationary"] = battery
-        except (ValueError, DynamicsError) as exc:
-            notes.append(f"remote stationarity untestable: {exc}")
 
     # ---- internal consistency of the hierarchy ----
     # (a) shifts admitted over the whole span stay admitted late: the late

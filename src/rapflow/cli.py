@@ -364,9 +364,25 @@ def _build_trajectory(o):
     if o.steps is not None and o.steps < 1:
         raise ConfigError("steps must be at least 1")
     span, steps = o.span, o.steps
-    if o.horizon is not None:
-        span = ((span or (0.0, 0.0))[0], float(o.horizon))
+    ex = None
+    if src == "example":
+        try:
+            ex = catalog.get(o.example)
+        except KeyError:
+            known = ", ".join(catalog.catalog())
+            raise ConfigError(f"unknown example {o.example!r} (known: {known})")
+    # a horizon is a map's step count and any other system's end time
+    if o.horizon is not None and (
+            src in ("map", "bh") or (ex is not None and ex.kind == "map")):
         steps = int(round(o.horizon))
+        if steps < 1:
+            raise ConfigError(f"horizon {o.horizon:g} rounds to {steps} steps; "
+                              "a map needs at least 1")
+    elif o.horizon is not None:
+        span = ((span or (0.0, 0.0))[0], float(o.horizon))
+        if not span[1] > span[0]:
+            raise ConfigError(f"horizon {o.horizon:g} must end after the "
+                              f"span start {span[0]:g}")
     meta = {}
 
     if src == "ode":
@@ -396,11 +412,6 @@ def _build_trajectory(o):
         meta["field"] = fld
         meta["flags"] = flags
     else:
-        try:
-            ex = catalog.get(o.example)
-        except KeyError:
-            known = ", ".join(catalog.catalog())
-            raise ConfigError(f"unknown example {o.example!r} (known: {known})")
         # the example takes its recommendation for each setting left None
         config = None
         if ex.kind == "ode" and o.source != "curve":
@@ -515,6 +526,7 @@ def _merge_scans(parts):
         sups=np.concatenate([p.sups for p in parts]),
         admitted=np.concatenate([p.admitted for p in parts]),
         assessable=np.concatenate([p.assessable for p in parts]),
+        certified=np.concatenate([p.certified for p in parts]),
         window=first.window)
 
 
@@ -562,6 +574,8 @@ def cmd_scan(args) -> int:
             text = almost_period_set_csv(scan)
         else:
             payload = jsonable(scan)
+            # an exact scan certifies no shift; its JSON keeps the old fields
+            del payload["certified"]
             payload["density"] = jsonable(dens)
             digest = canonical_hash({"eps": eps, "tau_max": tau_max,
                                      "tau_step": tau_step, "mode": mode,

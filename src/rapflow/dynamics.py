@@ -356,6 +356,25 @@ class Trajectory:
                 + self.dt * (h10 * d[idx] + h11 * d[idx + 1]))
         return out.reshape(pos.shape)
 
+    def _shift_cells(self, taus):
+        """(k, whole, on_grid, last) of each shift, as the kernel reads it.
+
+        k = tau/dt in steps; a shift within 1e-9*max(1, k) steps of the
+        whole number ``whole`` is on the grid.  ``last`` is the last index
+        whose shifted point is comparable: on the grid it needs the sample
+        i + k, off it the cell [i + m, i + m + 1], m = floor(k).
+        """
+        k = np.asarray(taus, float) / self.dt
+        whole = np.rint(k)
+        on_grid = np.abs(k - whole) <= _GRID_TOL * np.maximum(1.0, k)
+        n = len(self.values)
+        last = np.where(on_grid, n - 1 - whole, n - 2 - np.floor(k))
+        return k, whole, on_grid, last
+
+    def last_compared(self, taus) -> np.ndarray:
+        """Per shift, the last index i that :meth:`shift_sups` compares."""
+        return self._shift_cells(taus)[3].astype(np.int64)
+
     def shift_sups(self, taus, starts, ends, stride: int = 1,
                    where=None) -> np.ndarray:
         """Shift comparisons of several shifts over several windows.
@@ -409,12 +428,7 @@ class Trajectory:
             w, j = np.argwhere(bad | (stride < 1))[0]
             raise ValueError(
                 f"bad index range {starts[w, j]}..{ends[w, j]} step {stride}")
-        k = taus / self.dt
-        whole = np.rint(k)
-        on_grid = np.abs(k - whole) <= _GRID_TOL * np.maximum(1.0, k)
-        # last index whose shifted point is comparable: on the grid it needs
-        # the sample i + k, off it the cell [i + m, i + m + 1], m = floor(k)
-        last = np.where(on_grid, n - 1 - whole, n - 2 - np.floor(k))
+        k, whole, on_grid, last = self._shift_cells(taus)
         live = where.any(axis=0)
         off_int = live & ~on_grid & (self.kind == "discrete")
         empty = (where & (np.minimum(ends, last) < starts)).any(axis=0)
@@ -543,6 +557,41 @@ class Trajectory:
             gap = self.dt * (d1 - d0)
             top = max(top, float((np.abs(mid) + np.abs(gap)).max()))
         return top / 4.0
+
+    def shift_slope(self, tau_max: float) -> tuple[float, float]:
+        """(slope, slack): how fast a :meth:`shift_sups` value moves with tau.
+
+        For shifts tau, tau' in [0, tau_max] compared over the same indices,
+        the two sups differ by at most slope*|tau - tau'| + slack.  slope
+        bounds |H'| over the span, H the dense output: dt*H' is quadratic
+        in the offset s on each cell, (a*s + b)*s + c with c = dt*d0 and
+        a + b + c = dt*d1, so its largest magnitude is at a cell end or at
+        the vertex s = -b/(2a).  slack covers the kernel's round-off and
+        its snapping of a shift within 1e-9*max(1, k) steps of the grid.
+        A slope that is not finite bounds nothing.
+        """
+        v, d = self.values, self._hermite_derivs()
+        dt, n = self.dt, len(self.values)
+        tops = []
+        for a in range(0, n - 1, _CHUNK):
+            b = min(n - 1, a + _CHUNK)
+            m0, m1 = dt * d[a:b], dt * d[a + 1:b + 1]
+            rise = 6.0 * (v[a:b] - v[a + 1:b + 1])
+            qa = rise + 3.0 * (m0 + m1)
+            qb = -rise - 4.0 * m0 - 2.0 * m1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = np.clip(np.nan_to_num(-qb / (2.0 * qa)), 0.0, 1.0)
+            peak = np.maximum(np.abs((qa * s + qb) * s + m0),
+                              np.maximum(np.abs(m0), np.abs(m1)))
+            # a few ulps of the terms summed, for the evaluation's round-off
+            peak += 1e-14 * (np.abs(qa) + np.abs(qb) + np.abs(m0))
+            tops.append(peak.max())
+        slope = float(np.max(tops)) / dt * (1.0 + 1e-12)
+        k_max = tau_max / dt
+        vmax = max(float(v.max()), -float(v.min()))
+        slack = (2.0 * slope * dt * _GRID_TOL * max(1.0, k_max)
+                 + 1e-13 * (vmax + dt * slope))
+        return slope, slack
 
     def interp_budget(self) -> float:
         """Crude bound on the cubic Hermite dense-output error.

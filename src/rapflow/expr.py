@@ -22,7 +22,8 @@ Each expression is compiled once per backend into straight-line Python
 source: :meth:`Expression.bind` returns a scalar evaluator built on
 :mod:`math`, and :meth:`Expression.eval_array` evaluates over numpy arrays.
 The scalar evaluator computes each distinct subexpression once, in the order
-the tree evaluates it, and reuses its value where it recurs.  When a power
+the tree evaluates it, and reuses its value where it recurs; one of
+parameters alone is computed once per binding, by the factory.  When a power
 has t or x in its base or exponent, the evaluator first makes that variable
 a Python float, so the power is raised inline with ``**`` and only falls back
 to a helper for the cases that need a guard or overflow.
@@ -309,6 +310,12 @@ def _has_vars(node: Node) -> bool:
     return any(isinstance(n, (Var, Param)) for n in _walk(node))
 
 
+def _params_only(node: Node) -> bool:
+    """node holds a parameter and neither t nor x."""
+    kinds = {type(n) for n in _walk(node)}
+    return Param in kinds and Var not in kinds
+
+
 def _power_vars(root: Node) -> list:
     """The variables, in sorted order, that occur in the base or exponent of
     some power; the scalar evaluator makes each a Python float on entry."""
@@ -339,19 +346,28 @@ class _Emitter:
     which separates 0.0 from -0.0 as node equality does not.  Where a
     repeated subtree would fail, its first occurrence has already raised, so
     the failing node and its span are those of the tree's own evaluation
-    order.  The array backend gives every inner node a temporary and frees
-    each one once it is consumed.
+    order.  With ``hoist`` set, a subtree of parameters and constants only
+    goes to ``pre``, the statements the factory runs once per binding.  The
+    array backend gives every inner node a temporary and frees each one once
+    it is consumed.
     """
 
-    def __init__(self, backend: str, args: dict, fold: bool):
+    def __init__(self, backend: str, args: dict, fold: bool,
+                 hoist: bool = False):
         self.backend = backend
         self.array = backend == "array"
         self.args = args  # parameter name -> argument name in the source
         self.fold = fold
+        self.hoist = hoist
         self.lines: list = []
+        self.pre: list = []
+        self.hoisting = False  # emitting into pre
         self.count = 0
         self.live: list = []  # temporaries not yet consumed, oldest first
         self.memo: dict = {}  # printed subtree -> text of its value (scalar)
+        # printed subtree -> its temporary in the factory; never unset, so
+        # never dropped from the memo
+        self.hoisted: dict = {}
 
     def temp(self) -> str:
         self.count += 1
@@ -377,9 +393,16 @@ class _Emitter:
         if self.array:
             return self.inner(node)
         key = _print(node)
-        value = self.memo.get(key)
-        if value is None:
-            value = self.memo[key] = self.inner(node)
+        value = self.hoisted.get(key) or self.memo.get(key)
+        if value is not None:
+            return value
+        if self.hoisting or not (self.hoist and _params_only(node)):
+            memo = self.hoisted if self.hoisting else self.memo
+            value = memo[key] = self.inner(node)
+            return value
+        self.hoisting, body, self.lines = True, self.lines, self.pre
+        value = self.hoisted[key] = self.inner(node)
+        self.hoisting, self.lines = False, body
         return value
 
     def inner(self, node: Node) -> str:
@@ -516,14 +539,27 @@ def _build(root: Node, backend: str, fold: bool = True):
     for p in _param_nodes(root):
         first.setdefault(p.name, p.span)
     args = {name: f"p{i}" for i, name in enumerate(first)}
-    em = _Emitter(backend, args, fold)
-    if backend == "scalar":
-        em.lines += [f"{v} = _float({v})" for v in _power_vars(root)]
-    result = em.emit(root)
-    body = "".join(f"        {line}\n" for line in em.lines)
-    source = (f"def _make({', '.join(args.values())}):\n"
-              f"    def f(t, x):\n{body}        return {result}\n"
-              f"    return f\n")
+
+    def evaluator(hoist: bool, indent: str):
+        em = _Emitter(backend, args, fold, hoist)
+        if backend == "scalar":
+            em.lines += [f"{v} = _float({v})" for v in _power_vars(root)]
+        result = em.emit(root)
+        body = "".join(f"{indent}    {line}\n" for line in em.lines)
+        pre = "".join(f"{indent}    {line}\n" for line in em.pre)
+        return (f"{indent}def f(t, x):\n{body}{indent}    return {result}\n"
+                f"{indent}return f\n"), pre
+
+    source = f"def _make({', '.join(args.values())}):\n"
+    f, pre = evaluator(backend == "scalar", "    ")
+    if pre:
+        # the parameter-only subtrees are computed here, once; if one
+        # fails, f evaluates the whole tree, so it raises what and where
+        # the tree does, when it is called
+        plain, _ = evaluator(False, "        ")
+        source += (f"    try:\n{pre}"
+                   f"    except (ArithmeticError, ValueError):\n{plain}")
+    source += f
     namespace = dict(_NAMESPACES[backend])
     exec(compile(source, f"<expression, {backend}>", "exec"), namespace)
     return namespace["_make"], tuple(first), tuple(first.values())

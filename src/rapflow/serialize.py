@@ -204,7 +204,13 @@ def almost_period_set_csv(scan: AlmostPeriodSet) -> str:
 
 
 def classification_json(result: ClassificationResult) -> str:
-    """Full classification report as a JSON document, scans included."""
+    """Full classification report as a JSON document, scans included.
+
+    Each scan carries one entry per shift in ``taus``, ``sups``,
+    ``admitted``, ``assessable`` and ``certified``.  At a certified shift
+    ``sups`` holds the certified lower bound, which is above eps, instead
+    of the supremum (see :class:`~rapflow.classify.AlmostPeriodSet`).
+    """
     payload = {
         "label": result.label,
         "verdicts": result.verdicts,

@@ -32,6 +32,7 @@ from rapflow.classify import (
 )
 from rapflow.classify import (
     _auto_windows,
+    _battery,
     _geometric_windows,
     _scan,
     _scan_grid,
@@ -380,7 +381,7 @@ def _assert_same_scan(got, want):
         assert type(got) is type(want) and str(got) == str(want)
         return
     assert (got.mode, got.eps, got.window) == (want.mode, want.eps, want.window)
-    for name in ("taus", "sups", "admitted", "assessable"):
+    for name in ("taus", "sups", "admitted", "assessable", "certified"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
@@ -454,16 +455,71 @@ def test_one_pass_scan_equals_separate_scans(kind, t0, dt, n, seed, steps,
         assert np.array_equal(rscan.assessable, assessable)
 
 
+def _assert_certified_scan(got, want):
+    """got, a certified scan, against want, the exact scan of the same grid:
+    admitted and assessable are want's, every sup not certified is want's
+    bit for bit, and a certified shift is assessable, with a written
+    bound above eps and at most its exact sup."""
+    if isinstance(want, Exception):
+        _assert_same_scan(got, want)
+        return
+    assert (got.mode, got.eps, got.window) == (want.mode, want.eps, want.window)
+    for name in ("taus", "admitted", "assessable"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    cert = got.certified
+    assert cert.dtype == bool and not want.certified.any()
+    assert np.all(got.assessable[cert])
+    assert got.sups[~cert].tobytes() == want.sups[~cert].tobytes()
+    assert np.all(got.sups[cert] > got.eps)
+    assert np.all(got.sups[cert] <= want.sups[cert])
+
+
 def test_classify_takes_both_scans_from_one_pass():
+    # 844 shifts: classify scans them coarse to fine, and the sets it
+    # admits are those of the exact scans
     tr = sample_function("sin(t)+0.2*sin(3.1*t)", (-7.0, 60.0), 0.05)
     cfg = ClassifyConfig(eps=0.2, tau_range=(0.0, 20.0), tau_step=0.0237)
     res = classify_trajectory(tr, cfg)
     grid = (0.0, 20.0)
-    _assert_same_scan(res.global_scan,
-                      almost_period_scan(tr, 0.2, grid, 0.0237))
-    _assert_same_scan(res.remote_scan,
-                      almost_period_scan(tr, 0.2, grid, 0.0237, mode="remote",
-                                         window=res.windows[-1]))
+    _assert_certified_scan(res.global_scan,
+                           almost_period_scan(tr, 0.2, grid, 0.0237))
+    _assert_certified_scan(res.remote_scan,
+                           almost_period_scan(tr, 0.2, grid, 0.0237,
+                                              mode="remote",
+                                              window=res.windows[-1]))
+    assert res.global_scan.certified.sum() > 600
+
+
+@settings(max_examples=80, deadline=None)
+@given(t0=st.floats(-60.0, 60.0), dt=st.floats(0.01, 1.0),
+       n=st.integers(40, 3000), seed=st.integers(0, 2**32 - 1),
+       count=st.integers(513, 1200), steps=st.integers(0, 3),
+       frac=st.sampled_from([0.0, 0.37, 0.5, 0.999]),
+       lo=st.floats(-0.2, 1.0), length=st.floats(0.0, 1.2),
+       eps=st.floats(0.005, 1.5), noise=st.sampled_from([0.0, 1e-3, 0.05]),
+       with_derivs=st.booleans())
+def test_certified_scan_agrees_with_the_exact_scan(t0, dt, n, seed, count,
+                                                   steps, frac, lo, length,
+                                                   eps, noise, with_derivs):
+    # on- and off-grid shift steps, shifts past the span's room, windows
+    # past its ends, with and without stored derivatives
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    rate = rng.uniform(0.01, 1.0)
+    values = np.sin(rate * i) + noise * rng.standard_normal(n)
+    derivs = rate / dt * np.cos(rate * i) if with_derivs else None
+    traj = Trajectory(kind="continuous", t0=t0, dt=dt, values=values,
+                      derivs=derivs)
+    step = dt * (steps + frac) if steps + frac > 0 else dt / 3.0
+    taus = step * np.arange(count, dtype=float)
+    span = traj.t_end - traj.t0
+    w_lo = traj.t0 + lo * span
+    window = (w_lo, w_lo + length * (traj.t_end - w_lo) + 1e-3 * dt)
+    got = _scan(traj, eps, taus, [None, window], certify=True)
+    want = _scan(traj, eps, taus, [None, window])
+    for g, w in zip(got, want):
+        _assert_certified_scan(g, w)
 
 
 def test_one_pass_scan_blames_only_the_failing_window():
@@ -724,6 +780,18 @@ class TestClassifyTrajectory:
         for name in CLASS_ORDER:
             assert name in text
         assert "hierarchy consistency: ok" in text
+
+    def test_summary_counts_the_shifts_of_each_scan(self):
+        # deterministic counts: 10001 shifts, 298 compared by the kernel,
+        # the rest certified rejected; sin-log's 101 shifts are all compared
+        _, res = classify_example("sine")
+        for scan in (res.global_scan, res.remote_scan):
+            assert (f"{scan.mode} scan: 10001 shifts, 298 compared by the "
+                    "kernel, 9703 certified rejected") in res.summary()
+            assert scan.certified.sum() == 9703
+        _, res = classify_example("sin-log")
+        assert ("remote scan: 101 shifts, 101 compared by the kernel, "
+                "0 certified rejected") in res.summary()
 
     def test_sine_probe_seed_eight_is_tau_periodic(self):
         # this probe seed once left a sliver as the last window rung
@@ -1136,11 +1204,18 @@ def test_remote_tests_match_the_per_window_loop(kind, t0, dt, n, seed, drawn,
         _assert_same_curve(
             _outcome(remote_tau_periodic_test, traj, tau, eps, windows),
             _outcome(_curve_by_windows, traj, tau, eps, windows))
-    got = _outcome(remote_stationary_test, traj, eps, windows, probes)
     want = _outcome(_battery_by_probes, traj, eps, windows, probes)
-    if isinstance(want, Exception):
-        _assert_same_error(got, want)
-    else:
+    # classify_trajectory compares the shifts' ladders and the battery in
+    # one call
+    own, shared = _battery(traj, eps, windows, probes, probes)
+    for tau, curve in zip(probes, own):
+        _assert_same_curve(
+            curve, _outcome(_curve_by_windows, traj, tau, eps, windows))
+    for got in (_outcome(remote_stationary_test, traj, eps, windows, probes),
+                shared):
+        if isinstance(want, Exception):
+            _assert_same_error(got, want)
+            continue
         assert (got.verdict, got.notes) == (want["verdict"], want["notes"])
         assert got.curves.keys() == want["curves"].keys()
         for p, curve in want["curves"].items():

@@ -213,6 +213,34 @@ class TestSampleLimit:
         assert code == 2 and "102 samples" in err
 
 
+class TestHorizon:
+    # a horizon is the end time of a sampled span and the step count of a
+    # map; one that leaves nothing to sample is a configuration error
+    @pytest.mark.parametrize("argv, message", [
+        (("--ode=-x", "--span", "5:10", "--horizon", "2"),
+         "horizon 2 must end after the span start 5"),
+        (("--fn=sin(t)", "--span", "5:10", "--horizon", "5"),
+         "horizon 5 must end after the span start 5"),
+        (("--example", "relax-sin", "--span", "5:10", "--horizon", "2"),
+         "horizon 2 must end after the span start 5"),
+        (("--map=x/2", "--horizon", "0.3"),
+         "horizon 0.3 rounds to 0 steps; a map needs at least 1"),
+        (("--example", "beverton-holt", "--horizon", "0.2"),
+         "horizon 0.2 rounds to 0 steps; a map needs at least 1"),
+    ])
+    def test_empty_horizon_is_config_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "simulate", *argv)
+        assert code == 2 and out == ""
+        assert message in err and "integration aborted" not in err
+
+    def test_horizon_sets_the_end_or_the_steps(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--ode=-x", "--span", "5:10",
+                           "--horizon", "6", "--dt", "0.5")
+        assert code == 0 and "samples: 3" in out and "t_end=6" in out
+        code, out, _ = run(capsys, "simulate", "--map=x/2", "--horizon", "0.6")
+        assert code == 0 and "samples: 2" in out
+
+
 class TestShiftGridLimit:
     # a shift grid with a step that is not positive, or with more shifts
     # than the limit, is refused before any array of shifts is built
@@ -490,6 +518,18 @@ class TestScanCommand:
                              "-50:0", "--tau-max", "20", "--tau-step", "0.05")
         assert code == 0, err
         assert "window -50:0" in out
+
+    def test_json_scan_writes_every_sup_and_no_certified_field(self, capsys,
+                                                              tmp_path):
+        out = tmp_path / "scan.json"
+        code, _, err = run(capsys, "scan", "--fn", "sin(t)", "--span", "0:60",
+                           "--tau-max", "20", "--tau-step", "0.02",
+                           "--format", "json", "--out", str(out))
+        assert code == 0, err
+        payload = json.loads(out.read_text())["payload"]
+        assert set(payload) == {"mode", "eps", "taus", "sups", "admitted",
+                                "assessable", "window", "density"}
+        assert len(payload["sups"]) == 1001 and None not in payload["sups"]
 
     def test_threaded_scan_is_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

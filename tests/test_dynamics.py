@@ -805,6 +805,78 @@ def test_chunked_shift_rise_matches_the_whole_array_formula(monkeypatch,
                                                            abs=1e-15)
 
 
+def _noisy_sine(t0, dt, n, rate, noise, seed, stored):
+    rng = np.random.default_rng(seed)
+    ts = t0 + dt * np.arange(n)
+    return Trajectory(kind="continuous", t0=t0, dt=dt,
+                      values=np.sin(rate * ts) + noise * rng.standard_normal(n),
+                      derivs=rate * np.cos(rate * ts) if stored else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t0=st.floats(-100.0, 100.0), dt=st.floats(0.01, 2.0),
+       n=st.integers(2, 120), rate=st.floats(0.05, 3.0),
+       noise=st.sampled_from([0.0, 0.01, 0.5]), seed=st.integers(0, 99),
+       stored=st.booleans())
+def test_shift_slope_bounds_the_dense_output_and_is_tight(t0, dt, n, rate,
+                                                          noise, seed, stored):
+    tr = _noisy_sine(t0, dt, n, rate, noise, seed, stored)
+    slope, slack = tr.shift_slope(0.0)
+    # 400 points inside each cell: every difference quotient of H is at
+    # most max |H'|, and the largest comes close to it
+    s = tr.t0 + dt * np.linspace(0.0, n - 1, 400 * (n - 1) + 1)
+    quotients = np.abs(np.diff(tr.values_at(s))) / np.diff(s)
+    assert quotients.max() <= slope * (1 + 1e-9) + 1e-9
+    assert slope <= 1.01 * quotients.max() + 1e-9
+    assert 0.0 < slack < 3e-9 * (1.0 + slope * dt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dt=st.floats(0.01, 2.0), n=st.integers(30, 300),
+       rate=st.floats(0.05, 3.0), noise=st.sampled_from([0.0, 0.01, 0.5]),
+       seed=st.integers(0, 99), stored=st.booleans(),
+       steps=st.floats(0.0, 10.0), move=st.floats(-3.0, 3.0),
+       snap=st.sampled_from([0.0, 1e-10, -1e-10, 9e-10]))
+def test_shift_sups_move_no_more_than_the_slope_allows(dt, n, rate, noise,
+                                                       seed, stored, steps,
+                                                       move, snap):
+    # over one index range, two shifts' sups differ by at most
+    # slope*|tau - tau'| + slack, also for a shift the kernel snaps onto
+    # the grid
+    tr = _noisy_sine(-3.0, dt, n, rate, noise, seed, stored)
+    k = round(steps)
+    tau_a = dt * k * (1.0 + snap) if snap else dt * steps
+    tau_b = max(0.0, tau_a + dt * move)
+    slope, slack = tr.shift_slope(max(tau_a, tau_b))
+    last = int(tr.last_compared([tau_a, tau_b]).min())
+    if last < 2:
+        return
+    a, b = tr.shift_sups([tau_a, tau_b], [[0]], [[last]])[0]
+    assert abs(a - b) <= slope * abs(tau_a - tau_b) + slack
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+@pytest.mark.parametrize("stored", [True, False])
+def test_chunked_shift_slope_matches_one_chunk(monkeypatch, chunk, stored):
+    tr = _noisy_sine(-1.5, 0.25, 40, 0.3, 0.1, chunk, stored)
+    whole = tr.shift_slope(7.0)
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    assert tr.shift_slope(7.0) == whole
+
+
+def test_last_compared_is_the_last_index_the_kernel_compares():
+    tr = sample_function("sin(t)", (0.0, 10.0), 0.1)
+    n = len(tr)
+    taus = [0.5, 0.55, 0.5 + 1e-12, 9.95]
+    last = tr.last_compared(taus)
+    assert last.tolist() == [n - 6, n - 7, n - 6, n - 101]
+    for tau, i in zip(taus, last.tolist()):
+        tr.shift_sups([tau], [[i]], [[i]])
+        with pytest.raises(ValueError, match="comparable"):
+            tr.shift_sups([tau], [[i + 1]], [[i + 1]])
+    assert tr.last_compared([0.0]).tolist() == [n - 1]
+
+
 def test_trajectory_rejects_nonfinite():
     with pytest.raises(ValueError):
         Trajectory(kind="continuous", t0=0.0, dt=0.1,

@@ -620,3 +620,26 @@ def test_subtrees_differing_in_a_signed_zero_stay_apart():
     e = expr.Expression(root, "<synthetic>")
     _check_against_reference(e, 1.0, -0.0, {})
     assert math.copysign(1.0, e.bind()(1.0, -0.0)) == -1.0
+
+
+def test_parameter_only_subtrees_are_computed_once_per_binding():
+    src = "x*ln(mu) + sqrt(mu*2)*t - exp(-mu)"
+    e = parse(src)
+    f = e.bind({"mu": 3.0})
+    calls = [_counting(f, name) for name in ("_log", "_sqrt", "_exp")]
+    for t, x in ((0.5, 2.0), (-1.0, 7.0)):
+        want = _reference(e.root, t, x, {"mu": 3.0})
+        assert _bits(f(t, x)) == _bits(want)
+    assert calls == [[], [], []]
+
+
+def test_a_failing_parameter_subtree_raises_where_the_tree_does():
+    # binding never raises; a call raises at the first failing node in
+    # evaluation order, which may come before the parameter subtree
+    e = parse("ln(x) + sqrt(p) + exp(p*2)")
+    f = e.bind({"p": -1.0})
+    for x, span in ((-1.0, (0, 5)), (2.0, (8, 15))):
+        with pytest.raises(EvalError) as exc:
+            f(0.0, x)
+        assert exc.value.span == span
+    assert e.bind({"p": 1.0})(0.0, 1.0) == 1.0 + math.exp(2.0)

@@ -236,6 +236,20 @@ class TestClassificationWriter:
         assert set(payload["verdicts"]) == set(CLASS_ORDER)
         assert payload["hierarchy_ok"] is True
         assert payload["global_scan"]["taus"] == res.global_scan.taus.tolist()
+        assert payload["global_scan"]["certified"] == [False] * 21
+
+    def test_certified_positions_carry_their_bound(self):
+        traj = sample_function("sin(t)", (0.0, 60.0), 0.05)
+        res = classify_trajectory(traj, ClassifyConfig(
+            eps=0.1, tau_range=(0.0, 20.0), tau_step=0.02))
+        payload = json.loads(classification_json(res))["payload"]
+        for name in ("global_scan", "remote_scan"):
+            scan, written = getattr(res, name), payload[name]
+            assert written["certified"] == scan.certified.tolist()
+            assert scan.certified.sum() > 500
+            bounds = np.array(written["sups"])[scan.certified]
+            assert bounds.tolist() == scan.sups[scan.certified].tolist()
+            assert np.all(bounds > 0.1)
 
 
 class TestWriteText:
