@@ -25,6 +25,7 @@ the requested tolerance; anything thinner stays inconclusive.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -421,8 +422,8 @@ class DensityReport:
 
     largest_gap is the length of the longest sub-interval of the scanned
     range containing no admitted shift (boundary gaps included).  The
-    verdict here is only about non-emptiness; relative-density thresholds
-    are applied by the caller, which knows the intended inclusion length.
+    verdict here is only about non-emptiness; :meth:`relative_density`
+    judges how densely the admitted shifts lie.
     """
 
     eps: float
@@ -430,6 +431,13 @@ class DensityReport:
     n_admitted: int
     largest_gap: float
     verdict: str
+
+    def relative_density(self) -> str:
+        """"pass" when some shift is admitted and no gap between admitted
+        shifts exceeds a quarter of the scanned range, else "fail"."""
+        lo, hi = self.scan_range
+        dense = self.n_admitted > 0 and self.largest_gap <= (hi - lo) / 4.0
+        return "pass" if dense else "fail"
 
 
 @dataclass
@@ -501,7 +509,7 @@ def _scan_grid(traj: Trajectory, tau_range, tau_step: float) -> np.ndarray:
 
 def almost_period_scan(traj: Trajectory, eps: float, tau_range,
                        tau_step: float, mode: str = "global",
-                       window=None, taus=None) -> AlmostPeriodSet:
+                       window=None, threads: int = 1) -> AlmostPeriodSet:
     """Scan a grid of shifts and mark the eps-admitted ones.
 
     In mode "global" a shift tau is admitted when
@@ -510,10 +518,9 @@ def almost_period_scan(traj: Trajectory, eps: float, tau_range,
     over one late window (clamped to fit), so admission only claims the
     comparison is small late, not everywhere.
 
-    An explicit increasing grid passed as ``taus`` overrides tau_range and
-    tau_step.  Scanning chunks of one grid and concatenating the results
-    reproduces the single-call scan exactly, which is what allows callers
-    to fan the scan out across workers.
+    ``threads`` fans the comparisons out over at most that many workers,
+    one per CPU core and one per shift at most; the scan is the same bit
+    for bit at any count, and so is the error raised for a failing grid.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
@@ -521,20 +528,11 @@ def almost_period_scan(traj: Trajectory, eps: float, tau_range,
         raise ValueError(f"unknown scan mode {mode!r}")
     if mode == "remote" and window is None:
         raise ValueError("remote scans need a window")
-    if taus is not None:
-        taus = np.asarray(taus, float)
-        if taus.ndim != 1 or taus.size == 0:
-            raise ValueError("taus must be a non-empty one-dimensional grid")
-        if np.any(taus < 0) or not np.all(np.isfinite(taus)):
-            raise ValueError("shifts must be finite and non-negative")
-        if np.any(np.diff(taus) <= 0):
-            raise ValueError("taus must be strictly increasing")
-        if traj.kind == "discrete" and np.any(
-                np.abs(taus - np.rint(taus)) > _POS_TOL):
-            raise ValueError("discrete trajectories need whole-number shifts")
-    else:
-        taus = _scan_grid(traj, tau_range, tau_step)
-    (scan,) = _scan(traj, eps, taus, [window if mode == "remote" else None])
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    taus = _scan_grid(traj, tau_range, tau_step)
+    (scan,) = _scan(traj, eps, taus, [window if mode == "remote" else None],
+                    threads=threads)
     if isinstance(scan, Exception):
         raise scan
     return scan
@@ -603,8 +601,29 @@ def _certified_sups(traj: Trajectory, eps: float, taus: np.ndarray, starts,
     return out, certified
 
 
+def _fanned_sups(traj: Trajectory, taus: np.ndarray, starts, ends, where,
+                 threads: int) -> np.ndarray:
+    """:meth:`Trajectory.shift_sups` of the shifts split into contiguous
+    runs, min(threads, shifts, CPU cores) of them, each on its own worker;
+    one run is compared in the calling thread.  The runs' sups are stacked
+    in grid order and the first failing run's error is raised, so the
+    result is the single call's."""
+    workers = min(threads, taus.size, os.cpu_count() or 1)
+    if workers == 1:
+        return traj.shift_sups(taus, starts, ends, where=where)
+    # imported here, not at the top: it loads threading and logging,
+    # which one-worker scans and every other use of rapflow leave unused
+    from concurrent.futures import ThreadPoolExecutor
+    edges = [taus.size * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(lambda run: traj.shift_sups(
+            taus[run], starts[:, run], ends[:, run], where=where[:, run]),
+            [slice(a, b) for a, b in zip(edges, edges[1:])])
+        return np.hstack(list(parts))
+
+
 def _scan(traj: Trajectory, eps: float, taus: np.ndarray, windows,
-          certify: bool = False) -> list:
+          certify: bool = False, threads: int = 1) -> list:
     """Scan one shift grid over several windows in one comparison pass.
 
     A window None is the whole span (mode "global"); a pair (lo, hi) is a
@@ -616,6 +635,7 @@ def _scan(traj: Trajectory, eps: float, taus: np.ndarray, windows,
     grid of more than _CERTIFY_MIN shifts is scanned coarse to fine
     (:func:`_certified_sups`): admitted and assessable stay those of the
     exact scan, and so do the sups of the shifts that are not certified.
+    Otherwise ``threads`` fans the comparisons out (:func:`_fanned_sups`).
     """
     t0, t_end = traj.t0, traj.t_end
     out: list = [None] * len(windows)
@@ -643,7 +663,7 @@ def _scan(traj: Trajectory, eps: float, taus: np.ndarray, windows,
             sups, certified = _certified_sups(traj, eps, taus, starts, ends,
                                               where)
         else:
-            sups = traj.shift_sups(taus, starts, ends, where=where)
+            sups = _fanned_sups(traj, taus, starts, ends, where, threads)
     except (ValueError, DynamicsError) as exc:
         # some window's scan raises; scan each alone to learn which
         return [exc] if len(windows) == 1 else [
@@ -1074,9 +1094,7 @@ def classify_trajectory(traj: Trajectory,
         notes.append(f"remote scan unavailable: {rscan}")
         rscan = None
 
-    # almost periodicity from scan density: the admitted shifts are
-    # relatively dense when no gap between them exceeds a quarter of the
-    # scanned range
+    # almost periodicity from scan density
     for scan, name, which in ((gscan, "almost-periodic", "global"),
                               (rscan, "remotely-almost-periodic", "remote")):
         if scan is None:
@@ -1087,9 +1105,7 @@ def classify_trajectory(traj: Trajectory,
             notes.append(f"{which} density unavailable: {exc}")
             continue
         reports[name] = dens
-        lo, hi = dens.scan_range
-        rel = dens.largest_gap <= (hi - lo) / 4.0
-        verdicts[name] = "pass" if dens.n_admitted > 0 and rel else "fail"
+        verdicts[name] = dens.relative_density()
 
     # candidate shift
     min_cand = 1.0 if discrete else max(10.0 * step_eff, 2.0 * traj.dt)

@@ -27,20 +27,15 @@ import argparse
 import configparser
 import dataclasses
 import math
-import os
 import sys
 import textwrap
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
-
-import numpy as np
 
 from . import catalog, verify
 from ._version import VERSION
 from .classify import (
     CLASS_ORDER,
     ClassifyConfig,
-    _scan_grid,
     almost_period_scan,
     classify_trajectory,
 )
@@ -517,19 +512,6 @@ def cmd_classify(args) -> int:
 # scan
 
 
-def _merge_scans(parts):
-    first = parts[0]
-    from .classify import AlmostPeriodSet
-    return AlmostPeriodSet(
-        mode=first.mode, eps=first.eps,
-        taus=np.concatenate([p.taus for p in parts]),
-        sups=np.concatenate([p.sups for p in parts]),
-        admitted=np.concatenate([p.admitted for p in parts]),
-        assessable=np.concatenate([p.assessable for p in parts]),
-        certified=np.concatenate([p.certified for p in parts]),
-        window=first.window)
-
-
 def cmd_scan(args) -> int:
     o = _merged_options(args)
     traj, _ = _build_trajectory(o)
@@ -538,40 +520,28 @@ def cmd_scan(args) -> int:
     tau_step = o.tau_step if o.tau_step is not None else 0.01
     mode = o.mode or "global"
     threads = o.threads if o.threads is not None else 1
-    if threads < 1:
-        raise ConfigError("threads must be at least 1")
     if mode == "remote" and o.window is None:
         raise ConfigError("remote scans need --window LO:HI")
-    scan_kwargs = dict(mode=mode, window=o.window)
     try:
-        if threads == 1:
-            scan = almost_period_scan(traj, eps, (0.0, tau_max), tau_step,
-                                      **scan_kwargs)
-        else:
-            grid = _scan_grid(traj, (0.0, tau_max), tau_step)
-            workers = min(threads, grid.size, os.cpu_count() or 1)
-            chunks = np.array_split(grid, workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(
-                    lambda c: almost_period_scan(
-                        traj, eps, (0.0, tau_max), tau_step,
-                        taus=c, **scan_kwargs),
-                    chunks))
-            scan = _merge_scans(parts)
+        scan = almost_period_scan(traj, eps, (0.0, tau_max), tau_step,
+                                  mode=mode, window=o.window, threads=threads)
     except ValueError as exc:
         raise ConfigError(str(exc))
     dens = scan.density()
     print(f"mode: {scan.mode}" + ("" if scan.window is None else
                                   f" (window {scan.window[0]:g}:{scan.window[1]:g})"))
-    print(f"shifts scanned: {len(scan.taus)} (0 to {tau_max:g}, step {tau_step:g})")
+    taus = scan.taus
+    grid = f"{taus[0]:g} to {taus[-1]:g}" + (
+        f", step {taus[1] - taus[0]:g}" if len(taus) > 1 else "")
+    print(f"shifts scanned: {len(taus)} ({grid})")
     print(f"admitted at eps={eps:g}: {dens.n_admitted}")
     if dens.n_admitted:
         print(f"largest gap between admitted shifts: {dens.largest_gap:.6g}")
-    print(f"relative density: {dens.verdict}")
+    print(f"relative density: {dens.relative_density()}")
     if o.out:
         fmt = o.format or "csv"
         if fmt == "csv":
-            text = almost_period_set_csv(scan)
+            text = almost_period_set_csv(scan, traj.t0)
         else:
             payload = jsonable(scan)
             # an exact scan certifies no shift; its JSON keeps the old fields

@@ -180,14 +180,15 @@ def trajectory_json(traj: Trajectory) -> str:
     return json_text(payload, _trajectory_hash(traj))
 
 
-def almost_period_set_csv(scan: AlmostPeriodSet) -> str:
+def almost_period_set_csv(scan: AlmostPeriodSet, t0: float) -> str:
     """Columns tau, sup, admitted, level.
 
     level is the time from which admission is claimed: the window start
-    for a remote scan, the sampling origin for a global one; empty for
-    shifts that are not admitted or not assessable.
+    for a remote scan, the sampling origin t0 of the scanned trajectory
+    for a global one; empty for shifts that are not admitted or not
+    assessable.
     """
-    base_level = scan.window[0] if scan.window is not None else 0.0
+    base_level = scan.window[0] if scan.window is not None else t0
     rows = []
     for tau, sup, adm, ok in zip(scan.taus, scan.sups, scan.admitted,
                                  scan.assessable):

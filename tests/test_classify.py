@@ -9,6 +9,7 @@ randomized inputs.
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -354,18 +355,65 @@ class TestAlmostPeriodScan:
         assert dens.n_admitted == 0 and dens.verdict == "fail"
         assert dens.largest_gap == pytest.approx(19.0)
 
+    def test_relative_density_needs_more_than_the_zero_shift(self):
+        # only tau = 0 is admitted: the set is not empty, yet a gap of 9.5
+        # spans the whole range
+        tr = sample_function("sin(t)", (0.0, 10.0), 0.01)
+        dens = almost_period_scan(tr, 0.05, (0.0, 20.0), 0.5).density()
+        assert (dens.n_admitted, dens.verdict) == (1, "pass")
+        assert dens.largest_gap == pytest.approx(9.5)
+        assert dens.relative_density() == "fail"
+        dense = sample_function("sin(t)", (0.0, 120.0), 0.01)
+        assert almost_period_scan(dense, 0.5, (0.0, 40.0), 0.01).density(
+            ).relative_density() == "pass"
+
+    @pytest.mark.parametrize("step", [0.01, 0.0137])
     @pytest.mark.parametrize("mode,window", [("global", None),
                                              ("remote", (20.0, 45.0))])
-    def test_chunked_scan_reproduces_single_scan(self, mode, window):
+    def test_threaded_scan_equals_one_thread_scan(self, monkeypatch, mode,
+                                                  window, step):
+        # seven workers on any machine: every run of the grid is its own
+        # kernel call, on- and off-grid
+        monkeypatch.setattr(classify_module.os, "cpu_count", lambda: 7)
         tr = sample_function("sin(t)+0.3*sin(3.7*t)", (-5.0, 50.0), 0.01)
-        whole = almost_period_scan(tr, 0.25, (0.0, 20.0), 0.0137, mode=mode,
-                                   window=window)
-        parts = [almost_period_scan(tr, 0.25, None, None, mode=mode,
-                                    window=window, taus=chunk)
-                 for chunk in np.array_split(whole.taus, 7)]
-        for name in ("taus", "sups", "admitted", "assessable"):
-            joined = np.concatenate([getattr(p, name) for p in parts])
-            assert np.array_equal(joined, getattr(whole, name), equal_nan=True)
+        one = almost_period_scan(tr, 0.25, (0.0, 20.0), step, mode=mode,
+                                 window=window)
+        seven = almost_period_scan(tr, 0.25, (0.0, 20.0), step, mode=mode,
+                                   window=window, threads=7)
+        _assert_same_scan(seven, one)
+        assert one.admitted.any() and not one.admitted.all()
+
+    @pytest.mark.parametrize("threads", [1, 7])
+    def test_first_failing_shift_is_reported_at_any_thread_count(
+            self, monkeypatch, threads):
+        # sampled every 2 time units, the odd shifts of 0..19 are half
+        # steps, so every run of the grid raises; the run holding the
+        # shift 1, the first in grid order, is held back until the others
+        # have raised, and its error is still the one reported
+        monkeypatch.setattr(classify_module.os, "cpu_count", lambda: 7)
+        tr = Trajectory(kind="discrete", t0=0.0, dt=2.0,
+                        values=np.sin(np.arange(20.0)))
+        kernel, raised = Trajectory.shift_sups, {}
+
+        def spy(self, taus, *args, **kwargs):
+            if taus[0] == 0.0:
+                time.sleep(0.2)
+            try:
+                return kernel(self, taus, *args, **kwargs)
+            except DynamicsError as exc:
+                raised[float(taus[0])] = exc
+                raise
+
+        monkeypatch.setattr(Trajectory, "shift_sups", spy)
+        with pytest.raises(DynamicsError, match="integer") as info:
+            almost_period_scan(tr, 0.5, (0.0, 19.0), 1.0, threads=threads)
+        assert len(raised) == threads
+        assert info.value is raised[0.0]
+
+    def test_thread_count_below_one_is_refused(self):
+        tr = discrete_traj(np.arange(50.0))
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            almost_period_scan(tr, 0.5, (0.0, 10.0), 1.0, threads=0)
 
     def test_mode_validation(self):
         tr = discrete_traj(np.arange(50.0))
@@ -531,10 +579,9 @@ def test_one_pass_scan_blames_only_the_failing_window():
     taus = np.array([2.0, 4.0, 19.0])
     gscan, rscan = _scan(tr, 0.5, taus, [None, (30.0, 38.0)])
     assert isinstance(gscan, DynamicsError)
-    with pytest.raises(DynamicsError, match="integer"):
-        almost_period_scan(tr, 0.5, None, None, taus=taus)
-    _assert_same_scan(rscan, almost_period_scan(
-        tr, 0.5, None, None, mode="remote", window=(30.0, 38.0), taus=taus))
+    (alone,) = _scan(tr, 0.5, taus, [None])
+    assert isinstance(alone, DynamicsError) and "integer" in str(alone)
+    _assert_same_scan(rscan, _scan(tr, 0.5, taus, [(30.0, 38.0)])[0])
     assert list(rscan.assessable) == [True, True, False]
 
 

@@ -1,4 +1,5 @@
 """End-to-end checks of the command line tool."""
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from rapflow.cli import (
     build_parser,
     main,
 )
+from rapflow.serialize import canonical_hash
 
 
 def run(capsys, *argv):
@@ -561,8 +563,9 @@ class TestScanCommand:
                 return map(fn, chunks)
 
         # the fake pool starts no thread, so the huge request is safe
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ("scan", "--fn", "sin(t)", "--span", "0:120", "--eps", "0.5",
                 "--tau-max", "0.05", "--tau-step", "0.01")
@@ -571,6 +574,49 @@ class TestScanCommand:
                    "--out", str(b))[0] == 0
         assert pools == [(workers, workers)]
         assert a.read_bytes() == b.read_bytes()
+
+    def test_thread_count_below_one_exits_2(self, capsys):
+        code, _, err = run(capsys, "scan", "--fn", "sin(t)", "--span", "0:120",
+                           "--tau-max", "1", "--threads", "0")
+        assert code == 2
+        assert "threads must be at least 1" in err
+
+    def test_a_lone_zero_shift_is_not_relatively_dense(self, capsys):
+        code, out, err = run(capsys, "scan", "--fn", "sin(t)", "--span",
+                             "0:10", "--tau-max", "20", "--tau-step", "0.5")
+        assert code == 0, err
+        assert "admitted at eps=0.05: 1" in out
+        assert "largest gap between admitted shifts: 9.5" in out
+        assert "relative density: fail" in out
+
+    def test_discrete_summary_shows_the_scanned_grid(self, capsys, tmp_path):
+        out_json = tmp_path / "scan.json"
+        code, out, err = run(capsys, "scan", "--example", "beverton-holt",
+                             "--tau-step", "2.6", "--tau-max", "10.5",
+                             "--format", "json", "--out", str(out_json))
+        assert code == 0, err
+        assert "shifts scanned: 4 (0 to 9, step 3)" in out
+        # the digest keeps the requested grid
+        data = json.loads(out_json.read_text())
+        assert data["payload"]["taus"] == [0.0, 3.0, 6.0, 9.0]
+        assert data["config_hash"] == canonical_hash(
+            {"eps": 0.05, "tau_max": 10.5, "tau_step": 2.6, "mode": "global",
+             "window": None})
+
+    @pytest.mark.parametrize("span,t0", [("-50:50", -50.0),
+                                         ("100:200", 100.0)])
+    def test_global_csv_level_is_the_sampling_origin(self, capsys, tmp_path,
+                                                     span, t0):
+        target = tmp_path / "scan.csv"
+        code, _, err = run(capsys, "scan", "--fn", "sin(t)", "--span", span,
+                           "--tau-max", "10", "--out", str(target))
+        assert code == 0, err
+        rows = [l.split(",") for l in target.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        admitted = [r for r in rows if r[2] == "true"]
+        assert len(admitted) > 1
+        assert all(float(r[3]) == t0 for r in admitted)
+        assert all(r[3] == "" for r in rows if r[2] != "true")
 
     def test_summary_lists_admitted_and_gap(self, capsys):
         code, out, _ = run(capsys, "scan", "--fn", "sin(t)", "--span", "0:120",

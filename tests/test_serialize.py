@@ -215,7 +215,7 @@ class TestScanWriters:
         fld = ScalarField(kind="discrete", rhs="x", time_domain="half-line")
         traj = iterate(fld, 1.0, 40)
         scan = almost_period_scan(traj, 0.5, (0, 10), 1)
-        text = almost_period_set_csv(scan)
+        text = almost_period_set_csv(scan, traj.t0)
         lines = [l for l in text.strip().split("\n") if not l.startswith("#")]
         assert lines[0] == "tau,sup,admitted,level"
         assert len(lines) == 1 + len(scan.taus)

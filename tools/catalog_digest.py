@@ -14,7 +14,8 @@ byte.  One line per artifact, ``<sha256>  <name>``:
   with ``recommended_config`` and ``classification_json``;
 * the CSV of ``rapflow scan --example two-tone``, global and
   ``--mode remote --window 200:360``, at ``--tau-step`` 0.01 and 0.0137
-  and ``--threads`` 1 and 2;
+  and ``--threads`` 1 and 2, and of one global ``rapflow scan`` on a span
+  that starts below 0, so its ``level`` column is the nonzero origin;
 * the JSON of ``rapflow classify --example sine --seed 8``, whose
   randomized fifth probe differs from seed 0's;
 * the stdout of ``rapflow verify all``;
@@ -46,6 +47,8 @@ CURVE_SOURCED = frozenset({"slow-chirp"})
 SCAN_MODES = (("global", []), ("remote", ["--window", "200:360"]))
 TAU_STEPS = ("0.01", "0.0137")
 THREADS = ("1", "2")
+# a global scan whose sampling origin, its CSV level, is not 0
+ORIGIN_SCAN = ["--fn", "sin(t)", "--span=-50:50", "--tau-max", "10"]
 # one simulate command per system source
 SIMULATE = (
     ("ode", ["--ode=-x+sin(t)", "--u0", "2", "--span", "0:50"]),
@@ -96,6 +99,9 @@ def scan_digests(workdir: Path):
                       "--out", str(out)])
                 name = f"scan two-tone {mode} tau-step {step} threads {threads}"
                 yield _sha(out.read_bytes()), name
+    out = workdir / "scan-origin.csv"
+    _run(["scan", *ORIGIN_SCAN, "--out", str(out)])
+    yield _sha(out.read_bytes()), f"scan {' '.join(ORIGIN_SCAN)}"
 
 
 def command_digests(workdir: Path):
