@@ -17,14 +17,13 @@ import numpy as np
 from .classify import ClassifyConfig
 from .dynamics import (IntegratorConfig, ScalarField, Trajectory, integrate, iterate,
                        sample_function)
-from .expr import parse
+from .expr import Var, _walk, parse
 
 CHIRP_RHS = "2*t*cos((t^2+pi^3)^(1/3)) / (3*(t^2+pi^3)^(2/3))"
 CHIRP_CURVE = "sin((t^2+pi^3)^(1/3))"
 BH_RHS = "mu*K*x/(K+(mu-1)*x)"
 DEFAULT_CAPACITY = "10+sin(ln(1+t))"
-BH_DRIFTING_RHS = ("mu*(10+sin(ln(1+t)))*x"
-                   "/((10+sin(ln(1+t)))+(mu-1)*x)")
+BH_DRIFTING_RHS = BH_RHS.replace("K", f"({DEFAULT_CAPACITY})")
 
 
 @dataclass
@@ -348,13 +347,14 @@ def make_beverton_holt(mu: float = 2.0, capacity=DEFAULT_CAPACITY,
     if not (0 < alpha <= beta) or not math.isfinite(beta):
         raise ValueError("need 0 < alpha <= beta < infinity")
     if isinstance(capacity, (int, float)):
-        cap_expr = parse(repr(float(capacity)))
-    else:
-        cap_expr = parse(capacity)
-        extra = cap_expr.params
-        if extra:
-            raise ValueError(
-                f"capacity may depend on t only; unbound: {', '.join(sorted(extra))}")
+        capacity = repr(float(capacity))
+    cap_expr = parse(capacity)
+    extra = cap_expr.params
+    if extra:
+        raise ValueError(
+            f"capacity may depend on t only; unbound: {', '.join(sorted(extra))}")
+    if Var("x") in _walk(cap_expr.root):
+        raise ValueError("capacity may depend on t only; it mentions x")
     ns = np.arange(0.0, 1000.0)
     ks = cap_expr.eval_array(ns, 0.0, params={})
     if np.any(ks < alpha - 1e-9) or np.any(ks > beta + 1e-9):
@@ -362,7 +362,7 @@ def make_beverton_holt(mu: float = 2.0, capacity=DEFAULT_CAPACITY,
         raise ValueError(
             f"capacity {float(ks[j])!r} at step {j} leaves [{alpha:g}, {beta:g}]")
 
-    rhs = parse(BH_RHS).substitute_param("K", cap_expr)
+    rhs = parse(BH_RHS.replace("K", f"({capacity})"))
     fld = ScalarField(
         kind="discrete", rhs=rhs, params={"mu": float(mu)},
         state_domain=(0.0, math.inf), name="beverton-holt")

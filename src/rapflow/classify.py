@@ -39,7 +39,6 @@ __all__ = [
     "ClassificationResult",
     "ClassifyConfig",
     "DensityReport",
-    "SeparationReport",
     "StationaryBattery",
     "TailSupCurve",
     "almost_period_scan",
@@ -49,7 +48,6 @@ __all__ = [
     "default_probes",
     "remote_stationary_test",
     "remote_tau_periodic_test",
-    "separation_constancy_test",
     "tail_sup",
 ]
 
@@ -794,52 +792,6 @@ def asymptotic_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
                             tail_from=float(tail_from),
                             verdict=_verdict_near(stat, eps),
                             residue_osc=worst, dense_sup=dense)
-
-
-# ---------------------------------------------------------------------------
-# two-trajectory probes
-
-
-@dataclass
-class SeparationReport:
-    """Late behaviour of the separation |a - b| of two trajectories.
-
-    For order-preserving contractive systems the separation of two
-    solutions settles to a constant; limit estimates that constant by the
-    last sample and drift measures how far the separation still moves over
-    the tail.  verdict is "pass" when drift <= tol.
-    """
-
-    initial: float
-    limit: float
-    drift: float
-    tail_from: float
-    tol: float
-    verdict: str
-
-
-def separation_constancy_test(a: Trajectory, b: Trajectory,
-                              tail_from: float | None = None,
-                              tol: float = 1e-6) -> SeparationReport:
-    """Check that |a - b| is constant over the tail, within tol."""
-    if a.kind != b.kind:
-        raise ValueError("trajectories have different kinds")
-    if abs(a.t0 - b.t0) > _POS_TOL or abs(a.dt - b.dt) > _POS_TOL:
-        raise ValueError("trajectories are sampled on different grids")
-    if len(a.values) != len(b.values):
-        raise ValueError("trajectories have different lengths")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tol must be positive and finite")
-    sep = np.abs(a.values - b.values)
-    t_end = a.t_end
-    if tail_from is None:
-        tail_from = a.t0 + 0.75 * (t_end - a.t0)
-    tail = _tail(a, sep, tail_from)
-    drift = float(np.max(tail) - np.min(tail))
-    return SeparationReport(initial=float(sep[0]), limit=float(tail[-1]),
-                            drift=drift, tail_from=float(tail_from),
-                            tol=float(tol),
-                            verdict="pass" if drift <= tol else "fail")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Five subcommands drive the library end to end:
 Summaries and data go to stdout, diagnostics to stderr.  Exit codes:
 0 success, 1 a verify suite found failures, 2 bad configuration (flags,
 expressions, config file), 3 the integrator aborted, 4 every
-classification verdict came back inconclusive.
+classification verdict came back inconclusive, 141 (128 + SIGPIPE) the
+reader closed stdout before the output was written (as ``| head`` does).
 
 A config file named with --config uses INI syntax with one section per
 subcommand and keys spelled like the long flags; explicit flags override
@@ -27,6 +28,7 @@ import argparse
 import configparser
 import dataclasses
 import math
+import os
 import sys
 import textwrap
 from types import SimpleNamespace
@@ -698,6 +700,21 @@ def _glue_flag_values(argv):
 
 
 def main(argv=None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``rapflow ... | head``).  Point the
+        # descriptor at /dev/null, so that the flush at exit cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+
+
+def _run(argv) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_glue_flag_values(argv))
     try:

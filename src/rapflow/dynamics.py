@@ -177,24 +177,6 @@ class ScalarField:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def shift_field(fld: ScalarField, h: float) -> ScalarField:
-    """The time-shifted field g(t, x) = f(t + h, x)."""
-    if fld.kind == "discrete":
-        if abs(h - round(h)) > 1e-9:
-            raise FieldValidationError("discrete fields shift by whole steps")
-        h = int(round(h))
-    if fld.time_domain == "half-line" and h < 0:
-        raise FieldValidationError("half-line fields only shift forward (h >= 0)")
-    return ScalarField(
-        kind=fld.kind,
-        rhs=fld.rhs.shift_t(h),
-        params=dict(fld.params),
-        state_domain=fld.state_domain,
-        time_domain=fld.time_domain,
-        name=f"{fld.name}<<{h:g}" if fld.name else f"shift({h:g})",
-    )
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rkf45"  # 'rkf45' | 'rk4'

@@ -603,19 +603,6 @@ def _param_nodes(node: Node):
     return (n for n in _walk(node) if isinstance(n, Param))
 
 
-def _transform(node: Node, fn) -> Node:
-    """Bottom-up rewrite; fn(node) may return a replacement or None."""
-    if isinstance(node, Neg):
-        node = Neg(_transform(node.arg, fn), node.span)
-    elif isinstance(node, Call):
-        node = Call(node.func, tuple(_transform(a, fn) for a in node.args), node.span)
-    elif isinstance(node, BinOp):
-        node = BinOp(node.op, _transform(node.left, fn),
-                     _transform(node.right, fn), node.span)
-    repl = fn(node)
-    return node if repl is None else repl
-
-
 class Expression:
     """An immutable parsed expression in the variables t and x."""
 
@@ -648,9 +635,6 @@ class Expression:
             i = next(i for i, n in enumerate(names) if n not in params)
             raise EvalError(f"unbound parameter {names[i]!r}", spans[i]) from None
 
-    def eval(self, t: float = 0.0, x: float = 0.0, **params) -> float:
-        return float(self.bind(params)(float(t), float(x)))
-
     def eval_array(self, t, x=0.0, params: dict | None = None) -> np.ndarray:
         """Vectorized evaluation; t and x broadcast against each other."""
         t = np.asarray(t, dtype=float)
@@ -664,33 +648,6 @@ class Expression:
 
     def to_text(self) -> str:
         return _print(self.root)
-
-    def shift_t(self, h: float) -> "Expression":
-        """Replace every occurrence of t by (t + h)."""
-        if h == 0:
-            return self
-        op, mag = ("+", float(h)) if h > 0 else ("-", float(-h))
-
-        def rule(node):
-            if isinstance(node, Var) and node.name == "t":
-                return BinOp(op, Var("t", node.span), Const(mag, node.span),
-                             node.span)
-            return None
-
-        root = _transform(self.root, rule)
-        return Expression(root, _print(root))
-
-    def substitute_param(self, name: str, replacement: "Expression | Node") -> "Expression":
-        """Replace a named parameter by another expression (or node)."""
-        repl = replacement.root if isinstance(replacement, Expression) else replacement
-
-        def rule(node):
-            if isinstance(node, Param) and node.name == name:
-                return repl
-            return None
-
-        root = _transform(self.root, rule)
-        return Expression(root, _print(root))
 
     def __eq__(self, other):
         return isinstance(other, Expression) and self.root == other.root

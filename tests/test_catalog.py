@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rapflow.catalog import (
+    BH_RHS,
+    DEFAULT_CAPACITY,
     catalog,
     get,
     make_beverton_holt,
@@ -15,7 +17,9 @@ from rapflow.catalog import (
     oracle_value,
     tail_bound,
 )
-from rapflow.dynamics import DynamicsError, IntegratorConfig, integrate, iterate
+from rapflow.dynamics import (DynamicsError, IntegratorConfig, ScalarField,
+                              integrate, iterate)
+from rapflow.expr import BinOp, Call, Expression, Neg, Param, parse
 
 CLASS_LABELS = {
     "stationary", "tau-periodic", "almost-periodic",
@@ -199,6 +203,34 @@ def test_field_ids_are_pinned():
     assert make_beverton_holt()[0].field_id == "c342209bf2ab"
 
 
+def _substitute_k(node, capacity):
+    """node with every parameter K replaced by the capacity's tree."""
+    if isinstance(node, Param) and node.name == "K":
+        return capacity
+    if isinstance(node, Neg):
+        return Neg(_substitute_k(node.arg, capacity))
+    if isinstance(node, Call):
+        return Call(node.func,
+                    tuple(_substitute_k(a, capacity) for a in node.args))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _substitute_k(node.left, capacity),
+                     _substitute_k(node.right, capacity))
+    return node
+
+
+def test_make_bh_rhs_is_the_formula_with_the_capacity_for_k():
+    for capacity in (DEFAULT_CAPACITY, 10.0, "10+0.5*cos(sqrt(1+t))",
+                     "-(-10)", "10-t^0", "2^3+2"):
+        fld, _ = make_beverton_holt(capacity=capacity)
+        text = capacity if isinstance(capacity, str) else repr(capacity)
+        root = _substitute_k(parse(BH_RHS).root, parse(text).root)
+        expected = ScalarField(
+            kind="discrete", rhs=Expression(root, text), params={"mu": 2.0},
+            state_domain=(0.0, math.inf), name="beverton-holt")
+        assert fld.rhs == expected.rhs
+        assert fld.field_id == expected.field_id
+
+
 def test_make_bh_validation():
     with pytest.raises(ValueError):
         make_beverton_holt(mu=0.0)
@@ -210,6 +242,9 @@ def test_make_bh_validation():
         make_beverton_holt(capacity="15")
     with pytest.raises(ValueError):
         make_beverton_holt(capacity="t")
+    for capacity in ("10+x/1000", "10+0*x"):
+        with pytest.raises(ValueError, match="t only"):
+            make_beverton_holt(capacity=capacity)
 
 
 # ---------------------------------------------------------------------------

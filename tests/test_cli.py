@@ -27,13 +27,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
+def run_module(*argv, stdout=subprocess.PIPE):
     """``python -m rapflow argv`` in a child on the same rapflow as this test."""
     src = os.path.dirname(os.path.dirname(rapflow.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "rapflow", *argv],
-        capture_output=True, text=True, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=path))
 
 
@@ -128,6 +128,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "simulate", "--ode", "a*x", "--span", "0:1")
         assert code == 2
         assert "unbound" in err
+
+    @pytest.mark.parametrize("capacity", ["10+x/1000", "10+0*x"])
+    def test_capacity_that_mentions_x_is_config_error(self, capsys, capacity):
+        code, _, err = run(capsys, "simulate", "--bh", f"mu=2,K={capacity}",
+                           "--steps", "50")
+        assert code == 2
+        assert "capacity may depend on t only" in err
 
     def test_blowup_is_integration_abort(self, capsys):
         code, _, err = run(capsys, "simulate", "--ode", "x^2", "--u0", "3",
@@ -710,3 +717,17 @@ class TestModuleEntryPoint:
         proc = run_module("--version")
         assert proc.returncode == 0
         assert proc.stdout.startswith("rapflow ")
+
+    @pytest.mark.parametrize("argv", [("examples",),
+                                      ("classify", "--example", "sine")])
+    def test_closed_stdout_exits_141_without_traceback(self, argv):
+        # the read end is closed before the child starts, so its writes to
+        # stdout fail with EPIPE, as when `| head` exits early
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_module(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""

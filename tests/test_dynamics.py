@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from rapflow import dynamics
 from rapflow.catalog import get as get_example
-from rapflow.catalog import make_beverton_holt
+from rapflow.catalog import BH_DRIFTING_RHS, BH_RHS, CHIRP_RHS, make_beverton_holt
 from rapflow.dynamics import (
     BlowupError,
     DynamicsError,
@@ -30,14 +30,8 @@ from rapflow.dynamics import (
     integrate,
     iterate,
     sample_function,
-    shift_field,
 )
 from rapflow.expr import parse
-
-CHIRP_RHS = "2*t*cos((t^2+pi^3)^(1/3)) / (3*(t^2+pi^3)^(2/3))"
-CHIRP_CURVE = "sin((t^2+pi^3)^(1/3))"
-BH_RHS = "mu*K*x/(K+(mu-1)*x)"
-BH_VARYING_RHS = "mu*(10+sin(ln(1+t)))*x/((10+sin(ln(1+t)))+(mu-1)*x)"
 
 
 def chirp_field():
@@ -54,7 +48,7 @@ def bh_const_field(mu=2.0, K=10.0):
 
 
 def bh_varying_field(mu=2.0):
-    return ScalarField(kind="discrete", rhs=BH_VARYING_RHS, params={"mu": mu},
+    return ScalarField(kind="discrete", rhs=BH_DRIFTING_RHS, params={"mu": mu},
                        state_domain=(0.0, math.inf), time_domain="half-line")
 
 
@@ -1036,31 +1030,6 @@ def test_field_validation_errors():
         ScalarField(kind="discrete", rhs="x/2", time_domain="full-line")
     with pytest.raises(FieldValidationError):
         ScalarField(kind="continuous", rhs="1/x")  # pole on the spot grid
-
-
-def test_shift_field_evaluation():
-    fld = ScalarField(kind="continuous", rhs="sin(t)+x")
-    g = shift_field(fld, 2.5)
-    assert g.bind()(0.0, 1.0) == pytest.approx(math.sin(2.5) + 1.0, abs=1e-15)
-    assert g.field_id != fld.field_id
-
-
-def test_shift_field_restrictions():
-    half = ScalarField(kind="continuous", rhs="-x", time_domain="half-line")
-    with pytest.raises(FieldValidationError):
-        shift_field(half, -1.0)
-    with pytest.raises(FieldValidationError):
-        shift_field(bh_const_field(), 0.5)
-
-
-def test_shift_field_seq_params():
-    # a coefficient that varies with n is an expression in t; shifting a
-    # discrete field 3 steps makes it read f(n + 3)
-    fld = ScalarField(kind="discrete", rhs="t+0*x", time_domain="half-line")
-    g = shift_field(fld, 3)
-    assert g.bind()(0.0, 0.0) == 3.0
-    assert g.bind()(2.0, 0.0) == 5.0
-    assert g.field_id != fld.field_id
 
 
 def test_discrete_fields_default_to_the_half_line():
