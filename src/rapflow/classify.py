@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DynamicsError, Trajectory
+from .dynamics import _CHUNK, DynamicsError, Trajectory
 
 __all__ = [
     "CLASS_ORDER",
@@ -72,6 +72,13 @@ _MAX_SHIFTS = 1 << 20
 # the kernel reads the trajectory once per 512 shifts, so a smaller grid
 # would be read twice, by the coarse and the fine pass, instead of once
 _CERTIFY_MIN = 512
+# classify_trajectory scans a trajectory of more samples than this through
+# a strided witness call first (:func:`_witnessed_sups`), at any grid size;
+# on a shorter one the witness call costs more than it saves
+_WITNESS_MIN = 4 * _CHUNK
+# the witness call's stride is the sample count over this, so it compares
+# about this many points of a shift over the whole span
+_WITNESS_POINTS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +453,9 @@ class AlmostPeriodSet:
     compares over one late window.  assessable marks grid shifts that left
     at least two comparison points; sups holds the corresponding suprema
     (NaN where not assessable) and admitted marks sups <= eps.  certified
-    marks shifts proven rejected without a kernel comparison of their own
-    (only :func:`classify_trajectory`'s scans certify); their sups hold a
+    marks shifts proven rejected without a full comparison over the window:
+    from a strided comparison, or from the comparisons of other shifts
+    (only :func:`classify_trajectory`'s scans certify).  Their sups hold a
     certified lower bound above eps, not the supremum itself.
     """
 
@@ -599,6 +607,37 @@ def _certified_sups(traj: Trajectory, eps: float, taus: np.ndarray, starts,
     return out, certified
 
 
+def _witnessed_sups(traj: Trajectory, eps: float, taus: np.ndarray, starts,
+                    ends, where):
+    """The kernel's sups of a scan, skipping windows proven rejected.
+
+    A sup over some of a window's comparison points is a lower bound of
+    its sup, so one strided kernel call certifies every (shift, window)
+    whose strided sup is above eps.  Each window's start is rounded up onto
+    its shift's lattice, which starts at the shift's first start, so the
+    strided points lie inside the window and on the one lattice the kernel
+    needs.  A full call compares what is left.  Returns (sups, certified),
+    both of where's shape: every sup not certified is the one a single
+    kernel call gives, and a certified one is its lower bound.
+    """
+    stride = max(1, len(traj) // _WITNESS_POINTS)
+    base = np.where(where, starts, len(traj)).min(axis=0)
+    lattice = base + -(-(starts - base) // stride) * stride
+    # a window that keeps no lattice point is left to the full call, which
+    # raises for an empty one as the exact scan does
+    seen = where & (lattice <= np.minimum(ends, traj.last_compared(taus)))
+    bounds = traj.shift_sups(taus, lattice, ends, stride, where=seen)
+    certified = seen & (bounds > eps)
+    rest = where & ~certified
+    cols = rest.any(axis=0)
+    sups = np.full(where.shape, np.nan)
+    if cols.any():
+        sups[:, cols] = traj.shift_sups(taus[cols], starts[:, cols],
+                                        ends[:, cols], where=rest[:, cols])
+    sups[certified] = bounds[certified]
+    return sups, certified
+
+
 def _fanned_sups(traj: Trajectory, taus: np.ndarray, starts, ends, where,
                  threads: int) -> np.ndarray:
     """:meth:`Trajectory.shift_sups` of the shifts split into contiguous
@@ -629,10 +668,12 @@ def _scan(traj: Trajectory, eps: float, taus: np.ndarray, windows,
     windows (:meth:`Trajectory.shift_sups`), so a remote window inside the
     span costs no second pass.  Returns, per window, the AlmostPeriodSet
     that :func:`almost_period_scan` gives for it alone, or the ValueError
-    or DynamicsError that that scan raises.  With ``certify``, a continuous
-    grid of more than _CERTIFY_MIN shifts is scanned coarse to fine
-    (:func:`_certified_sups`): admitted and assessable stay those of the
-    exact scan, and so do the sups of the shifts that are not certified.
+    or DynamicsError that that scan raises.  With ``certify``, a trajectory
+    of more than _WITNESS_MIN samples is scanned through a strided witness
+    call (:func:`_witnessed_sups`), and a shorter continuous one with a
+    grid of more than _CERTIFY_MIN shifts coarse to fine
+    (:func:`_certified_sups`).  Either way admitted and assessable stay
+    those of the exact scan, and so do the sups that are not certified.
     Otherwise ``threads`` fans the comparisons out (:func:`_fanned_sups`).
     """
     t0, t_end = traj.t0, traj.t_end
@@ -657,7 +698,11 @@ def _scan(traj: Trajectory, eps: float, taus: np.ndarray, windows,
     where &= ends > starts
     certified = np.zeros_like(where)
     try:
-        if certify and traj.kind == "continuous" and taus.size > _CERTIFY_MIN:
+        if certify and len(traj) > _WITNESS_MIN:
+            sups, certified = _witnessed_sups(traj, eps, taus, starts, ends,
+                                              where)
+        elif (certify and traj.kind == "continuous"
+              and taus.size > _CERTIFY_MIN):
             sups, certified = _certified_sups(traj, eps, taus, starts, ends,
                                               where)
         else:
@@ -777,11 +822,13 @@ def asymptotic_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
         residues = traj.t0 + (np.arange(n_res) / n_res) * tau
     worst = 0.0
     for r in residues:
+        # only the last tail_fraction of the sequence is looked up, in one
+        # values_at call, which decides grid alignment over its whole query
         k_max = int(math.floor((t_end - r) / tau + _POS_TOL))
-        seq = traj.values_at(r + tau * np.arange(k_max + 1))
-        tail = seq[int(math.floor((1.0 - tail_fraction) * (k_max + 1))):]
-        if tail.size < 2:
+        k0 = int(math.floor((1.0 - tail_fraction) * (k_max + 1)))
+        if k_max - k0 < 1:
             continue
+        tail = traj.values_at(r + tau * np.arange(k0, k_max + 1))
         worst = max(worst, float(np.max(tail) - np.min(tail)))
     dense_lo = t_end - tau - tail_fraction * (span - tau)
     dense = tail_sup(traj, tau, (dense_lo, t_end - tau))

@@ -538,6 +538,24 @@ def test_classify_takes_both_scans_from_one_pass():
     assert res.global_scan.certified.sum() > 600
 
 
+def _random_scan(kind, t0, dt, n, seed, count, steps, frac, lo, length,
+                 noise, with_derivs):
+    """A noisy sampled sine, a grid of count shifts of (steps + frac)
+    samples each (a third of one for 0), and a window that starts at the
+    fraction lo of the span and may reach past either end."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    rate = rng.uniform(0.01, 1.0)
+    values = np.sin(rate * i) + noise * rng.standard_normal(n)
+    derivs = rate / dt * np.cos(rate * i) if with_derivs else None
+    traj = Trajectory(kind=kind, t0=t0, dt=dt, values=values, derivs=derivs)
+    step = dt * (steps + frac) if steps + frac > 0 else dt / 3.0
+    taus = step * np.arange(count, dtype=float)
+    w_lo = traj.t0 + lo * (traj.t_end - traj.t0)
+    window = (w_lo, w_lo + length * (traj.t_end - w_lo) + 1e-3 * dt)
+    return traj, taus, window
+
+
 @settings(max_examples=80, deadline=None)
 @given(t0=st.floats(-60.0, 60.0), dt=st.floats(0.01, 1.0),
        n=st.integers(40, 3000), seed=st.integers(0, 2**32 - 1),
@@ -551,20 +569,44 @@ def test_certified_scan_agrees_with_the_exact_scan(t0, dt, n, seed, count,
                                                    eps, noise, with_derivs):
     # on- and off-grid shift steps, shifts past the span's room, windows
     # past its ends, with and without stored derivatives
-    rng = np.random.default_rng(seed)
-    i = np.arange(n)
-    rate = rng.uniform(0.01, 1.0)
-    values = np.sin(rate * i) + noise * rng.standard_normal(n)
-    derivs = rate / dt * np.cos(rate * i) if with_derivs else None
-    traj = Trajectory(kind="continuous", t0=t0, dt=dt, values=values,
-                      derivs=derivs)
-    step = dt * (steps + frac) if steps + frac > 0 else dt / 3.0
-    taus = step * np.arange(count, dtype=float)
-    span = traj.t_end - traj.t0
-    w_lo = traj.t0 + lo * span
-    window = (w_lo, w_lo + length * (traj.t_end - w_lo) + 1e-3 * dt)
+    traj, taus, window = _random_scan("continuous", t0, dt, n, seed, count,
+                                      steps, frac, lo, length, noise,
+                                      with_derivs)
     got = _scan(traj, eps, taus, [None, window], certify=True)
     want = _scan(traj, eps, taus, [None, window])
+    for g, w in zip(got, want):
+        _assert_certified_scan(g, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(discrete=st.booleans(), t0=st.floats(-60.0, 60.0),
+       dt=st.floats(0.01, 2.0), n=st.integers(40, 3000),
+       seed=st.integers(0, 2**32 - 1), count=st.integers(1, 1200),
+       steps=st.integers(0, 3),
+       frac=st.sampled_from([0.0, 0.37, 0.5, 0.999]),
+       lo=st.floats(-0.2, 1.0), length=st.floats(0.0, 1.2),
+       eps=st.floats(0.005, 1.5), noise=st.sampled_from([0.0, 1e-3, 0.05]),
+       with_derivs=st.booleans(), points=st.integers(2, 300),
+       which=st.sampled_from([(0, 1), (0,), (1,)]))
+def test_witnessed_scan_agrees_with_the_exact_scan(discrete, t0, dt, n, seed,
+                                                   count, steps, frac, lo,
+                                                   length, eps, noise,
+                                                   with_derivs, points, which):
+    # the witness path on short trajectories, with the sample threshold
+    # lowered and about ``points`` strided points a shift: on- and off-grid
+    # shift steps, discrete trajectories (whose steps off the integer grid
+    # raise what the exact scan raises, for one window or both), shifts
+    # past the span's room, windows past its ends, with and without stored
+    # derivatives, and grids of fewer and more than 512 shifts
+    traj, taus, window = _random_scan(
+        "discrete" if discrete else "continuous", t0, dt, n, seed, count,
+        steps, frac, lo, length, noise, with_derivs and not discrete)
+    windows = [[None, window][w] for w in which]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_module, "_WITNESS_MIN", 0)
+        mp.setattr(classify_module, "_WITNESS_POINTS", points)
+        got = _scan(traj, eps, taus, windows, certify=True)
+    want = _scan(traj, eps, taus, windows)
     for g, w in zip(got, want):
         _assert_certified_scan(g, w)
 
@@ -804,7 +846,8 @@ class TestClassifyTrajectory:
 
     def test_summary_counts_the_shifts_of_each_scan(self):
         # deterministic counts: 10001 shifts, 298 compared by the kernel,
-        # the rest certified rejected; sin-log's 101 shifts are all compared
+        # the rest certified rejected; sin-log's remote scan admits all 101
+        # shifts, so the kernel compares each in full
         _, res = classify_example("sine")
         for scan in (res.global_scan, res.remote_scan):
             assert (f"{scan.mode} scan: 10001 shifts, 298 compared by the "
@@ -813,6 +856,19 @@ class TestClassifyTrajectory:
         _, res = classify_example("sin-log")
         assert ("remote scan: 101 shifts, 101 compared by the kernel, "
                 "0 certified rejected") in res.summary()
+
+    def test_witness_pass_certifies_sin_log_drifts_rejected_shifts(self):
+        # 1020001 samples take the witness path: a strided kernel call
+        # certifies 100 of the global scan's 101 shifts and 99 of the
+        # remote scan's, and the kernel compares the rest in full
+        _, res = classify_example("sin-log-drift")
+        assert ("global scan: 101 shifts, 1 compared by the kernel, "
+                "100 certified rejected") in res.summary()
+        assert ("remote scan: 101 shifts, 2 compared by the kernel, "
+                "99 certified rejected") in res.summary()
+        for scan in (res.global_scan, res.remote_scan):
+            assert np.all(scan.sups[scan.certified] > scan.eps)
+            assert not np.any(scan.admitted & scan.certified)
 
     def test_sine_probe_seed_eight_is_tau_periodic(self):
         # this probe seed once left a sliver as the last window rung

@@ -2,13 +2,14 @@
 
     python3 tools/diff_classification.py PARENT.json CHANGE.json
 
-PARENT is written by a rapflow whose scans compare every shift, CHANGE by
-one whose ``classify_trajectory`` certifies shifts rejected without
-comparing them.  The documents must be equal everywhere except in two
-places.  Each scan of CHANGE may carry a boolean ``certified`` array, one
-entry per shift.  At a certified position CHANGE's ``sups`` entry is a
-lower bound, not the sup: it must be above the scan's eps and at most
-PARENT's sup there.  Every difference is printed.  Exits 0 when there is
+Each scan of a document may carry a boolean ``certified`` array, one entry
+per shift: ``classify_trajectory`` certifies some shifts rejected without
+comparing them in full, and writes a lower bound of the sup for them, not
+the sup.  Two rapflows may certify different shifts.  The documents must
+be equal everywhere except at certified positions.  A position certified
+on one side only must carry a bound above the scan's eps and at most the
+other side's sup.  A position certified on both sides must carry bounds
+above eps on both.  Every difference is printed.  Exits 0 when there is
 none, 1 otherwise.
 """
 
@@ -42,28 +43,45 @@ def _differences(a, b, path):
 
 
 def _certified_differences(parent_scan, change_scan, path):
-    """Check the certified positions, then give them PARENT's sups."""
-    certified = change_scan.pop("certified", None)
-    if certified is None:
-        return
-    sups = change_scan.get("sups")
-    old = parent_scan.get("sups")
-    if not (isinstance(certified, list) and isinstance(sups, list)
-            and isinstance(old, list)
-            and len(certified) == len(sups) == len(old)
-            and all(type(c) is bool for c in certified)):
-        yield f"{path}.certified: not one bool per shift"
-        return
-    eps = _number(change_scan.get("eps"))
-    for i, flag in enumerate(certified):
-        if not flag:
+    """Check the certified positions of both scans, then give both sides
+    one sup there: the uncertified side's, or PARENT's."""
+    scans = {"PARENT": parent_scan, "CHANGE": change_scan}
+    flags = {}
+    for side, scan in scans.items():
+        certified = scan.pop("certified", None)
+        if certified is None:
             continue
-        bound, sup = _number(sups[i]), _number(old[i])
-        if not bound > eps:
-            yield f"{path}.sups[{i}]: certified bound {bound!r} not above eps {eps!r}"
-        if not bound <= sup:
-            yield f"{path}.sups[{i}]: certified bound {bound!r} above PARENT's sup {sup!r}"
-        sups[i] = old[i]
+        sups = scan.get("sups")
+        if not (isinstance(certified, list) and isinstance(sups, list)
+                and len(certified) == len(sups)
+                and all(type(c) is bool for c in certified)):
+            yield f"{path}.certified: {side}'s is not one bool per shift"
+            return
+        flags[side] = certified
+    sups = {side: scan.get("sups") for side, scan in scans.items()}
+    old, new = sups.values()
+    if not (flags and isinstance(old, list) and isinstance(new, list)
+            and len(old) == len(new)):
+        # sups that do not pair up are left to the plain comparison
+        return
+    for i in range(len(old)):
+        on = [side for side in flags if flags[side][i]]
+        for side in on:
+            bound = _number(sups[side][i])
+            eps = _number(scans[side].get("eps"))
+            if not bound > eps:
+                yield (f"{path}.sups[{i}]: {side}'s certified bound "
+                       f"{bound!r} not above eps {eps!r}")
+        if len(on) == 1:
+            (side,) = on
+            other = "CHANGE" if side == "PARENT" else "PARENT"
+            bound, sup = _number(sups[side][i]), _number(sups[other][i])
+            if not bound <= sup:
+                yield (f"{path}.sups[{i}]: {side}'s certified bound "
+                       f"{bound!r} above {other}'s sup {sup!r}")
+            sups[side][i] = sups[other][i]
+        elif on:
+            sups["CHANGE"][i] = sups["PARENT"][i]
 
 
 def differences(parent: dict, change: dict) -> list:
