@@ -65,6 +65,8 @@ CLASS_ORDER = (
 )
 
 _POS_TOL = 1e-9
+# below this many samples classify_trajectory leaves every verdict inconclusive
+_MIN_SAMPLES = 10
 # the most shifts a scan grid may hold: a million-shift scan peaks at about
 # 230 MB, below the 320 MB of the largest trajectory the CLI builds
 _MAX_SHIFTS = 1 << 20
@@ -97,13 +99,8 @@ class ClassifyConfig:
                    discrete trajectories)
     windows        late comparison windows ((lo, hi), ...) in increasing
                    order; None derives a geometric ladder from the span
-    probes         shifts for the remote-stationarity battery; None uses
-                   :func:`default_probes`
-    seed           seed for the randomized battery probe
-    min_samples    below this many samples everything is inconclusive
-    tail_fraction  fraction of the span treated as the tail by the
-                   asymptotic tests
-    min_multiples  least number of shift multiples the residue test needs
+    seed           seed for the randomized probe of the remote-stationarity
+                   battery (:func:`default_probes`)
     """
 
     eps: float = 0.05
@@ -112,11 +109,7 @@ class ClassifyConfig:
     tau_range: tuple[float, float] = (0.0, 100.0)
     tau_step: float = 0.01
     windows: tuple[tuple[float, float], ...] | None = None
-    probes: tuple[float, ...] | None = None
     seed: int = 0
-    min_samples: int = 10
-    tail_fraction: float = 0.25
-    min_multiples: int = 20
 
     def __post_init__(self):
         if not (self.eps > 0 and math.isfinite(self.eps)):
@@ -141,18 +134,6 @@ class ClassifyConfig:
                 prev = wlo
             if not self.windows:
                 raise ValueError("windows must be None or non-empty")
-        if self.probes is not None:
-            if not self.probes:
-                raise ValueError("probes must be None or non-empty")
-            for p in self.probes:
-                if not (p > 0 and math.isfinite(p)):
-                    raise ValueError("probes must be positive and finite")
-        if self.min_samples < 2:
-            raise ValueError("min_samples must be at least 2")
-        if not (0 < self.tail_fraction < 1):
-            raise ValueError("tail_fraction must lie in (0, 1)")
-        if self.min_multiples < 4:
-            raise ValueError("min_multiples must be at least 4")
 
 
 def default_probes(kind: str, seed: int = 0) -> tuple[float, ...]:
@@ -552,9 +533,12 @@ def _certified_sups(traj: Trajectory, eps: float, taus: np.ndarray, starts,
     at most slope*|tau - tau'| + slack (:meth:`Trajectory.shift_slope`), so
     one computed sup C above eps rejects every shift within (C - eps)/slope
     of it.  A coarse pass compares every q-th shift, q about sqrt(len(taus)),
-    over its own windows and over each block's common windows: the indices
-    that every shift from one coarse shift to the next compares, which lie
-    inside its own.  A shift between the block's coarse ends a and b is
+    over its own windows and, for the block from it to the next coarse
+    shift, over that block's common windows: the indices that every shift
+    of the block compares.  In every window :func:`_scan` resolves the
+    start index does not depend on the shift, and the end index, clamped
+    to the last one the kernel compares, never grows with it, so the
+    common window of block [a, b] is b's own.  A shift between a and b is
     certified when, in each window it is assessable in, max(C_a - slope*
     (tau - tau_a), C_b - slope*(tau_b - tau)) - slack > eps.  A fine pass
     compares the rest.  Returns (sups, certified), both of where's shape:
@@ -568,30 +552,24 @@ def _certified_sups(traj: Trajectory, eps: float, taus: np.ndarray, starts,
     size = taus.size
     coarse = np.append(np.arange(0, size - 1, math.isqrt(size)), size - 1)
     a, b = coarse[:-1], coarse[1:]
-    # each block's common window, where every shift of [a, b] has its own
-    last = np.minimum(ends, traj.last_compared(taus))
-    lo = np.maximum(np.maximum.reduceat(np.where(where, starts, -1), a, axis=1),
-                    starts[:, b])
-    hi = np.minimum(np.minimum.reduceat(np.where(where, last, len(traj)), a,
-                                        axis=1), last[:, b])
-    common = where[:, a] & where[:, b] & (hi >= lo)
+    # each block's common window: b's own, clamped as the kernel clamps it
+    last = np.minimum(ends[:, b], traj.last_compared(taus[b]))
+    common = where[:, a] & where[:, b]
     rows = len(where)
 
     def coarse_rows(own, per_block):
-        # the coarse shifts' own windows, then the block each one starts,
-        # then the block each one ends
+        # the coarse shifts' own windows, then the block each one starts
         pad = np.zeros((rows, 1), per_block.dtype)
-        return np.vstack([own[:, coarse], np.hstack([per_block, pad]),
-                          np.hstack([pad, per_block])])
+        return np.vstack([own[:, coarse], np.hstack([per_block, pad])])
 
-    sups = traj.shift_sups(taus[coarse], coarse_rows(starts, lo),
-                           coarse_rows(ends, hi),
+    sups = traj.shift_sups(taus[coarse], coarse_rows(starts, starts[:, b]),
+                           coarse_rows(ends, last),
                            where=coarse_rows(where, common))
     block = np.searchsorted(a, np.arange(size), side="right") - 1
     dist_a = taus - taus[a][block]
     dist_b = taus[b][block] - taus
-    bound = np.maximum(sups[rows:2 * rows, :-1][:, block] - slope * dist_a,
-                       sups[2 * rows:, 1:][:, block] - slope * dist_b) - slack
+    bound = np.maximum(sups[rows:, :-1][:, block] - slope * dist_a,
+                       sups[:rows, 1:][:, block] - slope * dist_b) - slack
     rejected = ~where | (common[:, block] & (bound > eps))
     certified = rejected.all(axis=0) & where.any(axis=0)
     certified[coarse] = False
@@ -925,15 +903,20 @@ def _auto_windows(traj: Trajectory, tau_big: float):
 
 
 def _refine_candidate(traj: Trajectory, tau: float, step: float,
-                      window: tuple[float, float]) -> float:
+                      window: tuple[float, float], floor: float) -> float:
     """Two rounds of local grid search minimizing the late comparison.
 
     The objective is the supremum over the final window, not the whole
     span, so a transient at the start cannot flatten the landscape and
-    push the refined shift off target.  Long windows are strided down to
-    at most about fifty thousand probe points; this only steers the
-    search, every reported verdict is recomputed on the full grid.
+    push the refined shift off target.  Shifts below ``floor`` are not
+    tried, so the search cannot slide into the trivial cluster of small
+    shifts; a tau already below it (a pinned shift) is searched without
+    it.  Long windows are strided down to at most about fifty thousand
+    probe points; this only steers the search, every reported verdict is
+    recomputed on the full grid.
     """
+    if tau < floor - _POS_TOL:
+        floor = 0.0
     t_end = traj.t_end
     _, _, starts, ends, where = _resolve_windows(traj, [tau + 1.1 * step],
                                                  [window])
@@ -946,7 +929,8 @@ def _refine_candidate(traj: Trajectory, tau: float, step: float,
     centre, width = tau, step
     for _ in range(2):
         cands = centre + np.linspace(-width, width, 41)
-        cands = cands[(cands > 0) & (t_last + cands <= t_end + _POS_TOL)]
+        cands = cands[(cands > 0) & (cands >= floor)
+                      & (t_last + cands <= t_end + _POS_TOL)]
         if cands.size:
             sups = traj.shift_sups(cands, [[i0]], [[i1]], stride)[0]
             for cand, s in zip(cands.tolist(), sups.tolist()):
@@ -1042,8 +1026,8 @@ def classify_trajectory(traj: Trajectory,
     notes: list[str] = []
     hierarchy: list[dict] = []
     n = len(traj.values)
-    if n < cfg.min_samples:
-        notes.append(f"only {n} samples; at least {cfg.min_samples} needed")
+    if n < _MIN_SAMPLES:
+        notes.append(f"only {n} samples; at least {_MIN_SAMPLES} needed")
         return ClassificationResult(
             label="inconclusive", verdicts=verdicts, candidate_tau=None,
             windows=None, config=cfg, reports=reports, global_scan=None,
@@ -1059,8 +1043,7 @@ def classify_trajectory(traj: Trajectory,
     reports["stationary"] = {"oscillation": osc_full, "eps": cfg.exact_eps}
 
     # window ladder
-    probes = cfg.probes if cfg.probes is not None else default_probes(
-        traj.kind, cfg.seed)
+    probes = default_probes(traj.kind, cfg.seed)
     tau_big = max(probes + ((cfg.tau,) if cfg.tau is not None else ()))
     windows = cfg.windows if cfg.windows is not None else _auto_windows(
         traj, min(tau_big, span / 3.0))
@@ -1131,7 +1114,7 @@ def classify_trajectory(traj: Trajectory,
                 traj.t0 + 0.5 * span, t_end - candidate)
             try:
                 refined = _refine_candidate(traj, candidate, step_eff,
-                                            ref_window)
+                                            ref_window, min_cand)
             except (ValueError, DynamicsError):
                 refined = candidate
         reports["candidate"] = {"initial": candidate, "refined": refined}
@@ -1150,7 +1133,7 @@ def classify_trajectory(traj: Trajectory,
 
     # asymptotic settling
     try:
-        rep = asymptotic_stationary_test(traj, cfg.eps, cfg.tail_fraction)
+        rep = asymptotic_stationary_test(traj, cfg.eps)
         verdicts["asymptotically-stationary"] = rep.verdict
         reports["asymptotically-stationary"] = rep
     except (ValueError, DynamicsError) as exc:
@@ -1158,8 +1141,7 @@ def classify_trajectory(traj: Trajectory,
 
     if refined is not None:
         try:
-            rep = asymptotic_tau_periodic_test(
-                traj, refined, cfg.eps, cfg.tail_fraction, cfg.min_multiples)
+            rep = asymptotic_tau_periodic_test(traj, refined, cfg.eps)
             verdicts["asymptotically-tau-periodic"] = rep.verdict
             reports["asymptotically-tau-periodic"] = rep
         except (ValueError, DynamicsError) as exc:

@@ -208,7 +208,8 @@ _SYSTEM_OPTIONS = (
     ("--dt", _parse_dt, dict(help="output grid spacing (default 0.01; for "
                                      "an example, its recommended dt)")),
     ("--method", _parse_choice("method", ("rkf45", "rk4")),
-     dict(help="integration scheme (default rkf45)")),
+     dict(help="integration scheme (default rkf45); rk4 takes one "
+               "classical step per output cell, and --dt refines either")),
     ("--abs-tol", _parse_float,
      dict(help="absolute step error tolerance (default 1e-9)")),
     ("--rel-tol", _parse_float,
@@ -524,6 +525,8 @@ def cmd_scan(args) -> int:
     threads = o.threads if o.threads is not None else 1
     if mode == "remote" and o.window is None:
         raise ConfigError("remote scans need --window LO:HI")
+    if mode == "global" and o.window is not None:
+        raise ConfigError("--window needs --mode remote")
     try:
         scan = almost_period_scan(traj, eps, (0.0, tau_max), tau_step,
                                   mode=mode, window=o.window, threads=threads)

@@ -182,26 +182,24 @@ class IntegratorConfig:
     method: str = "rkf45"  # 'rkf45' | 'rk4'
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    max_step: float = math.inf
     dt_out: float = 0.01
 
     def __post_init__(self):
         if self.method not in ("rkf45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if any(math.isnan(v) for v in (self.abs_tol, self.rel_tol,
-                                        self.max_step, self.dt_out)):
+        if any(math.isnan(v) for v in (self.abs_tol, self.rel_tol, self.dt_out)):
             raise ValueError("integrator settings must not be NaN")
-        if not (0 < self.dt_out < math.inf and self.max_step > 0):
-            raise ValueError("dt_out must be finite and positive, and "
-                             "max_step positive")
+        if not 0 < self.dt_out < math.inf:
+            raise ValueError("dt_out must be finite and positive")
         if self.method == "rkf45" and (self.abs_tol <= 0 or self.rel_tol < 0):
             raise ValueError("rkf45 needs abs_tol > 0 and rel_tol >= 0")
 
     def config_hash(self) -> str:
         payload = json.dumps({
             "method": self.method, "abs_tol": repr(self.abs_tol),
-            "rel_tol": repr(self.rel_tol), "max_step": repr(self.max_step),
-            "dt_out": repr(self.dt_out)}, sort_keys=True)
+            "rel_tol": repr(self.rel_tol), "dt_out": repr(self.dt_out),
+            # constant; kept so that ids match those of earlier versions
+            "max_step": repr(math.inf)}, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -667,13 +665,16 @@ def integrate(fld: ScalarField, u0: float, t_span, config: IntegratorConfig | No
               ) -> Trajectory:
     """Integrate a continuous field over [t0, t1], sampling at t0 + k*dt_out.
 
-    Each grid cell is marched from its start to its end.  The state and the
-    cell-end derivative are carried to the next cell as Python floats, never
-    read back from the output arrays: numpy scalars would run every stage
-    after them on numpy's slower scalar arithmetic.  A step underflow while
-    the solution magnitude already exceeds 1e8 is reported as a blow-up,
-    since the step collapse is then driven by the growth of the solution
-    rather than by stiffness of the right-hand side.
+    Each grid cell is marched from its start to its end: rk4 in one
+    classical step, rkf45 in steps that each try the rest of the cell and
+    are halved until the error test passes, so a finer dt_out refines
+    either scheme.  The state and the cell-end derivative are carried to
+    the next cell as Python floats, never read back from the output arrays:
+    numpy scalars would run every stage after them on numpy's slower scalar
+    arithmetic.  A step underflow while the solution magnitude already
+    exceeds 1e8 is reported as a blow-up, since the step collapse is then
+    driven by the growth of the solution rather than by stiffness of the
+    right-hand side.
     """
     if fld.kind != "continuous":
         raise DynamicsError("integrate expects a continuous field; use iterate")
@@ -691,7 +692,7 @@ def integrate(fld: ScalarField, u0: float, t_span, config: IntegratorConfig | No
     n_cells = _grid_cells(t0, t1, dt)
     f = fld.bind()
     rk4 = cfg.method == "rk4"
-    abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
 
     values = np.empty(n_cells + 1)
     derivs = np.empty(n_cells + 1)
@@ -705,18 +706,13 @@ def integrate(fld: ScalarField, u0: float, t_span, config: IntegratorConfig | No
         t_target = t0 + (cell + 1) * dt
         try:
             if rk4:
-                width = t_target - t_cell
-                m = max(1, math.ceil(width / max_step - 1e-9))
-                h = width / m
-                for _ in range(m):
-                    y = _rk4_step(f, t, y, h)
-                    if not math.isfinite(y) or abs(y) > BLOWUP_GUARD:
-                        raise BlowupError(t, y)
-                    t += h
+                y = _rk4_step(f, t, y, t_target - t)
+                if not math.isfinite(y) or abs(y) > BLOWUP_GUARD:
+                    raise BlowupError(t, y)
             else:
                 t_end = t_target - 1e-12 * max(1.0, abs(t_target))
                 while t < t_end:
-                    h = min(max_step, t_target - t)
+                    h = t_target - t
                     while True:
                         y_new, err = _rkf45_step(f, t, y, h, k1)
                         if math.isfinite(err) and err <= (

@@ -750,11 +750,11 @@ class TestClassifyConfig:
         {"windows": ((3.0, 2.0),)},
         {"windows": ((5.0, 10.0), (1.0, 4.0))},
         {"windows": ()},
-        {"probes": (1.0, -2.0)},
-        {"probes": ()},
-        {"min_samples": 1},
-        {"tail_fraction": 1.0},
-        {"min_multiples": 2},
+        {"exact_eps": math.nan},
+        {"tau": math.inf},
+        {"tau_range": (0.0, math.inf)},
+        {"tau_step": math.nan},
+        {"windows": ((1.0, math.nan),)},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
@@ -797,6 +797,27 @@ class TestClassifyTrajectory:
         assert res.candidate_tau == 1.0
         assert res.verdicts["remotely-stationary"] == "pass"
         assert res.verdicts["asymptotically-stationary"] == "fail"
+
+    def test_sin_log_refines_no_lower_than_its_candidate_floor(self):
+        # refinement searched below the floor of ten scan steps (1.0 here)
+        # and once slid from 1.0 to 0.895; the verdicts do not move
+        _, res = classify_example("sin-log")
+        assert res.reports["candidate"] == {"initial": 1.0, "refined": 1.0}
+        assert res.verdicts == {
+            "stationary": "fail", "tau-periodic": "fail",
+            "almost-periodic": "fail", "asymptotically-stationary": "fail",
+            "asymptotically-tau-periodic": "fail",
+            "remotely-stationary": "pass", "remotely-tau-periodic": "pass",
+            "remotely-almost-periodic": "pass"}
+
+    def test_refined_shift_of_a_two_tone_response_stays_at_the_floor(self):
+        # the zero cluster reaches the floor 0.1 (ten steps of 0.01), and
+        # refinement once went on down to 0.0895
+        fld = ScalarField(kind="continuous", rhs="-x+sin(t)+sin(sqrt(2)*t)")
+        res = classify_trajectory(integrate(fld, 0.0, (0.0, 600.0)),
+                                  ClassifyConfig(eps=0.5, tau_range=(0.0, 200.0)))
+        assert res.reports["candidate"] == {"initial": 0.1, "refined": 0.1}
+        assert res.label == "remotely-tau-periodic"
 
     def test_too_few_samples_is_inconclusive(self):
         tr = discrete_traj([1.0, 2.0, 3.0])
@@ -1035,7 +1056,7 @@ class TestStructuralProperties:
         cfg = ClassifyConfig(eps=0.05, tau=0.3619248603689105,
                              tau_range=(0.0, span),
                              tau_step=3.5147109509643695 * dt,
-                             probes=(span / 10,))
+                             windows=_auto_windows(tr, span / 10))
         return tr, cfg
 
     def test_off_grid_refined_shift_keeps_the_triangle_slack(self):

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line tool."""
 import concurrent.futures
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,6 +19,8 @@ from rapflow.cli import (
     build_parser,
     main,
 )
+from rapflow.classify import ClassifyConfig
+from rapflow.dynamics import IntegratorConfig
 from rapflow.serialize import canonical_hash
 
 
@@ -403,6 +406,46 @@ def test_flag_and_config_key_reject_alike(dest, tmp_path, capsys):
         _option_value(file_argv, dest)
 
 
+class _Captured(Exception):
+    pass
+
+
+# per config class: a command, the library call it hands the config to
+# (and at which argument), and one flag per field with a value that is not
+# the field's default
+_CONFIG_CALLERS = {
+    "ClassifyConfig": (
+        ClassifyConfig, ["classify", "--fn", "sin(t)", "--span", "0:50"],
+        "classify_trajectory", 1,
+        {"eps": ("--eps", "0.125"), "exact_eps": ("--exact-eps", "1e-8"),
+         "tau": ("--tau", "1.5"), "tau_range": ("--tau-max", "4"),
+         "tau_step": ("--tau-step", "0.5"),
+         "windows": ("--windows", "10:20;20:40"), "seed": ("--seed", "3")}),
+    "IntegratorConfig": (
+        IntegratorConfig, ["simulate", "--ode", "-x", "--span", "0:1"],
+        "integrate", 3,
+        {"method": ("--method", "rk4"), "abs_tol": ("--abs-tol", "1e-7"),
+         "rel_tol": ("--rel-tol", "1e-6"), "dt_out": ("--dt", "0.25")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIG_CALLERS))
+def test_every_config_field_is_set_by_a_flag(monkeypatch, name):
+    # a setting that no command sets is one that only tests reach
+    cls, argv, target, position, flags = _CONFIG_CALLERS[name]
+    assert set(flags) == {f.name for f in dataclasses.fields(cls)}
+
+    def capture(*args):
+        raise _Captured(args[position])
+
+    monkeypatch.setattr(cli, target, capture)
+    with pytest.raises(_Captured) as got:
+        main(argv + [part for flag in flags.values() for part in flag])
+    cfg, default = got.value.args[0], cls()
+    for field, (flag, _) in flags.items():
+        assert getattr(cfg, field) != getattr(default, field), flag
+
+
 class TestConfigFile:
     def test_file_fills_in_missing_flags(self, capsys, tmp_path):
         cfg = tmp_path / "rf.ini"
@@ -639,6 +682,21 @@ class TestScanCommand:
                            "--mode", "remote")
         assert code == 2
         assert "--window" in err
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_window_without_remote_mode_exits_2(self, capsys, tmp_path,
+                                                source):
+        # the window used to be ignored and the whole span scanned
+        argv = ["scan", "--fn", "sin(t)", "--span", "0:100", "--tau-max", "10"]
+        if source == "flag":
+            argv += ["--window", "50:90"]
+        else:
+            cfg = tmp_path / "rf.ini"
+            cfg.write_text("[scan]\nwindow = 50:90\n")
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--mode remote" in err
 
     def test_remote_mode_scans_late_window(self, capsys):
         code, out, _ = run(capsys, "scan", "--example", "sin-log",

@@ -101,7 +101,7 @@ def test_integration_is_deterministic():
 
 def test_rk4_matches_rkf45():
     tight = IntegratorConfig(method="rkf45", abs_tol=1e-10, rel_tol=1e-10)
-    fixed = IntegratorConfig(method="rk4", max_step=1e-3)
+    fixed = IntegratorConfig(method="rk4")
     a = integrate(chirp_field(), 0.0, (0.0, 50.0), tight)
     b = integrate(chirp_field(), 0.0, (0.0, 50.0), fixed)
     assert np.max(np.abs(a.values - b.values)) <= 1e-6
@@ -159,7 +159,7 @@ def _tableau_integrate(f, u0, t0, t1, cfg):
         t, t_target = t0 + cell * cfg.dt_out, t0 + (cell + 1) * cfg.dt_out
         k1 = derivs[-1]
         while t < t_target - 1e-12 * max(1.0, abs(t_target)):
-            h = min(cfg.max_step, t_target - t)
+            h = t_target - t
             while True:
                 y_new, err = _tableau_step(f, t, y, h, k1=k1)
                 if math.isfinite(err) and err <= (
@@ -182,15 +182,12 @@ def _rk4_loop_integrate(f, u0, t0, t1, cfg):
     values, derivs = [y], [f(t0, y)]
     for cell in range(n_cells):
         t, t_target = t0 + cell * cfg.dt_out, t0 + (cell + 1) * cfg.dt_out
-        m = max(1, math.ceil((t_target - t) / cfg.max_step - 1e-9))
-        h = (t_target - t) / m
-        for _ in range(m):
-            k1 = f(t, y)
-            k2 = f(t + h / 2, y + h / 2 * k1)
-            k3 = f(t + h / 2, y + h / 2 * k2)
-            k4 = f(t + h, y + h * k3)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
+        h = t_target - t
+        k1 = f(t, y)
+        k2 = f(t + h / 2, y + h / 2 * k1)
+        k3 = f(t + h / 2, y + h / 2 * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         values.append(y)
         derivs.append(f(t_target, y))
     return np.array(values), np.array(derivs), 0
@@ -246,12 +243,10 @@ _LOOP_CASES = {
                    (0.0, 20.0), False),
     "rejected-steps": (chirp_field(), IntegratorConfig(
         abs_tol=1e-12, rel_tol=1e-12, dt_out=0.5), (0.0, 20.0), True),
-    "max-step-below-dt-out": (relax_sin_field(), IntegratorConfig(
-        max_step=0.0125, dt_out=0.05), (0.0, 20.0), False),
     "negative-t0": (relax_sin_field(), IntegratorConfig(dt_out=0.05),
                     (-7.5, 12.5), False),
-    "rk4": (chirp_field(), IntegratorConfig(
-        method="rk4", max_step=0.02, dt_out=0.05), (0.0, 20.0), False),
+    "rk4": (chirp_field(), IntegratorConfig(method="rk4", dt_out=0.05),
+            (0.0, 20.0), False),
 }
 
 
@@ -312,21 +307,16 @@ def test_integrate_rejects_bad_requests():
 
 
 @pytest.mark.parametrize("settings", [
-    dict(max_step=math.nan), dict(abs_tol=math.nan), dict(rel_tol=math.nan),
+    dict(method="euler"), dict(abs_tol=math.nan), dict(rel_tol=math.nan),
     dict(dt_out=math.nan), dict(dt_out=math.inf), dict(dt_out=0.0),
-    dict(dt_out=-0.01), dict(max_step=0.0), dict(max_step=-1.0),
+    dict(dt_out=-0.01), dict(abs_tol=0.0), dict(rel_tol=-1.0),
     dict(method="rk4", abs_tol=math.nan),
 ])
 def test_integrator_config_refuses_settings_that_hang_or_mean_nothing(
         settings):
-    # a nan max_step made the step-halving loop of integrate run forever;
     # only the constructor is called here, so a regression cannot hang
     with pytest.raises(ValueError):
         IntegratorConfig(**settings)
-
-
-def test_integrator_config_allows_an_unbounded_step():
-    assert IntegratorConfig(max_step=math.inf).max_step == math.inf
 
 
 class _NumpyWithoutEmpty:
