@@ -320,7 +320,11 @@ def _merged_options(args: argparse.Namespace) -> SimpleNamespace:
 # building the trajectory a subcommand works on
 
 
-def _mk_field(kind: str, rhs: str, params: dict) -> ScalarField:
+def _mk_field(kind: str, rhs: str, params: dict,
+              t0: float | None = None) -> ScalarField:
+    """The field of --ode or --map.  A --ode field, given the start ``t0``
+    of its span, that fails validation on the full line is built on the
+    half-line t >= 0 and validated there when t0 >= 0."""
     try:
         expr = parse(rhs)
     except ParseError as exc:
@@ -332,6 +336,12 @@ def _mk_field(kind: str, rhs: str, params: dict) -> ScalarField:
     try:
         return ScalarField(kind=kind, rhs=expr, params=params,
                            name="command-line")
+    except FieldValidationError as exc:
+        if t0 is None or not t0 >= 0:
+            raise ConfigError(str(exc))
+    try:
+        return ScalarField(kind=kind, rhs=expr, params=params,
+                           time_domain="half-line", name="command-line")
     except FieldValidationError as exc:
         raise ConfigError(str(exc))
 
@@ -384,9 +394,10 @@ def _build_trajectory(o):
     meta = {}
 
     if src == "ode":
-        fld = _mk_field("continuous", o.ode, params)
-        traj = integrate(fld, o.u0 if o.u0 is not None else 0.0,
-                         span or (0.0, 100.0), _integrator_config(o))
+        span = span or (0.0, 100.0)
+        fld = _mk_field("continuous", o.ode, params, t0=span[0])
+        traj = integrate(fld, o.u0 if o.u0 is not None else 0.0, span,
+                         _integrator_config(o))
         meta["field"] = fld
     elif src == "map":
         fld = _mk_field("discrete", o.map, params)

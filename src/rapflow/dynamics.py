@@ -6,7 +6,10 @@ t0 + k*dt and bisects the step inside a grid cell until the embedded error
 estimate meets ``abs_tol + rel_tol*|x|``; the fifth-order solution is
 propagated.  Values and right-hand-side derivatives are stored at every grid
 point, and off-grid queries use cubic Hermite interpolation, so interpolated
-values at grid points reproduce the stored values exactly.
+values at grid points reproduce the stored values exactly.  A closed-form
+curve sampled from an expression stores its exact t-derivatives, computed in
+the same pass as its values; where one is not finite, and for a curve given
+as a Python callable, a central difference is stored instead.
 
 Discrete systems x_{n+1} = f(n, x_n) are iterated exactly (no integration
 error); their trajectories use dt = 1 and integer sample times.
@@ -582,6 +585,14 @@ class Trajectory:
         about |third difference| / (6*dt) inside and |second difference| /
         (2*dt) at the two ends, and a Hermite cell moves by at most dt/4
         times the larger error of its end derivatives, so that is added.
+
+        Stored derivatives count as exact.  An integrated trajectory stores
+        the right-hand side at each sample, and a sampled expression
+        (:func:`sample_function`) its exact derivative, except where that
+        is not finite.  Those points, and every sample of a sampled
+        callable, hold central differences, whose error of about
+        h^2 * |x'''| / 6 with h = 1e-6 * (1 + |t|) grows like t^2; this
+        budget does not count it.
         """
         if self.kind == "discrete" or len(self.values) < 5:
             return 0.0
@@ -786,8 +797,13 @@ def sample_function(fn, t_span, dt: float, params: dict | None = None,
     ``fn`` is an expression (text or parsed) in t, or any callable accepting a
     numpy array of times.  A callable must be pointwise: its value at each
     time may not depend on the other times in the array, since the grid is
-    evaluated ``_CHUNK`` samples at a time.  Grid derivatives for the Hermite
-    dense output are taken by central differences with step 1e-6 * (1 + |t|).
+    evaluated ``_CHUNK`` samples at a time.  An expression's grid
+    derivatives for the Hermite dense output are exact, computed in the same
+    pass as its values (:meth:`Expression.eval_array_dt`): floor has
+    derivative 0, also at its jumps, and abs has 0 at its kink.  Where that
+    derivative is not finite, as for sqrt(t) at t = 0, and everywhere for a
+    callable, the derivative is a central difference with step
+    1e-6 * (1 + |t|), so the curve must be defined at t +- h there.
     Memory is the output values and derivatives plus O(``_CHUNK``) scratch.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -804,8 +820,13 @@ def sample_function(fn, t_span, dt: float, params: dict | None = None,
         curve = lambda ts: e.eval_array(ts, 0.0, params=params)  # noqa: E731
         label = name or e.to_text()
     else:
-        curve = fn
+        curve, e = fn, None
         label = name or getattr(fn, "__name__", "callable")
+
+    def central(ts):
+        h = 1e-6 * (1.0 + np.abs(ts))
+        return (np.asarray(curve(ts + h), float)
+                - np.asarray(curve(ts - h), float)) / (2 * h)
 
     size = _grid_cells(t0, t1, dt) + 1
     values = np.empty(size)
@@ -813,10 +834,14 @@ def sample_function(fn, t_span, dt: float, params: dict | None = None,
     for c0 in range(0, size, _CHUNK):
         c1 = min(size, c0 + _CHUNK)
         ts = t0 + dt * np.arange(c0, c1)
-        values[c0:c1] = np.asarray(curve(ts), float)
-        h = 1e-6 * (1.0 + np.abs(ts))
-        derivs[c0:c1] = (np.asarray(curve(ts + h), float)
-                         - np.asarray(curve(ts - h), float)) / (2 * h)
+        if e is None:
+            values[c0:c1] = np.asarray(curve(ts), float)
+            derivs[c0:c1] = central(ts)
+            continue
+        values[c0:c1], derivs[c0:c1] = e.eval_array_dt(ts, params=params)
+        bad = np.flatnonzero(~np.isfinite(derivs[c0:c1]))
+        if bad.size:
+            derivs[c0 + bad] = central(ts[bad])
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivs))):
         raise DynamicsError("sampled curve is not finite on the grid")
     return Trajectory(

@@ -304,6 +304,7 @@ _NAMESPACES = {
                   _power=np.power, _any=np.any, _asarray=np.asarray,
                   _errstate=np.errstate, _UNBOUND=_UNBOUND),
 }
+_NAMESPACES["array_dt"] = dict(_NAMESPACES["array"], _sign=np.sign)
 
 
 def _has_vars(node: Node) -> bool:
@@ -334,6 +335,27 @@ def _literal(value) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
+# Derivative texts of the array_dt backend: None stands for a derivative that
+# is 0 everywhere and "1.0" for one that is 1 (that of t).  The derivative
+# rules pass these helpers names, literals, calls and products, never a sum
+# to negate or multiply, so neither needs parentheses.
+
+def _mul(a, b):
+    """Text of a * b."""
+    if a is None or b is None:
+        return None
+    return b if a == "1.0" else a if b == "1.0" else f"{a} * {b}"
+
+
+def _add(a, b, op: str = "+"):
+    """Text of a + b, or of a - b with op "-"."""
+    if b is None:
+        return a
+    if a is None:
+        return b if op == "+" else f"-{b}"
+    return f"{a} {op} {b}"
+
+
 class _Emitter:
     """Statements of one backend's evaluator.
 
@@ -350,12 +372,19 @@ class _Emitter:
     goes to ``pre``, the statements the factory runs once per binding.  The
     array backend gives every inner node a temporary and frees each one once
     it is consumed.
+
+    The array_dt backend is the array backend with a derivative mode: after
+    each node's value statements, which are the array backend's, it emits
+    the node's t-derivative from its operands' values and derivatives, with
+    floating-point warnings off; it raises nothing.  An operand's
+    temporaries are freed once its parent's derivative is computed.
     """
 
     def __init__(self, backend: str, args: dict, fold: bool,
                  hoist: bool = False):
         self.backend = backend
-        self.array = backend == "array"
+        self.array = backend != "scalar"
+        self.deriv = backend == "array_dt"
         self.args = args  # parameter name -> argument name in the source
         self.fold = fold
         self.hoist = hoist
@@ -368,6 +397,9 @@ class _Emitter:
         # printed subtree -> its temporary in the factory; never unset, so
         # never dropped from the memo
         self.hoisted: dict = {}
+        # text of a value -> text of its t-derivative (array_dt); a missing
+        # value's derivative is 0
+        self.dt: dict = {"t": "1.0"}
 
     def temp(self) -> str:
         self.count += 1
@@ -409,7 +441,8 @@ class _Emitter:
         """emit for a Neg, Call or BinOp node."""
         if self.fold and not _has_vars(node):
             try:
-                value = _build(node, self.backend, fold=False)[0]()(0.0, 0.0)
+                value = _build(node, "array" if self.array else "scalar",
+                               fold=False)[0]()(0.0, 0.0)
             except (ArithmeticError, ValueError):
                 pass
             else:
@@ -419,18 +452,74 @@ class _Emitter:
         if isinstance(node, Neg):
             arg = self.emit(node.arg)
             self.lines.append(f"{out} = -{arg}")
+            operands = (arg,)
         elif isinstance(node, Call):
-            self.call(out, node)
+            operands = self.call(out, node)
         elif self.array:
-            self.array_binop(out, node)
+            operands = self.array_binop(out, node)
         else:
             self.scalar_binop(out, node)
+        derivative = self.derive(out, node, *operands) if self.deriv else None
         spent, self.live[depth:] = self.live[depth:], []
+        spent = [v for v in spent if v != derivative]
         if self.array and spent:
             # free consumed arrays at once, so no more of them are alive
             # together than a recursive walk of the tree would hold
             self.lines.append(f"del {', '.join(spent)}")
+        if derivative:
+            self.live.append(derivative)
         return out
+
+    def derive(self, out: str, node: Node, a: str, r: str = "",
+               lb: str = "", rb: str = ""):
+        """Append the statement of out's t-derivative; return the temporary
+        that holds it, or None when the derivative is 0 or 1 everywhere.  An
+        operand's derivative that passes through unchanged, as in u + 1,
+        keeps its temporary.
+
+        ``a`` is the value of the first operand and ``r`` that of a binary
+        node's second; ``lb`` and ``rb`` are a power's float operands.
+        """
+        da = self.dt.get(a)
+        dr = self.dt.get(r)
+        if isinstance(node, Neg):
+            text = _add(None, da, "-")
+        elif isinstance(node, Call):
+            text = {
+                "sin": _mul(f"_cos({a})", da),
+                "cos": _mul(f"-_sin({a})", da),
+                "exp": _mul(out, da),
+                "ln": da and f"{da} / {a}",
+                "sqrt": da and f"{da} / (2.0 * {out})",
+                # 0 at a kink, as sign(0) is 0
+                "abs": _mul(f"_sign({a})", da),
+                "floor": None,
+            }[node.func]
+        elif node.op in "+-":
+            text = _add(da, dr, node.op)
+        elif node.op == "*":
+            text = _add(_mul(da, r), _mul(a, dr))
+        elif node.op == "/":
+            num = _add(da, _mul(out, dr), "-")
+            text = num and f"({num}) / {r}"
+        elif dr is None:
+            # a constant exponent c: c * u^(c-1) * du
+            text = (da if r == "1.0" else _mul(f"2.0 * {lb}", da)
+                    if r == "2.0" else _mul(f"{rb} * _power({lb}, {rb} - 1.0)", da))
+        else:
+            # v * (dr * ln u + r * du / u)
+            du = da and f"{_mul(rb, da)} / {lb}"
+            text = f"{out} * ({_add(_mul(dr, f'_log({lb})'), du)})"
+        if text is None or text == "1.0":
+            if text:
+                self.dt[out] = text
+            return None
+        if text != out and text in self.live:
+            self.dt[out] = text
+            return text
+        name = self.dt[out] = "d" + out[1:]
+        self.lines += ['with _errstate(all="ignore"):', f"    {name} = {text}"]
+        return name
 
     def call(self, out: str, node: Call):
         func, span = node.func, node.span
@@ -473,6 +562,7 @@ class _Emitter:
                       "except ValueError:", f"    {out} = _nan"]
         else:
             lines.append(f"{out} = _{func}({a})")
+        return (a,)
 
     def scalar_binop(self, out: str, node: BinOp):
         lines, span = self.lines, node.span
@@ -526,6 +616,8 @@ class _Emitter:
                        repr("fractional power of a negative base"), span)
             lines += ['with _errstate(over="ignore", invalid="ignore"):',
                       f"    {out} = _power({lb}, {rb})"]
+            return l, r, lb, rb
+        return l, r
 
 
 def _build(root: Node, backend: str, fold: bool = True):
@@ -545,6 +637,8 @@ def _build(root: Node, backend: str, fold: bool = True):
         if backend == "scalar":
             em.lines += [f"{v} = _float({v})" for v in _power_vars(root)]
         result = em.emit(root)
+        if em.deriv:
+            result += f", {em.dt.get(result, '0.0')}"
         body = "".join(f"{indent}    {line}\n" for line in em.lines)
         pre = "".join(f"{indent}    {line}\n" for line in em.pre)
         return (f"{indent}def f(t, x):\n{body}{indent}    return {result}\n"
@@ -645,6 +739,24 @@ class Expression:
                      for n in names])(t, x)
         return np.broadcast_to(np.asarray(out, dtype=float),
                                np.broadcast_shapes(t.shape, x.shape)).copy()
+
+    def eval_array_dt(self, t, params: dict | None = None) -> tuple:
+        """Values and exact t-derivatives at times t, with x = 0, in one pass.
+
+        The values are those of :meth:`eval_array`, bit for bit, with its
+        errors and spans.  Each node's derivative is formed from its
+        operands' values and derivatives (forward mode): constants,
+        parameters, x and floor have derivative 0, and abs has sign(u)*du,
+        so 0 at a kink.  Where the derivative does not exist or overflows,
+        as for sqrt at 0, it is not finite; forming it raises nothing.
+        """
+        t = np.asarray(t, dtype=float)
+        make, names, _ = self._compiled("array_dt")
+        params = params or {}
+        out = make(*[float(params[n]) if n in params else _UNBOUND
+                     for n in names])(t, np.asarray(0.0))
+        return tuple(np.broadcast_to(np.asarray(v, dtype=float), t.shape).copy()
+                     for v in out)
 
     def to_text(self) -> str:
         return _print(self.root)

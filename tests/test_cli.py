@@ -20,7 +20,7 @@ from rapflow.cli import (
     main,
 )
 from rapflow.classify import ClassifyConfig
-from rapflow.dynamics import IntegratorConfig
+from rapflow.dynamics import IntegratorConfig, ScalarField
 from rapflow.serialize import canonical_hash
 
 
@@ -561,6 +561,34 @@ class TestClassifyCommand:
         assert code == 0, err
         assert "note: triangle checks clamp window (-5.0, 60.0)" in out
         assert "hierarchy consistency: ok" in out
+
+    def test_long_sine_with_its_period_pinned_is_tau_periodic(self, capsys):
+        # central-difference derivatives erred by about 7e-3 at t = 2e5, so
+        # the Hermite sup at 2*pi missed exact_eps 1e-5 and the label was
+        # asymptotically-tau-periodic; with exact derivatives that sup is 1.3e-8
+        code, out, err = run(capsys, "classify", "--fn", "sin(t)",
+                             "--span", "0:200000", "--dt", "0.05",
+                             "--tau", "6.283185307179586", "--tau-max", "20")
+        assert code == 0, err
+        assert out.startswith("label: tau-periodic\n")
+        assert "hierarchy consistency: ok" in out
+
+    def test_ode_defined_on_the_half_line_runs_from_a_span_at_zero(
+            self, capsys):
+        # sqrt(1+t) fails at the full line's validation time t = -19
+        argv = ("classify", "--ode=-x^3+cos(sqrt(1+t))", "--u0", "0")
+        code, out, err = run(capsys, *argv, "--span", "0:400")
+        assert code == 0, err
+        assert "hierarchy consistency: ok" in out
+        code, _, err = run(capsys, *argv, "--span=-5:400")
+        assert code == 2
+        assert "rhs fails on the validation grid at t=-19.0" in err
+
+    def test_ode_valid_on_the_full_line_keeps_its_field(self):
+        fld = cli._mk_field("continuous", "-x+sin(t)", {}, t0=0.0)
+        assert fld.time_domain == "full-line"
+        assert fld.field_id == ScalarField(
+            kind="continuous", rhs="-x+sin(t)", name="command-line").field_id
 
 
 class TestScanCommand:

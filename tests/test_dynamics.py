@@ -31,7 +31,7 @@ from rapflow.dynamics import (
     iterate,
     sample_function,
 )
-from rapflow.expr import parse
+from rapflow.expr import EvalError, parse
 
 
 def chirp_field():
@@ -888,8 +888,40 @@ def test_sample_function_rejects_unbound_param():
 
 
 def test_sample_function_derivatives():
+    # an expression's derivatives are exact: cos(t), bit for bit, where
+    # central differences erred by about 1e-10 here and 7e-3 at t = 2e5
     traj = sample_function("sin(t)", (0.0, 6.3), 0.05)
-    assert np.max(np.abs(traj.derivs - np.cos(traj.grid()))) <= 1e-9
+    assert traj.derivs.tobytes() == np.cos(traj.grid()).tobytes()
+    traj = sample_function("sin(t)+sin(sqrt(2)*t)", (0.0, 400.0), 0.01)
+    ts = traj.grid()
+    closed = np.cos(ts) + math.sqrt(2) * np.cos(math.sqrt(2) * ts)
+    assert np.max(np.abs(traj.derivs - closed)) <= 1e-15 * (1 + math.sqrt(2))
+
+
+@pytest.mark.parametrize("fn, span, dt, index, want", [
+    # abs has derivative 0 at its kink, as central differences gave
+    ("sin(ln(1+abs(t)))", (0.0, 1.0), 0.01, 0, 0.0),
+    # floor has derivative 0 at its jumps; a central difference across one
+    # gave 1 / 4e-6 = 2.5e5
+    ("floor(t)", (0.0, 3.0), 0.5, slice(None), 0.0),
+    # sqrt's derivative is finite at t0 = 1e-7, so t0 - h < 0 is never
+    # evaluated
+    ("sqrt(t)", (1e-7, 1.0), 0.1, 0, 0.5 / math.sqrt(1e-7)),
+])
+def test_sample_function_derivatives_at_kinks_jumps_and_edges(fn, span, dt,
+                                                              index, want):
+    traj = sample_function(fn, span, dt)
+    assert np.all(traj.derivs[index] == want)
+
+
+def test_sample_function_falls_back_to_central_differences_where_not_finite():
+    # at t = 0 the derivative of sqrt is infinite; only that point takes a
+    # central difference, which needs sqrt at -h and raises as before
+    with pytest.raises(EvalError, match="square root of negative value"):
+        sample_function("sqrt(t)", (0.0, 1.0), 0.1)
+    traj = sample_function("abs(t)^0.5", (0.0, 1.0), 0.1)
+    assert traj.derivs[0] == 0.0  # |h|^0.5 - |-h|^0.5 over 2h
+    assert traj.derivs[1:].tobytes() == (0.5 * traj.grid()[1:] ** -0.5).tobytes()
 
 
 # Long arrays are filled _CHUNK samples at a time.  A chunk of 7 puts seams
@@ -938,8 +970,10 @@ def test_chunked_sampling_matches_the_whole_array_formula(monkeypatch, fn, span,
     assert _bits(traj.values) == _bits(values)
     assert _bits(traj.derivs) == _bits(derivs)
     if not callable(fn):
-        # an expression given as text takes the same path
+        # an expression given as text takes its values and exact
+        # derivatives in one pass, through the same chunks
         traj = sample_function(fn, span, dt)
+        values, derivs = parse(fn).eval_array_dt(span[0] + dt * np.arange(count))
         assert _bits(traj.values) == _bits(values)
         assert _bits(traj.derivs) == _bits(derivs)
 

@@ -237,16 +237,18 @@ def _rounds(node):
             or isinstance(node, BinOp) and node.op == "^")
 
 
-def _rounding_nodes(node):
+def _children(node):
     if isinstance(node, Neg):
-        kids = (node.arg,)
-    elif isinstance(node, Call):
-        kids = node.args
-    elif isinstance(node, BinOp):
-        kids = (node.left, node.right)
-    else:
-        kids = ()
-    return _rounds(node) + sum(_rounding_nodes(k) for k in kids)
+        return (node.arg,)
+    if isinstance(node, Call):
+        return node.args
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    return ()
+
+
+def _rounding_nodes(node):
+    return _rounds(node) + sum(_rounding_nodes(k) for k in _children(node))
 
 
 def _outcome(fn):
@@ -624,3 +626,150 @@ def test_a_failing_parameter_subtree_raises_where_the_tree_does():
             f(0.0, x)
         assert exc.value.span == span
     assert e.bind({"p": 1.0})(0.0, 1.0) == 1.0 + math.exp(2.0)
+
+
+# ---------------------------------------------------------------------------
+# values and t-derivatives in one pass (eval_array_dt)
+# ---------------------------------------------------------------------------
+
+def _check_values_as_eval_array(e, ts, params):
+    """eval_array_dt's values are eval_array's at x = 0, bit for bit, and
+    it raises what and where eval_array does."""
+    def outcome(fn):
+        try:
+            return fn()
+        except EvalError as err:
+            return err
+
+    want = outcome(lambda: e.eval_array(ts, 0.0, params))
+    got = outcome(lambda: e.eval_array_dt(ts, params))
+    if isinstance(want, EvalError):
+        assert isinstance(got, EvalError), got
+        assert (got.span, str(got)) == (want.span, str(want))
+        return
+    assert not isinstance(got, EvalError), got
+    value, deriv = got
+    assert value.tobytes() == want.tobytes()
+    assert deriv.shape == want.shape and deriv.dtype == float
+
+
+@given(src=st.sampled_from(GOLDEN_EXPRESSIONS), t=_whole_or_moderate,
+       t2=_moderate, p=st.floats(min_value=-5.0, max_value=5.0))
+@settings(max_examples=400, deadline=None)
+def test_eval_array_dt_values_are_eval_array_bits_on_golden(src, t, t2, p):
+    e = parse(src)
+    with np.errstate(all="ignore"):
+        _check_values_as_eval_array(e, np.array([t, t2]),
+                                    {name: p for name in e.params})
+
+
+@given(root=st.one_of(_tree, _repeated_tree), t=_whole_or_moderate,
+       t2=_moderate, a=_moderate, b=_moderate)
+@settings(max_examples=400, deadline=None)
+def test_eval_array_dt_values_are_eval_array_bits_on_random_trees(root, t, t2,
+                                                                  a, b):
+    with np.errstate(all="ignore"):
+        _check_values_as_eval_array(expr.Expression(root, "<synthetic>"),
+                                    np.array([t, t2]), {"a": a, "b_2": b})
+
+
+def _unsmooth_near(root, ts, params):
+    """Whether, over the times ts, some node fails, leaves [-1e100, 1e100],
+    has a kink, jump or domain edge (an argument of abs, sqrt or ln, a
+    denominator or a power's base reaching 0, a floor's argument crossing a
+    whole number), or is a power of a base <= 0 and an exponent in t, whose
+    derivative formula takes the log of the base."""
+    for node in expr._walk(root):
+        try:
+            vals = [[_reference(k, s, 0.0, params) for s in ts]
+                    for k in (node, *_children(node))]
+        except EvalError:
+            return True
+        if not all(math.isfinite(v) and abs(v) <= 1e100 for vs in vals for v in vs):
+            return True
+        edge = None
+        if isinstance(node, Call) and node.func in ("abs", "sqrt", "ln"):
+            edge = vals[1]
+        elif isinstance(node, BinOp) and node.op in "/^":
+            edge = vals[2] if node.op == "/" else vals[1]
+        if edge is not None and min(edge) <= 0.0 <= max(edge):
+            return True
+        if isinstance(node, BinOp) and node.op == "^" and min(vals[1]) <= 0.0 \
+                and any(isinstance(v, Var) and v.name == "t"
+                        for v in expr._walk(node.right)):
+            return True
+        if isinstance(node, Call) and node.func == "floor" \
+                and len({math.floor(v) for v in vals[1]}) > 1:
+            return True
+    return False
+
+
+@given(root=_tree, t=st.floats(min_value=-10.0, max_value=10.0),
+       a=st.floats(min_value=-3.0, max_value=3.0),
+       b=st.floats(min_value=-3.0, max_value=3.0))
+@settings(max_examples=400, deadline=None)
+def test_eval_array_dt_derivative_matches_central_differences(root, t, a, b):
+    """The exact derivative against central differences at h, h/2 and h/4.
+
+    Points within 2h of a kink, a jump or a domain edge are skipped, and so
+    are points where the differences do not yet converge at these steps
+    (the curve turns on a scale below h).  Elsewhere the error of the h/4
+    difference is about a third of its gap to the h/2 one, plus the
+    round-off of differencing values of size F over h/4.
+    """
+    params = {"a": a, "b_2": b}
+    h = 1e-4 * (1.0 + abs(t))
+    ts = [t + k * h / 4 for k in range(-8, 9)]
+    if _unsmooth_near(root, ts, params):
+        return
+    e = expr.Expression(root, "<synthetic>")
+    with np.errstate(all="ignore"):
+        value, deriv = e.eval_array_dt(np.array([t]), params)
+    d = float(deriv[0])
+    assert math.isfinite(d), (e.to_text(), t)
+
+    def central(step):
+        return ((_reference(root, t + step, 0.0, params)
+                 - _reference(root, t - step, 0.0, params)) / (2 * step))
+
+    size = max(abs(_reference(n, s, 0.0, params))
+               for n in expr._walk(root) for s in ts)
+    rounding = 1e-14 * size / (h / 4)
+    d1, d2, d4 = central(h), central(h / 2), central(h / 4)
+    if abs(d2 - d4) > 0.5 * abs(d1 - d2) + rounding:
+        return
+    tol = abs(d2 - d4) + rounding + 1e-9 * (1.0 + abs(d))
+    assert abs(d - d4) <= tol, (e.to_text(), t, d, d4, d2, d1)
+
+
+@pytest.mark.parametrize("src,ts,want", [
+    # abs has derivative 0 at its kink, so sin-log keeps 0 at t = 0
+    ("sin(ln(1+abs(t)))", [-0.5, 0.0, 0.5],
+     [-math.cos(math.log(1.5)) / 1.5, 0.0, math.cos(math.log(1.5)) / 1.5]),
+    # floor has derivative 0 everywhere, at its jumps too
+    ("floor(t)", [-1.0, 0.0, 0.5, 1.0, 2.0], [0.0] * 5),
+    ("3*t^2 + t^1 + t^3", [-1.0, 0.0, 2.0], [-2.0, 1.0, 25.0]),
+    ("t^t", [1.0, 2.0], [1.0, 4.0 * (math.log(2.0) + 1.0)]),
+    ("2^t", [0.0, 1.0], [math.log(2.0), 2.0 * math.log(2.0)]),
+    ("x + a*t + cos(t)", [0.0], [2.5]),
+    ("exp(-t)/(1+t)", [0.0], [-2.0]),
+])
+def test_eval_array_dt_at_chosen_points(src, ts, want):
+    value, deriv = parse(src).eval_array_dt(np.array(ts), {"a": 2.5})
+    assert np.allclose(deriv, want, rtol=1e-15, atol=0.0)
+
+
+def test_eval_array_dt_raises_nothing_where_the_derivative_is_not_finite():
+    with np.errstate(all="raise"):
+        value, deriv = parse("sqrt(t)").eval_array_dt(np.array([0.0, 4.0]))
+    assert value.tolist() == [0.0, 2.0]
+    assert deriv[0] == math.inf and deriv[1] == 0.25
+
+
+def test_eval_array_dt_is_compiled_once_beside_eval_array():
+    e = parse("sin(t)")
+    e.eval_array(1.0)
+    e.eval_array_dt(np.array([1.0]))
+    e.eval_array_dt(np.array([2.0]))
+    assert sorted(e._code) == ["array", "array_dt"]
+    assert e.eval_array_dt(0.5)[1].shape == ()
