@@ -4,9 +4,10 @@ The package has seven parts:
 
 * :mod:`rapflow.expr` -- a small arithmetic expression language for
   right-hand sides ``f(t, x)`` and closed-form curves.
-* :mod:`rapflow.dynamics` -- scalar fields, an adaptive RKF45 / fixed RK4
-  integrator with cubic Hermite dense output, exact iteration of difference
-  equations, and order/Lipschitz/contraction property checks.
+* :mod:`rapflow.dynamics` -- scalar fields, an adaptive Dormand-Prince 5(4)
+  / fixed RK4 integrator, trajectories with cubic Hermite dense output,
+  exact iteration of difference equations, and
+  order/Lipschitz/contraction property checks.
 * :mod:`rapflow.classify` -- tail-sup curves over window schedules,
   remote/asymptotic shift-periodicity tests, almost-period scans with
   relative-density reports, and a trajectory classifier.

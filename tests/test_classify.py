@@ -151,8 +151,10 @@ class TestRemoteTauPeriodic:
         assert cur.level == pytest.approx(1e3)
 
     def test_bump_in_middle_window_inconclusive(self):
-        f = lambda t: np.exp(-((t - 55.0) ** 2))
-        tr = sample_function(f, (0.0, 120.0), 0.05)
+        t = 0.05 * np.arange(2401)
+        bump = np.exp(-((t - 55.0) ** 2))
+        tr = Trajectory(kind="continuous", t0=0.0, dt=0.05, values=bump,
+                        derivs=-2.0 * (t - 55.0) * bump)
         cur = remote_tau_periodic_test(
             tr, 1.0, 0.05, ((0.0, 30.0), (40.0, 70.0), (80.0, 110.0)))
         assert [s <= 0.05 for s in cur.sups] == [True, False, True]
@@ -684,9 +686,11 @@ class TestAsymptoticTauPeriodic:
         # amplitude alternates between periods on a narrow bump placed
         # between residue points: every residue sequence settles, the
         # pointwise comparison does not
-        f = lambda t: (np.floor(t / 2.0) % 2) * np.exp(
-            -(((t % 2.0) - 0.2) / 0.05) ** 2)
-        tr = sample_function(f, (0.0, 200.0), 0.1)
+        t = 0.1 * np.arange(2001)
+        u = ((t % 2.0) - 0.2) / 0.05
+        pulse = (np.floor(t / 2.0) % 2) * np.exp(-u ** 2)
+        tr = Trajectory(kind="continuous", t0=0.0, dt=0.1, values=pulse,
+                        derivs=pulse * (-2.0 * u / 0.05))
         rep = asymptotic_tau_periodic_test(tr, 2.0, 0.05)
         assert rep.verdict == "fail"
         assert rep.residue_osc < 1e-5

@@ -159,14 +159,22 @@ class TestExitCodes:
         assert "integration aborted" in err
 
     def test_step_underflow_prints_only_its_error_line(self):
-        # the march runs on Python floats, so an overflowing rhs warns of
-        # nothing before the abort
+        # the steps run on Python floats, so an overflowing rhs warns of
+        # nothing before the abort; x*x*x blows up at t = 1/2, and the
+        # shrinking steps follow it past the overflow guard
         proc = run_module("simulate", "--ode", "x*x*x", "--u0", "1",
                           "--span", "0:1")
         assert proc.returncode == 3
         assert proc.stderr == (
+            "rapflow: error: integration aborted: solution magnitude "
+            "crossed the overflow guard 1e+12 after t = 0.49999999999901834 "
+            "(last good value 1008280607026.31)\n")
+        # a pole of the rhs in t shrinks the steps below the step floor
+        proc = run_module("simulate", "--ode", "1/(t-1/2)", "--span", "0:1")
+        assert proc.returncode == 3
+        assert proc.stderr == (
             "rapflow: error: integration aborted: adaptive step size "
-            "underflowed near t = 0.4999999997952003\n")
+            "underflowed near t = 0.49999999997885747\n")
 
     def test_short_sample_classify_is_exit_4(self, capsys):
         code, out, err = run(capsys, "classify", "--map", "x", "--steps", "5")

@@ -1,6 +1,7 @@
 """Integrator, iterator, and property-check tests against closed forms."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from rapflow import dynamics
 from rapflow.catalog import get as get_example
+from rapflow.catalog import oracle_value
 from rapflow.catalog import BH_DRIFTING_RHS, BH_RHS, CHIRP_RHS, make_beverton_holt
 from rapflow.dynamics import (
     BlowupError,
@@ -22,7 +24,8 @@ from rapflow.dynamics import (
     ScalarField,
     StepUnderflowError,
     Trajectory,
-    _rkf45_step,
+    _dense_coefficients,
+    _dopri5_step,
     boundedness,
     check_lipschitz_one,
     check_monotone_in_x,
@@ -31,7 +34,7 @@ from rapflow.dynamics import (
     iterate,
     sample_function,
 )
-from rapflow.expr import EvalError, parse
+from rapflow.expr import EvalError, Expression, parse
 
 
 def chirp_field():
@@ -99,8 +102,8 @@ def test_integration_is_deterministic():
     assert np.array_equal(a.derivs, b.derivs)
 
 
-def test_rk4_matches_rkf45():
-    tight = IntegratorConfig(method="rkf45", abs_tol=1e-10, rel_tol=1e-10)
+def test_rk4_matches_dopri5():
+    tight = IntegratorConfig(method="dopri5", abs_tol=1e-10, rel_tol=1e-10)
     fixed = IntegratorConfig(method="rk4")
     a = integrate(chirp_field(), 0.0, (0.0, 50.0), tight)
     b = integrate(chirp_field(), 0.0, (0.0, 50.0), fixed)
@@ -120,63 +123,134 @@ def test_pole_in_rhs_aborts():
     with pytest.raises(DynamicsError) as err:
         integrate(fld, 0.0, (0.0, 1.0))
     assert isinstance(err.value, (StepUnderflowError, DynamicsError))
+    # the pole sits on a grid point
+    with pytest.raises(DynamicsError):
+        integrate(fld, 0.0, (0.0, 1.0), IntegratorConfig(dt_out=0.25))
 
 
-# The Fehlberg tableau and a step driven by it, kept as the reference for
-# the written-out step in rapflow.dynamics.
-_A = ((), (1 / 4,), (3 / 32, 9 / 32),
-      (1932 / 2197, -7200 / 2197, 7296 / 2197),
-      (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-      (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40))
-_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_TR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+@pytest.mark.parametrize("rhs, message", [
+    ("(t-1/2)/(t-1/2)", "rhs evaluation failed at t = 0.5: division by zero"),
+    ("exp(1e-297/(abs(t-1/2)+1e-300))", "rhs is not finite at t = 0.5, x = "),
+])
+def test_a_grid_point_the_steps_miss_still_aborts(rhs, message):
+    # the steps straddle t = 0.5, where f fails or is not finite; the
+    # stored derivative there is evaluated all the same
+    fld = ScalarField(kind="continuous", rhs=rhs, time_domain="half-line")
+    f = fld.bind()
+    assert f(0.4999, 0.0) == f(0.5001, 0.0) == 1.0
+    with pytest.raises(DynamicsError, match=re.escape(message)):
+        integrate(fld, 0.0, (0.0, 1.0), IntegratorConfig(dt_out=0.25))
 
 
-def _tableau_step(f, t, y, h, k1=None):
-    k = [0.0] * 6
-    k[0] = f(t, y) if k1 is None else k1
-    for i in range(1, 6):
+def test_a_tolerance_that_underflows_to_zero_still_steps():
+    # abs_tol/100 rounds to 0: a zero error estimate passes, any other fails
+    cfg = IntegratorConfig(abs_tol=5e-324, rel_tol=0.0)
+    fld = ScalarField(kind="continuous", rhs="-x")
+    assert not integrate(fld, 0.0, (0.0, 1.0), cfg).values.any()
+    with pytest.raises(StepUnderflowError):
+        integrate(fld, 1.0, (0.0, 1.0), cfg)
+
+
+# The Dormand-Prince tableau, its error weights and its continuous
+# extension, kept as the reference for the written-out step in
+# rapflow.dynamics.
+_A = ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+      (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_B = _A[6] + (0.0,)
+# fifth- minus fourth-order weights
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+      -1 / 40)
+# weights of k1..k7 in the fifth dense-output coefficient (Hairer, Norsett
+# & Wanner, Solving ODEs I, II.6)
+_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+      -10690763975 / 1880347072, 701980252875 / 199316789632,
+      -1453857185 / 822651844, 69997945 / 29380423)
+
+
+def _tableau_step(f, t, y, h, k1):
+    """(y5, err, stages k1..k7) of one step driven by the tableau."""
+    k = [k1]
+    for i in range(1, 7):
         acc = 0.0
         for j in range(i):
             acc += _A[i][j] * k[j]
-        k[i] = f(t + _C[i] * h, y + h * acc)
-    y5 = y + h * sum(b * ki for b, ki in zip(_B5, k))
-    err = abs(h * sum(c * ki for c, ki in zip(_TR, k)))
-    return y5, err
+        k.append(f(t + _C[i] * h, y + h * acc))
+    acc = 0.0
+    for b, ki in zip(_B[:6], k):
+        acc += b * ki
+    y5 = y + h * acc
+    acc = 0.0
+    for e, ki in zip(_E, k):
+        acc += e * ki
+    return y5, abs(h * acc), k
 
 
-def _tableau_integrate(f, u0, t0, t1, cfg):
-    """integrate's cell loop for rkf45, on the tableau-driven step.
+def _tableau_dense(h, y, y5, k):
+    """(r1, ..., r5) of a step's continuous extension."""
+    acc = 0.0
+    for d, ki in zip(_D, k):
+        if d:
+            acc += d * ki
+    ydiff = y5 - y
+    bspl = h * k[0] - ydiff
+    return y, ydiff, bspl, ydiff - h * k[6] - bspl, h * acc
 
-    Returns (values, derivs, number of rejected steps).
-    """
+
+def _tableau_integrate(fld, u0, t0, t1, cfg):
+    """integrate's dopri5 march, on the tableau-driven step, one grid
+    point at a time; returns (values, derivs, stats)."""
+    f = fld.bind()
     n_cells = max(1, math.ceil((t1 - t0) / cfg.dt_out - 1e-9))
-    y = float(u0)
-    values, derivs = [y], [f(t0, y)]
-    rejected = 0
-    for cell in range(n_cells):
-        t, t_target = t0 + cell * cfg.dt_out, t0 + (cell + 1) * cfg.dt_out
-        k1 = derivs[-1]
-        while t < t_target - 1e-12 * max(1.0, abs(t_target)):
-            h = t_target - t
-            while True:
-                y_new, err = _tableau_step(f, t, y, h, k1=k1)
-                if math.isfinite(err) and err <= (
-                        cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y_new))):
-                    break
-                h *= 0.5
-                rejected += 1
-            y = y_new
-            t = t_target if h >= (t_target - t) - 1e-12 else t + h
-            k1 = None
-        values.append(y)
-        derivs.append(f(t_target, y))
-    return np.array(values), np.array(derivs), rejected
+    grid = [t0 + cfg.dt_out * i for i in range(n_cells + 1)]
+    t_end = grid[-1]
+    abs_tol, rel_tol = cfg.abs_tol * 1e-2, cfg.rel_tol * 1e-2
+    t, y, h, k1 = t0, float(u0), cfg.dt_out, f(t0, float(u0))
+    values, slopes = [], []
+    accepted = rejected = 0
+    min_step = math.inf
+    while not values or t < t_end:
+        last = t + 1.01 * h >= t_end
+        if last:
+            h = t_end - t
+        y5, err, k = _tableau_step(f, t, y, h, k1)
+        ratio = err / (abs_tol + rel_tol * max(abs(y), abs(y5)))
+        grow = 10.0 if ratio == 0.0 else min(10.0, max(0.2, 0.9 * ratio ** -0.2))
+        h_next = h * grow
+        if ratio > 1.0:
+            rejected += 1
+            h = h_next
+            continue
+        accepted += 1
+        min_step = min(min_step, h)
+        t_next = t_end if last else t + h
+        r1, r2, r3, r4, r5 = _tableau_dense(h, y, y5, k)
+        while len(values) < len(grid) and grid[len(values)] <= t_next:
+            ti = grid[len(values)]
+            s = (ti - t) / h
+            u = 1.0 - s
+            q = r4 + u * r5
+            r = r3 + s * q
+            w = r2 + u * r
+            if ti == t_next:
+                values.append(y5)
+            else:
+                values.append(y if s == 0.0 else y + s * w)
+            slopes.append((w + s * (u * (q - s * r5) - r)) / h)
+        t, y, k1, h = t_next, y5, k[6], h_next
+    values = np.array(values)
+    derivs = fld.rhs.eval_array(np.array(grid), values, params=fld.params)
+    stats = {"rhs_evals": 1 + 6 * (accepted + rejected), "accepted": accepted,
+             "rejected": rejected, "min_step": min_step,
+             "defect": float(np.abs(np.array(slopes) - derivs).max())}
+    return values, derivs, stats
 
 
-def _rk4_loop_integrate(f, u0, t0, t1, cfg):
+def _rk4_loop_integrate(fld, u0, t0, t1, cfg):
     """integrate's cell loop for rk4, with the classical step written out."""
+    f = fld.bind()
     n_cells = max(1, math.ceil((t1 - t0) / cfg.dt_out - 1e-9))
     y = float(u0)
     values, derivs = [y], [f(t0, y)]
@@ -190,19 +264,24 @@ def _rk4_loop_integrate(f, u0, t0, t1, cfg):
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         values.append(y)
         derivs.append(f(t_target, y))
-    return np.array(values), np.array(derivs), 0
+    return np.array(values), np.array(derivs), None
 
 
 @pytest.mark.parametrize("rhs", ["-x+sin(t)", CHIRP_RHS])
 @given(t=st.floats(-50.0, 50.0), y=st.floats(-5.0, 5.0),
-       h=st.floats(1e-6, 0.5), given_k1=st.booleans())
+       h=st.floats(1e-6, 0.5))
 @settings(max_examples=300, deadline=None)
-def test_rkf45_step_matches_the_tableau_bit_for_bit(rhs, t, y, h, given_k1):
+def test_dopri5_step_matches_the_tableau_bit_for_bit(rhs, t, y, h):
     f = ScalarField(kind="continuous", rhs=rhs).bind()
-    k1 = f(t, y) if given_k1 else None
-    got = _rkf45_step(f, t, y, h, k1=k1)
-    want = _tableau_step(f, t, y, h, k1=k1)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    k1 = f(t, y)
+    y5, err, ks = _dopri5_step(f, t, y, h, k1)
+    want_y5, want_err, k = _tableau_step(f, t, y, h, k1)
+    stages = [k[0]] + k[2:]
+    assert np.array([y5, err, *ks]).tobytes() == np.array(
+        [want_y5, want_err, *stages]).tobytes()
+    dense = _dense_coefficients(h, y, y5, *ks)
+    assert np.array(dense).tobytes() == np.array(
+        _tableau_dense(h, y, y5, k)[1:]).tobytes()
 
 
 def _same_bits(a, b):
@@ -213,13 +292,13 @@ def _same_bits(a, b):
 
 @given(ks=st.lists(st.floats(-10.0, 10.0)
                    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
-                   min_size=6, max_size=6),
+                   min_size=7, max_size=7),
        y=st.sampled_from([0.0, -0.0, 1.5]), h=st.floats(1e-3, 1.0))
 @settings(max_examples=300, deadline=None)
-def test_rkf45_step_sums_match_the_tableau_on_signed_zeros_and_non_finite(
+def test_dopri5_step_sums_match_the_tableau_on_signed_zeros_and_non_finite(
         ks, y, h):
     def stages(calls):
-        values = iter(ks)
+        values = iter(ks[1:])
 
         def f(t, x):
             calls.append((t, x))
@@ -227,22 +306,29 @@ def test_rkf45_step_sums_match_the_tableau_on_signed_zeros_and_non_finite(
         return f
 
     got_calls, want_calls = [], []
-    got = _rkf45_step(stages(got_calls), 0.0, y, h)
-    want = _tableau_step(stages(want_calls), 0.0, y, h)
+    y5, err, got = _dopri5_step(stages(got_calls), 0.0, y, h, ks[0])
+    want_y5, want_err, k = _tableau_step(stages(want_calls), 0.0, y, h, ks[0])
+    want = [k[0]] + k[2:]
+    assert _same_bits(y5, want_y5) and _same_bits(err, want_err)
     assert all(_same_bits(a, b) for a, b in zip(got, want))
     assert len(got_calls) == len(want_calls) == 6
     for (ta, xa), (tb, xb) in zip(got_calls, want_calls):
         assert _same_bits(ta, tb) and _same_bits(xa, xb)
+    with np.errstate(all="ignore"):
+        dense = _dense_coefficients(*np.array([h, y, y5, *got]))
+    assert all(_same_bits(a, b) for a, b in zip(
+        dense, _tableau_dense(h, y, y5, k)[1:]))
 
 
-# field, config, span, and whether the march rejects steps
+# field, config, span, and whether the steps are fewer than the output
+# cells, so that one step covers several grid points
 _LOOP_CASES = {
     "relax-sin": (relax_sin_field(), IntegratorConfig(dt_out=0.05),
                   (0.0, 20.0), False),
     "slow-chirp": (chirp_field(), IntegratorConfig(dt_out=0.05),
-                   (0.0, 20.0), False),
+                   (0.0, 20.0), True),
     "rejected-steps": (chirp_field(), IntegratorConfig(
-        abs_tol=1e-12, rel_tol=1e-12, dt_out=0.5), (0.0, 20.0), True),
+        abs_tol=1e-12, rel_tol=1e-12, dt_out=0.5), (0.0, 20.0), False),
     "negative-t0": (relax_sin_field(), IntegratorConfig(dt_out=0.05),
                     (-7.5, 12.5), False),
     "rk4": (chirp_field(), IntegratorConfig(method="rk4", dt_out=0.05),
@@ -252,11 +338,29 @@ _LOOP_CASES = {
 
 @pytest.mark.parametrize("case", list(_LOOP_CASES))
 def test_integrate_matches_the_tableau_loop(case):
-    fld, cfg, (t0, t1), rejects = _LOOP_CASES[case]
+    fld, cfg, (t0, t1), long_steps = _LOOP_CASES[case]
     traj = integrate(fld, 0.75, (t0, t1), cfg)
     reference = _rk4_loop_integrate if cfg.method == "rk4" else _tableau_integrate
-    values, derivs, rejected = reference(fld.bind(), 0.75, t0, t1, cfg)
-    assert (rejected > 0) == rejects
+    values, derivs, stats = reference(fld, 0.75, t0, t1, cfg)
+    assert traj.provenance.get("stats") == stats
+    if stats is not None:
+        assert stats["rejected"] > 0
+        assert (stats["accepted"] < len(traj) - 1) == long_steps
+    assert traj.values.tobytes() == values.tobytes()
+    assert traj.derivs.tobytes() == derivs.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("case", ["slow-chirp", "rejected-steps"])
+def test_chunked_dense_output_matches_the_tableau_loop(monkeypatch, case,
+                                                       chunk):
+    # a chunk of 7 flushes the step buffer every 7 grid points or every
+    # 7 steps, which cuts through steps that cover several points
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    fld, cfg, (t0, t1), _ = _LOOP_CASES[case]
+    traj = integrate(fld, 0.75, (t0, t1), cfg)
+    values, derivs, stats = _tableau_integrate(fld, 0.75, t0, t1, cfg)
+    assert traj.provenance["stats"] == stats
     assert traj.values.tobytes() == values.tobytes()
     assert traj.derivs.tobytes() == derivs.tobytes()
 
@@ -286,10 +390,65 @@ def test_blowup_emits_no_numpy_warning():
     fld = ScalarField(kind="continuous", rhs="x*x*x")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(StepUnderflowError) as err:
+        with pytest.raises(BlowupError) as err:
             integrate(fld, 1, (0.0, 1.0))
     assert str(err.value) == (
-        "adaptive step size underflowed near t = 0.4999999997952003")
+        "solution magnitude crossed the overflow guard 1e+12 after "
+        "t = 0.49999999999901834 (last good value 1008280607026.31)")
+
+
+def test_steps_save_rhs_calls_over_the_cell_march():
+    # a march of one six-call step per output cell made 6 * 40000 calls
+    traj = integrate(relax_sin_field(), 3.0, (0.0, 400.0),
+                     IntegratorConfig(dt_out=0.01))
+    stats = traj.provenance["stats"]
+    assert stats["rhs_evals"] < 6 * 40_000 / 2
+    assert stats["rhs_evals"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
+    assert 0.0 < stats["min_step"] <= 0.01
+    assert 0.0 < stats["defect"] < 1e-6
+
+
+@pytest.mark.parametrize("name, span, dt", [
+    ("relax-sin", (0.0, 400.0), 0.01), ("slow-chirp", (0.0, 1.02e5), 0.05)])
+def test_dense_output_meets_the_closed_forms(name, span, dt):
+    traj = integrate(get_example(name).system(), 0.0, span,
+                     IntegratorConfig(dt_out=dt))
+    exact = oracle_value(name, traj.grid(), 0.0)
+    assert np.max(np.abs(traj.values - exact)) < 1e-8
+
+
+@pytest.mark.parametrize("rhs, domain", [
+    ("-x+sin(t)", "full-line"), ("-x+sin(ln(1+t))", "half-line")])
+@given(u1=st.floats(-10.0, 10.0), u2=st.floats(-10.0, 10.0),
+       dt=st.floats(0.005, 0.05))
+@settings(max_examples=25, deadline=None)
+def test_forced_decay_pairs_contract_at_any_output_step(rhs, domain, u1, u2,
+                                                        dt):
+    fld = ScalarField(kind="continuous", rhs=rhs, time_domain=domain)
+    _, _, report = contraction_gap(fld, u1, u2, (0.0, 20.0),
+                                   IntegratorConfig(dt_out=dt))
+    assert report.verdict == "pass", report.witness
+
+
+def test_integration_scratch_memory_does_not_grow_with_the_steps():
+    # beside its output, values + derivs, integration holds the step buffer
+    # and the dense-output temporaries of one chunk; five times the span
+    # takes five times the steps and no more scratch
+    fld = chirp_field()
+    cfg = IntegratorConfig(dt_out=0.025)
+    integrate(fld, 0.0, (0.0, 1.0), cfg)
+    scratch = []
+    for span in (3000.0, 15000.0):
+        tracemalloc.start()
+        try:
+            traj = integrate(fld, 0.0, (0.0, span), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch.append(peak - traj.values.nbytes - traj.derivs.nbytes)
+    assert len(traj) == 600_001
+    assert scratch[1] < 1.05 * scratch[0]
+    assert scratch[1] < 16 * 8 * dynamics._CHUNK
 
 
 def test_integrate_rejects_bad_requests():
@@ -307,7 +466,7 @@ def test_integrate_rejects_bad_requests():
 
 
 @pytest.mark.parametrize("settings", [
-    dict(method="euler"), dict(abs_tol=math.nan), dict(rel_tol=math.nan),
+    dict(method="euler"), dict(method="rkf45"), dict(abs_tol=math.nan), dict(rel_tol=math.nan),
     dict(dt_out=math.nan), dict(dt_out=math.inf), dict(dt_out=0.0),
     dict(dt_out=-0.01), dict(abs_tol=0.0), dict(rel_tol=-1.0),
     dict(method="rk4", abs_tol=math.nan),
@@ -932,50 +1091,40 @@ def _bits(a):
     return np.asarray(a, float).tobytes()
 
 
-def _whole_array_samples(curve, t0, dt, count):
-    ts = t0 + dt * np.arange(count)
-    values = np.asarray(curve(ts), float)
-    h = 1e-6 * (1.0 + np.abs(ts))
-    derivs = (np.asarray(curve(ts + h), float)
-              - np.asarray(curve(ts - h), float)) / (2 * h)
-    return values, derivs
-
-
-def _pointwise_curve(ts):
-    return np.cos(0.7 * ts) * ts + 2.0
-
-
 @pytest.mark.parametrize("fn, span, dt, count", [
     ("sin(t)*exp(-t/5)", (0.0, 2.0), 0.1, 21),       # 3 whole chunks
     ("sin(t)*exp(-t/5)", (-3.3, 1.0), 0.1, 44),      # negative t0, partial
-    (_pointwise_curve, (-1.0, 3.9), 0.1, 50),
-    (_pointwise_curve, (2.0, 2.5), 0.1, 6),          # one short chunk
+    ("cos(0.7*t)*t+2", (-1.0, 3.9), 0.1, 50),
+    ("cos(0.7*t)*t+2", (2.0, 2.5), 0.1, 6),          # one short chunk
     ("3.5", (0.0, 1.3), 0.1, 14),
     ("3.5", (-7.0, 0.4), 0.05, 149),
 ])
 def test_chunked_sampling_matches_the_whole_array_formula(monkeypatch, fn, span,
                                                           dt, count):
+    # an expression takes its values and exact derivatives in one pass,
+    # through the same chunks
     monkeypatch.setattr(dynamics, "_CHUNK", 7)
     sizes = []
+    eval_array_dt = Expression.eval_array_dt
 
-    def curve(ts):
+    def recording(self, ts, params=None):
         sizes.append(ts.size)
-        if callable(fn):
-            return fn(ts)
-        return parse(fn).eval_array(ts, 0.0)
+        return eval_array_dt(self, ts, params)
 
-    traj = sample_function(curve, span, dt)
+    monkeypatch.setattr(Expression, "eval_array_dt", recording)
+    traj = sample_function(fn, span, dt)
     assert len(traj) == count and max(sizes) <= 7
-    values, derivs = _whole_array_samples(curve, span[0], dt, count)
+    values, derivs = eval_array_dt(parse(fn), span[0] + dt * np.arange(count))
     assert _bits(traj.values) == _bits(values)
     assert _bits(traj.derivs) == _bits(derivs)
-    if not callable(fn):
-        # an expression given as text takes its values and exact
-        # derivatives in one pass, through the same chunks
-        traj = sample_function(fn, span, dt)
-        values, derivs = parse(fn).eval_array_dt(span[0] + dt * np.arange(count))
-        assert _bits(traj.values) == _bits(values)
-        assert _bits(traj.derivs) == _bits(derivs)
+
+
+@pytest.mark.parametrize("fn", [np.sin, lambda t: t, 3.5, None])
+def test_sample_function_takes_expressions_only(fn):
+    with pytest.raises(TypeError, match="expression in t"):
+        sample_function(fn, (0.0, 1.0), 0.1)
+    traj = sample_function(parse("t"), (0.0, 1.0), 0.1, name="ramp")
+    assert traj.provenance["function"] == "ramp"
 
 
 @pytest.mark.parametrize("size", [5, 11, 12, 23])
