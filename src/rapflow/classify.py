@@ -81,6 +81,9 @@ _WITNESS_MIN = 4 * _CHUNK
 # the witness call's stride is the sample count over this, so it compares
 # about this many points of a shift over the whole span
 _WITNESS_POINTS = 1024
+# asymptotic_tau_periodic_test needs a span of this many shifts; on fewer
+# its verdict is inconclusive
+_MIN_MULTIPLES = 20
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +410,14 @@ class DensityReport:
     """Spread of an admitted-shift set over the scanned range.
 
     largest_gap is the length of the longest sub-interval of the scanned
-    range containing no admitted shift (boundary gaps included).  The
-    verdict here is only about non-emptiness; :meth:`relative_density`
-    judges how densely the admitted shifts lie.
+    range containing no admitted shift (boundary gaps included).
+    :meth:`relative_density` judges how densely the admitted shifts lie.
     """
 
     eps: float
     scan_range: tuple[float, float]
     n_admitted: int
     largest_gap: float
-    verdict: str
 
     def relative_density(self) -> str:
         """"pass" when some shift is admitted and no gap between admitted
@@ -464,10 +465,8 @@ class AlmostPeriodSet:
         else:
             edges = np.concatenate(([lo], adm, [hi]))
             largest = float(np.max(np.diff(edges)))
-        verdict = "pass" if adm.size else "fail"
         return DensityReport(eps=self.eps, scan_range=(lo, hi),
-                             n_admitted=int(adm.size), largest_gap=largest,
-                             verdict=verdict)
+                             n_admitted=int(adm.size), largest_gap=largest)
 
 
 def _scan_grid(traj: Trajectory, tau_range, tau_step: float) -> np.ndarray:
@@ -762,8 +761,7 @@ def asymptotic_stationary_test(traj: Trajectory, eps: float,
 
 
 def asymptotic_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
-                                 tail_fraction: float = 0.25,
-                                 min_multiples: int = 20) -> AsymptoticReport:
+                                 tail_fraction: float = 0.25) -> AsymptoticReport:
     """Test convergence to a tau-periodic limit.
 
     Convergence onto a tau-periodic function means every residue sequence
@@ -785,12 +783,12 @@ def asymptotic_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
     t_end = traj.t_end
     span = t_end - traj.t0
     n_mult = int(math.floor(span / tau + _POS_TOL))
-    if n_mult < min_multiples:
+    if n_mult < _MIN_MULTIPLES:
         return AsymptoticReport(
             kind="tau-periodic", tau=float(tau), eps=float(eps),
             statistic=math.nan, tail_from=math.nan, verdict="inconclusive",
             notes=[f"span holds only {n_mult} multiples of the shift; "
-                   f"{min_multiples} needed"])
+                   f"{_MIN_MULTIPLES} needed"])
     if traj.kind == "discrete":
         tau = float(round(tau))
         n_res = int(min(tau, 4))
@@ -869,9 +867,9 @@ class ClassificationResult:
         return "\n".join(lines)
 
 
-def _geometric_windows(start: float, stop: float, origin: float = 0.0,
-                       factor: float = 10.0) -> tuple[tuple[float, float], ...]:
-    """Windows [start, stop] cut at origin + (start - origin)*factor**j.
+def _geometric_windows(start: float, stop: float, origin: float = 0.0
+                       ) -> tuple[tuple[float, float], ...]:
+    """Windows [start, stop] cut at origin + (start - origin)*10**j.
 
     The rungs grow geometrically in the offset from origin, so the ladder
     is finite for any origin.  A last rung that rounding leaves as a
@@ -880,10 +878,10 @@ def _geometric_windows(start: float, stop: float, origin: float = 0.0,
     lo, hi = start - origin, stop - origin
     if not 0 < lo < hi:
         raise ValueError("window ladder needs origin < start < stop")
-    n_max = math.ceil(math.log(hi / lo) / math.log(factor)) + 1
+    n_max = math.ceil(math.log(hi / lo) / math.log(10.0)) + 1
     edges = [lo]
-    while len(edges) < n_max and edges[-1] * factor < hi:
-        edges.append(edges[-1] * factor)
+    while len(edges) < n_max and edges[-1] * 10.0 < hi:
+        edges.append(edges[-1] * 10.0)
     if len(edges) > 1 and hi - edges[-1] <= _POS_TOL * hi:
         edges.pop()
     bounds = [origin + e for e in edges] + [stop]

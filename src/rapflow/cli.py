@@ -207,17 +207,14 @@ _SYSTEM_OPTIONS = (
     ("--steps", _parse_int, dict(help="iteration count for maps")),
     ("--dt", _parse_dt, dict(help="output grid spacing (default 0.01; for "
                                      "an example, its recommended dt)")),
-    ("--method", _parse_choice("method", ("dopri5", "rk4")),
-     dict(help="integration scheme (default dopri5): dopri5 takes "
-               "error-controlled Dormand-Prince steps independent of --dt "
-               "and samples its dense output on the grid; rk4 takes one "
-               "classical step per output cell, so --dt refines it")),
     ("--abs-tol", _parse_float,
-     dict(help="absolute error tolerance of dopri5 (default 1e-9); each "
-               "step is held to 1/100 of the tolerance")),
+     dict(help="absolute error tolerance of the Dormand-Prince steps, which "
+               "do not depend on --dt (default 1e-9); each step is held to "
+               "1/100 of the tolerance")),
     ("--rel-tol", _parse_float,
-     dict(help="relative error tolerance of dopri5 (default 1e-9); each "
-               "step is held to 1/100 of the tolerance")),
+     dict(help="relative error tolerance of the Dormand-Prince steps "
+               "(default 1e-9); each step is held to 1/100 of the "
+               "tolerance")),
     ("--source", _parse_choice("source", ("integrate", "curve")),
      dict(help="for examples with a known solution curve: integrate the "
                "field or sample the curve")),
@@ -352,7 +349,6 @@ def _mk_field(kind: str, rhs: str, params: dict,
 
 def _integrator_config(o, default_dt: float = 0.01) -> IntegratorConfig:
     return IntegratorConfig(
-        method=o.method or "dopri5",
         abs_tol=o.abs_tol if o.abs_tol is not None else 1e-9,
         rel_tol=o.rel_tol if o.rel_tol is not None else 1e-9,
         dt_out=o.dt if o.dt is not None else default_dt)

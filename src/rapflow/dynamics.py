@@ -184,27 +184,24 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "dopri5"  # 'dopri5' | 'rk4'
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
     dt_out: float = 0.01
 
     def __post_init__(self):
-        if self.method not in ("dopri5", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
         if any(math.isnan(v) for v in (self.abs_tol, self.rel_tol, self.dt_out)):
             raise ValueError("integrator settings must not be NaN")
         if not 0 < self.dt_out < math.inf:
             raise ValueError("dt_out must be finite and positive")
-        if self.method == "dopri5" and (self.abs_tol <= 0 or self.rel_tol < 0):
-            raise ValueError("dopri5 needs abs_tol > 0 and rel_tol >= 0")
+        if self.abs_tol <= 0 or self.rel_tol < 0:
+            raise ValueError("the integrator needs abs_tol > 0 and rel_tol >= 0")
 
     def config_hash(self) -> str:
         payload = json.dumps({
-            "method": self.method, "abs_tol": repr(self.abs_tol),
-            "rel_tol": repr(self.rel_tol), "dt_out": repr(self.dt_out),
-            # constant; kept so that ids match those of earlier versions
-            "max_step": repr(math.inf)}, sort_keys=True)
+            "abs_tol": repr(self.abs_tol), "rel_tol": repr(self.rel_tol),
+            "dt_out": repr(self.dt_out),
+            # constants; kept so that ids match those of earlier versions
+            "method": "dopri5", "max_step": repr(math.inf)}, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -615,7 +612,7 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) with dense output, and the classical fixed step
+# Dormand-Prince 5(4) with dense output
 # ---------------------------------------------------------------------------
 
 # Each step holds its error estimate to this share of the requested
@@ -682,14 +679,6 @@ def _dense_coefficients(h, y, y5, k1, k3, k4, k5, k6, k7):
     return r2, r3, r4, r5
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
-    k2 = f(t + h / 2, y + h / 2 * k1)
-    k3 = f(t + h / 2, y + h / 2 * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def _grid_cells(t0: float, t1: float, dt: float) -> int:
     """Cells of the grid t0 + k*dt over [t0, t1], at least one; ValueError
     refuses a dt that is not finite and positive and a grid of more than
@@ -713,8 +702,8 @@ def integrate(fld: ScalarField, u0: float, t_span, config: IntegratorConfig | No
               ) -> Trajectory:
     """Integrate a continuous field over [t0, t1], sampling at t0 + k*dt_out.
 
-    dopri5 (the default) takes Dormand-Prince 5(4) steps that do not depend
-    on the output grid: the first tries dt_out, each next one is
+    It takes Dormand-Prince 5(4) steps that do not depend on the output
+    grid: the first tries dt_out, each next one is
     h*0.9*err^(-1/5) clipped to [0.2h, 10h], and the last lands exactly on
     the last grid point.  A step is accepted when its error estimate is at
     most ``_STEP_TOL_SHARE`` (1/100) of abs_tol + rel_tol*max(|y|, |y5|):
@@ -730,9 +719,6 @@ def integrate(fld: ScalarField, u0: float, t_span, config: IntegratorConfig | No
     calls, accepted and rejected steps, the smallest accepted step, and
     the largest sampled defect |psi'(t_k) - f(t_k, psi(t_k))| of the dense
     output psi on the grid.
-
-    rk4 takes one classical step per grid cell, so a finer dt_out refines
-    it.
 
     A step underflow while the solution magnitude already exceeds 1e8 is
     reported as a blow-up, since the step collapse is then driven by the
@@ -754,36 +740,13 @@ def integrate(fld: ScalarField, u0: float, t_span, config: IntegratorConfig | No
     n_cells = _grid_cells(t0, t1, dt)
     values = np.empty(n_cells + 1)
     derivs = np.empty(n_cells + 1)
+    stats = _march_dopri5(fld, float(u0), t0, dt, cfg, values, derivs)
     provenance = {"field": fld.field_id, "name": fld.name, "u0": repr(float(u0)),
-                  "config": cfg.config_hash(), "method": cfg.method}
-    if cfg.method == "rk4":
-        _march_rk4(fld.bind(), float(u0), t0, dt, values, derivs)
-    else:
-        provenance["stats"] = _march_dopri5(fld, float(u0), t0, dt, cfg,
-                                            values, derivs)
+                  "config": cfg.config_hash(),
+                  # constant; kept so that provenance matches earlier versions
+                  "method": "dopri5", "stats": stats}
     return Trajectory(kind="continuous", t0=t0, dt=dt, values=values,
                       derivs=derivs, provenance=provenance)
-
-
-def _march_rk4(f, y, t0, dt, values, derivs):
-    """One classical step per grid cell, carried on Python floats."""
-    k1 = f(t0, y)
-    values[0] = y
-    derivs[0] = k1
-    for cell in range(len(values) - 1):
-        t = t0 + cell * dt
-        t_target = t0 + (cell + 1) * dt
-        try:
-            y = _rk4_step(f, t, y, t_target - t)
-            if not math.isfinite(y) or abs(y) > BLOWUP_GUARD:
-                raise BlowupError(t, y)
-            k1 = f(t_target, y)
-        except EvalError as exc:
-            raise DynamicsError(
-                f"rhs evaluation failed inside [{t!r}, {t_target!r}]: "
-                f"{exc}") from exc
-        values[cell + 1] = y
-        derivs[cell + 1] = k1
 
 
 def _march_dopri5(fld, y, t0, dt, cfg, values, derivs) -> dict:

@@ -20,7 +20,9 @@ reported.
 
 Each expression is compiled once per backend into straight-line Python
 source: :meth:`Expression.bind` returns a scalar evaluator built on
-:mod:`math`, and :meth:`Expression.eval_array` evaluates over numpy arrays.
+:mod:`math`, :meth:`Expression.eval_array` evaluates over numpy arrays, and
+:meth:`Expression.eval_array_dt` also returns the t-derivative, formed node
+by node in the same pass (forward mode).
 The scalar evaluator computes each distinct subexpression once, in the order
 the tree evaluates it, and reuses its value where it recurs; one of
 parameters alone is computed once per binding, by the factory.  When a power
@@ -270,10 +272,11 @@ def _respan(node: Node, span: tuple) -> Node:
 
 # ---------------------------------------------------------------------------
 # Evaluation: one emitter writes an expression as straight-line Python source
-# for two backends: "scalar" computes on floats with math, one temporary per
+# for three backends: "scalar" computes on floats with math, one temporary per
 # distinct subexpression; "array" on broadcast numpy arrays, one temporary per
-# node.  Both keep the domain guards, messages, spans and evaluation order of
-# the tree.  The source is compiled once per expression and backend as a
+# node; "array_dt" is "array" plus each node's t-derivative (forward mode).
+# All keep the domain guards, messages, spans and evaluation order of the
+# tree.  The source is compiled once per expression and backend as a
 # factory whose arguments are the parameter values; binding parameters only
 # calls the factory.
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def test_ode_entries_integrate_at_their_recommended_dt():
     assert relax.trajectory(span=span).dt == 0.01
     # an explicit dt, or a whole config, overrides the recommendation
     assert chirp.trajectory(span=span, dt=0.25).dt == 0.25
-    cfg = IntegratorConfig(method="rk4", dt_out=0.5)
+    cfg = IntegratorConfig(dt_out=0.5)
     assert chirp.trajectory(span=span, dt=0.25, config=cfg).dt == 0.5
 
 

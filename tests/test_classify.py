@@ -293,7 +293,6 @@ class TestAlmostPeriodScan:
         dens = scan.density()
         assert dens.n_admitted == 156
         assert dens.largest_gap == pytest.approx(6.2, abs=1e-6)
-        assert dens.verdict == "pass"
         # clusters sit at multiples of 2*pi
         adm = scan.admitted_taus()
         positive = adm[adm > 1.0]
@@ -353,7 +352,7 @@ class TestAlmostPeriodScan:
         tr = sample_function("t", (0.0, 100.0), 0.1)
         scan = almost_period_scan(tr, 0.5, (1.0, 20.0), 0.5)
         dens = scan.density()
-        assert dens.n_admitted == 0 and dens.verdict == "fail"
+        assert dens.n_admitted == 0
         assert dens.largest_gap == pytest.approx(19.0)
 
     def test_relative_density_needs_more_than_the_zero_shift(self):
@@ -361,7 +360,7 @@ class TestAlmostPeriodScan:
         # spans the whole range
         tr = sample_function("sin(t)", (0.0, 10.0), 0.01)
         dens = almost_period_scan(tr, 0.05, (0.0, 20.0), 0.5).density()
-        assert (dens.n_admitted, dens.verdict) == (1, "pass")
+        assert dens.n_admitted == 1
         assert dens.largest_gap == pytest.approx(9.5)
         assert dens.relative_density() == "fail"
         dense = sample_function("sin(t)", (0.0, 120.0), 0.01)

@@ -89,7 +89,7 @@ class TestSimulate:
         assert data["payload"]["values"][0] == 1.0
 
     @pytest.mark.parametrize("extra, samples", [
-        ((), 101), (("--method", "rk4"), 101), (("--abs-tol", "1e-8"), 101),
+        ((), 101), (("--rel-tol", "1e-8"), 101), (("--abs-tol", "1e-8"), 101),
         (("--dt", "0.25"), 21)])
     def test_example_ode_samples_at_its_recommended_dt(self, capsys, extra,
                                                        samples):
@@ -353,7 +353,7 @@ class TestOptionValues:
 _OPTION_SAMPLES = {
     "ode": "-x+sin(t)", "map": "x/2", "fn": "sin(t)", "example": "sine",
     "bh": "mu=2,K=10", "param": "a=2", "u0": "-0.5", "span": "-1:2",
-    "steps": "7", "dt": "0.25", "method": "rk4", "abs_tol": "1e-7",
+    "steps": "7", "dt": "0.25", "abs_tol": "1e-7",
     "rel_tol": "1e-6", "source": "curve", "horizon": "50", "bound": "2.5",
     "eps": "0.125", "exact_eps": "1e-8", "tau": "-6.25", "tau_max": "20",
     "tau_step": "0.5", "windows": "-150:-100;-100:-10", "seed": "3",
@@ -364,8 +364,8 @@ _OPTION_SAMPLES = {
 
 # one value each converter rejects
 _BAD_SAMPLES = {
-    "u0": "nan", "span": "2:1", "steps": "1.5", "dt": "inf", "method": "rk5",
-    "abs_tol": "-inf", "rel_tol": "nan", "source": "table", "horizon": "inf",
+    "u0": "nan", "span": "2:1", "steps": "1.5", "dt": "inf", "abs_tol": "-inf",
+    "rel_tol": "nan", "source": "table", "horizon": "inf",
     "bound": "nan", "eps": "inf", "exact_eps": "nan", "tau": "inf",
     "tau_max": "inf", "tau_step": "nan", "windows": ";", "seed": "x",
     "mode": "local", "window": "0:inf", "threads": "two", "format": "xml",
@@ -432,8 +432,8 @@ _CONFIG_CALLERS = {
     "IntegratorConfig": (
         IntegratorConfig, ["simulate", "--ode", "-x", "--span", "0:1"],
         "integrate", 3,
-        {"method": ("--method", "rk4"), "abs_tol": ("--abs-tol", "1e-7"),
-         "rel_tol": ("--rel-tol", "1e-6"), "dt_out": ("--dt", "0.25")}),
+        {"abs_tol": ("--abs-tol", "1e-7"), "rel_tol": ("--rel-tol", "1e-6"),
+         "dt_out": ("--dt", "0.25")}),
 }
 
 
@@ -486,6 +486,18 @@ class TestConfigFile:
                            "--config", str(cfg))
         assert code == 2
         assert "nonsense" in err
+
+    def test_method_is_neither_a_flag_nor_a_key(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--ode", "-x", "--span", "0:1",
+                  "--method", "rk4"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "rf.ini"
+        cfg.write_text("[simulate]\nmethod = rk4\n")
+        code, _, err = run(capsys, "simulate", "--ode", "-x", "--span", "0:1",
+                           "--config", str(cfg))
+        assert code == 2
+        assert "'method'" in err
 
     def test_unknown_section_is_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "rf.ini"
