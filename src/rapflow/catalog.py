@@ -56,11 +56,6 @@ class AnalyticExample:
             rhs=self.rhs, params=dict(self.params),
             state_domain=self.state_domain, name=self.name)
 
-    @property
-    def default_dt(self) -> float:
-        """The output spacing a trajectory is sampled at when none is given."""
-        return self.recommended.get("dt", 0.01)
-
     def trajectory(self, u0: float | None = None, span=None, dt: float | None = None,
                    steps: int | None = None, config=None,
                    source: str | None = None) -> Trajectory:
@@ -81,22 +76,18 @@ class AnalyticExample:
         if source not in (None, "integrate", "curve"):
             raise ValueError(f"unknown trajectory source {source!r}")
         rec = self.recommended
-        span = rec.get("span", (0.0, 400.0)) if span is None else span
-        dt = self.default_dt if dt is None else dt
+        span = rec.get("span") if span is None else span
+        dt = rec.get("dt") if dt is None else dt
+        u0 = rec.get("u0") if u0 is None else u0
         if self.kind == "curve" or source == "curve":
             if self.curve is None or self.kind == "map":
                 raise ValueError(f"{self.name!r} has no known solution curve")
             return sample_function(self.curve, span, dt, name=self.name)
         if self.kind == "ode":
-            if u0 is None:
-                u0 = rec.get("u0", 0.0)
-            if config is None:
-                config = IntegratorConfig(dt_out=dt)
-            return integrate(self.system(), u0, span, config)
-        if u0 is None:
-            u0 = rec.get("u0", 1.0)
+            return integrate(self.system(), u0, span,
+                             config or IntegratorConfig(dt_out=dt))
         return iterate(self.system(), u0,
-                       rec.get("steps", 1000) if steps is None else steps)
+                       rec.get("steps") if steps is None else steps)
 
 
 def _entries() -> list[AnalyticExample]:
@@ -125,7 +116,6 @@ def _entries() -> list[AnalyticExample]:
                         "ever more slowly",
             expected_class="remotely-stationary",
             recommended={"span": (0.0, 1.02e5), "dt": 0.05, "eps": 0.05,
-                         "horizon": 1.0e5,
                          "tau_range": (0.0, 10.0), "tau_step": 0.1,
                          "windows": ((1.0e3, 1.0e4), (1.0e4, 1.0e5))},
             notes="|phi(t+tau) - phi(t)| <= log(1 + tau/(1+t)) for t >= 0, "
@@ -137,7 +127,7 @@ def _entries() -> list[AnalyticExample]:
                         "logarithmically",
             expected_class="remotely-tau-periodic",
             recommended={"span": (0.0, 1.02e4), "dt": 0.01, "eps": 0.05,
-                         "tau": 2 * math.pi, "horizon": 1.0e4,
+                         "tau": 2 * math.pi,
                          "tau_range": (0.0, 10.0), "tau_step": 0.1,
                          "windows": ((100.0, 1.0e3), (1.0e3, 1.0e4))},
             notes="remotely 2*pi-periodic but not remotely stationary: "
@@ -151,7 +141,7 @@ def _entries() -> list[AnalyticExample]:
                         "constant on every fixed-shift comparison",
             expected_class="remotely-tau-periodic",
             recommended={"span": (0.0, 1.02e5), "dt": 0.05, "u0": 0.0,
-                         "eps": 0.1, "tau": 3.0, "horizon": 1.0e5,
+                         "eps": 0.1, "tau": 3.0,
                          "tau_range": (0.0, 10.0), "tau_step": 0.1,
                          "windows": ((1.0e3, 1.0e4), (1.0e4, 1.0e5))},
             notes="the solution through u0 is u0 + sin(cbrt(t^2 + pi^3)) "
@@ -183,8 +173,6 @@ def _entries() -> list[AnalyticExample]:
                         "drifting carrying capacity 10 + sin(ln(1+n))",
             expected_class="remotely-stationary",
             recommended={"steps": 102_000, "u0": 1.0, "eps": 0.05,
-                         "horizon": 1.0e5, "alpha": 9.0, "beta": 11.0,
-                         "capacity": DEFAULT_CAPACITY,
                          "tau_range": (0.0, 100.0), "tau_step": 1.0,
                          "windows": ((1.0e3, 1.0e4), (1.0e4, 1.0e5))},
             notes="orbits are eventually trapped near the drifting capacity; "
@@ -209,9 +197,8 @@ def catalog() -> dict:
     return {e.name: e for e in _entries()}
 
 
-def recommended_config(example) -> ClassifyConfig:
+def recommended_config(ex: AnalyticExample) -> ClassifyConfig:
     """Classifier settings matching an example's recommended resolution."""
-    ex = get(example) if isinstance(example, str) else example
     rec = ex.recommended
     kwargs = {}
     for key in ("eps", "tau", "tau_step"):

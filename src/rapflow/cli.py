@@ -13,6 +13,8 @@ Summaries and data go to stdout, diagnostics to stderr.  Exit codes:
 expressions, config file), 3 the integrator aborted, 4 every
 classification verdict came back inconclusive, 141 (128 + SIGPIPE) the
 reader closed stdout before the output was written (as ``| head`` does).
+Each system source reads only the system flags of its ``_SOURCE_FLAGS``
+row; any other one, as a flag or a config-file key, is bad configuration.
 
 A config file named with --config uses INI syntax with one section per
 subcommand and keys spelled like the long flags; explicit flags override
@@ -188,7 +190,7 @@ def _parse_bh(spec: str) -> dict:
 # flag gluing in main() all derive from these tables, so a flag and a
 # config-file key always parse the same way.
 
-_SYSTEM_OPTIONS = (
+_SOURCE_OPTIONS = (
     ("--ode", str, dict(metavar="EXPR",
                         help="continuous field dx/dt = f(t, x)")),
     ("--map", str, dict(metavar="EXPR",
@@ -200,13 +202,16 @@ _SYSTEM_OPTIONS = (
     ("--bh", str, dict(metavar="SPEC",
                        help="Beverton-Holt map, e.g. 'mu=2,K=10'; K may be an "
                             "expression in t, alpha/beta bound its range")),
+)
+
+_SYSTEM_OPTIONS = (
     ("--param", str, dict(action="append", metavar="NAME=VALUE",
                           help="bind a field parameter (repeatable)")),
     ("--u0", _parse_float, dict(help="initial value")),
     ("--span", _parse_span, dict(metavar="T0:T1", help="time span, e.g. 0:100")),
     ("--steps", _parse_int, dict(help="iteration count for maps")),
-    ("--dt", _parse_dt, dict(help="output grid spacing (default 0.01; for "
-                                     "an example, its recommended dt)")),
+    ("--dt", _parse_dt, dict(help="output grid spacing (default 0.01, or "
+                                     "an example's recommended dt)")),
     ("--abs-tol", _parse_float,
      dict(help="absolute error tolerance of the Dormand-Prince steps, which "
                "do not depend on --dt (default 1e-9); each step is held to "
@@ -216,11 +221,25 @@ _SYSTEM_OPTIONS = (
                "(default 1e-9); each step is held to 1/100 of the "
                "tolerance")),
     ("--source", _parse_choice("source", ("integrate", "curve")),
-     dict(help="for examples with a known solution curve: integrate the "
-               "field or sample the curve")),
-    ("--horizon", _parse_float,
-     dict(help="override the end time (step count for maps)")),
+     dict(help="for an ode example: integrate its field (the default) or "
+               "sample its known solution curve")),
 )
+
+# The system flags each source reads, and the default of each (None: no
+# default).  An example reads the row of its entry's kind and takes each
+# default from the entry's recommendation.  Any other system flag, from the
+# command line or the config file, is bad configuration.
+_SOURCE_FLAGS = {
+    "--ode": {"param": None, "u0": 0.0, "span": (0.0, 100.0), "dt": 0.01,
+              "abs_tol": None, "rel_tol": None},
+    "--map": {"param": None, "u0": 1.0, "steps": 1000},
+    "--fn": {"param": None, "span": (0.0, 100.0), "dt": 0.01},
+    "--bh": {"u0": 1.0, "steps": 1000},
+    "--example (kind ode)": dict.fromkeys("u0 span dt abs_tol rel_tol source".split()),
+    "--example (kind ode) --source curve": dict.fromkeys("span dt source".split()),
+    "--example (kind curve)": dict.fromkeys("span dt".split()),
+    "--example (kind map)": dict.fromkeys("u0 steps".split()),
+}
 
 _SIMULATE_OPTIONS = (
     ("--bound", _parse_float, dict(help="also check sup |x| against this bound")),
@@ -258,8 +277,8 @@ _OUTPUT_OPTIONS = (
                            help="INI file with defaults for any flag")),
 )
 
-_ALL_OPTIONS = (_SYSTEM_OPTIONS + _SIMULATE_OPTIONS + _CLASSIFY_OPTIONS
-                + _SCAN_OPTIONS + _OUTPUT_OPTIONS)
+_ALL_OPTIONS = (_SOURCE_OPTIONS + _SYSTEM_OPTIONS + _SIMULATE_OPTIONS
+                + _CLASSIFY_OPTIONS + _SCAN_OPTIONS + _OUTPUT_OPTIONS)
 # option dest -> converter, for config-file values
 _CONVERTERS = {flag[2:].replace("-", "_"): conv for flag, conv, _ in _ALL_OPTIONS}
 # flags that take a value, for _glue_flag_values
@@ -347,68 +366,62 @@ def _mk_field(kind: str, rhs: str, params: dict,
         raise ConfigError(str(exc))
 
 
-def _integrator_config(o, default_dt: float = 0.01) -> IntegratorConfig:
-    return IntegratorConfig(
-        abs_tol=o.abs_tol if o.abs_tol is not None else 1e-9,
-        rel_tol=o.rel_tol if o.rel_tol is not None else 1e-9,
-        dt_out=o.dt if o.dt is not None else default_dt)
+def _integrator_config(o) -> IntegratorConfig:
+    """Output spacing ``o.dt``; a tolerance left None keeps its default."""
+    tols = {name: getattr(o, name) for name in ("abs_tol", "rel_tol")
+            if getattr(o, name) is not None}
+    return IntegratorConfig(dt_out=o.dt, **tols)
 
 
 def _build_trajectory(o):
-    """Resolve the system flags into (trajectory, meta).
+    """Resolve the system flags into (trajectory, meta), filling in ``o``
+    each setting the source reads that was left None.
 
     meta may carry 'field' (the ScalarField behind the samples), 'flags'
     (Beverton-Holt certificate flags) and 'example' (the catalog entry).
     """
-    sources = [name for name in ("ode", "map", "fn", "example", "bh")
-               if getattr(o, name, None)]
+    sources = [flag[2:] for flag, _, _ in _SOURCE_OPTIONS
+               if getattr(o, flag[2:], None)]
     if len(sources) != 1:
         raise ConfigError(
             "give exactly one system: --ode, --map, --fn, --example or --bh")
     src = sources[0]
-    params = _params_dict(o.param)
-    if o.horizon is not None and not o.horizon > 0:
-        raise ConfigError("horizon must be positive")
-    if o.steps is not None and o.steps < 1:
-        raise ConfigError("steps must be at least 1")
-    span, steps = o.span, o.steps
-    ex = None
+    ex, row_key = None, f"--{src}"
     if src == "example":
         try:
             ex = catalog.get(o.example)
         except KeyError:
             known = ", ".join(catalog.catalog())
             raise ConfigError(f"unknown example {o.example!r} (known: {known})")
-    # a horizon is a map's step count and any other system's end time
-    if o.horizon is not None and (
-            src in ("map", "bh") or (ex is not None and ex.kind == "map")):
-        steps = int(round(o.horizon))
-        if steps < 1:
-            raise ConfigError(f"horizon {o.horizon:g} rounds to {steps} steps; "
-                              "a map needs at least 1")
-    elif o.horizon is not None:
-        span = ((span or (0.0, 0.0))[0], float(o.horizon))
-        if not span[1] > span[0]:
-            raise ConfigError(f"horizon {o.horizon:g} must end after the "
-                              f"span start {span[0]:g}")
+        row_key = f"--example (kind {ex.kind})"
+        if ex.kind == "ode" and o.source == "curve":
+            row_key += " --source curve"
+    row = _SOURCE_FLAGS[row_key]
+    for flag, _, _ in _SYSTEM_OPTIONS:
+        dest = flag[2:].replace("-", "_")
+        if dest not in row and getattr(o, dest) is not None:
+            raise ConfigError(f"{flag} is not read by {row_key}, which reads "
+                              f"only --{', --'.join(row).replace('_', '-')}")
+        if dest in row and getattr(o, dest) is None:
+            setattr(o, dest, row[dest] if ex is None
+                    else ex.recommended.get(dest))
+    if o.steps is not None and o.steps < 1:
+        raise ConfigError("steps must be at least 1")
+    params = _params_dict(o.param)
     meta = {}
 
     if src == "ode":
-        span = span or (0.0, 100.0)
-        fld = _mk_field("continuous", o.ode, params, t0=span[0])
-        traj = integrate(fld, o.u0 if o.u0 is not None else 0.0, span,
-                         _integrator_config(o))
+        fld = _mk_field("continuous", o.ode, params, t0=o.span[0])
+        traj = integrate(fld, o.u0, o.span, _integrator_config(o))
         meta["field"] = fld
     elif src == "map":
         fld = _mk_field("discrete", o.map, params)
-        traj = iterate(fld, o.u0 if o.u0 is not None else 1.0,
-                       steps if steps is not None else 1000)
+        traj = iterate(fld, o.u0, o.steps)
         meta["field"] = fld
     elif src == "fn":
         try:
-            traj = sample_function(o.fn, span or (0.0, 100.0),
-                                   o.dt if o.dt is not None else 0.01,
-                                   params=params or None, name="command-line")
+            traj = sample_function(o.fn, o.span, o.dt, params=params or None,
+                                   name="command-line")
         except ParseError as exc:
             raise ConfigError(f"bad expression {o.fn!r}: {exc}")
     elif src == "bh":
@@ -416,20 +429,15 @@ def _build_trajectory(o):
             fld, flags = catalog.make_beverton_holt(**_parse_bh(o.bh))
         except (ValueError, ParseError) as exc:
             raise ConfigError(f"bad Beverton-Holt spec: {exc}")
-        traj = iterate(fld, o.u0 if o.u0 is not None else 1.0,
-                       steps if steps is not None else 1000)
+        traj = iterate(fld, o.u0, o.steps)
         meta["field"] = fld
         meta["flags"] = flags
     else:
-        # the example takes its recommendation for each setting left None
         config = None
         if ex.kind == "ode" and o.source != "curve":
-            config = _integrator_config(o, ex.default_dt)
-        try:
-            traj = ex.trajectory(u0=o.u0, span=span, dt=o.dt, steps=steps,
-                                 config=config, source=o.source)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+            config = _integrator_config(o)
+        traj = ex.trajectory(u0=o.u0, span=o.span, dt=o.dt, steps=o.steps,
+                             config=config, source=o.source)
         meta["example"] = ex
         if ex.rhs is not None:
             meta["field"] = ex.system()
@@ -529,9 +537,10 @@ def cmd_classify(args) -> int:
 def cmd_scan(args) -> int:
     o = _merged_options(args)
     traj, _ = _build_trajectory(o)
-    eps = o.eps if o.eps is not None else 0.05
-    tau_max = o.tau_max if o.tau_max is not None else 100.0
-    tau_step = o.tau_step if o.tau_step is not None else 0.01
+    default = ClassifyConfig()
+    eps = o.eps if o.eps is not None else default.eps
+    tau_max = o.tau_max if o.tau_max is not None else default.tau_range[1]
+    tau_step = o.tau_step if o.tau_step is not None else default.tau_step
     mode = o.mode or "global"
     threads = o.threads if o.threads is not None else 1
     if mode == "remote" and o.window is None:
@@ -660,23 +669,24 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"rapflow {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
+    system = _SOURCE_OPTIONS + _SYSTEM_OPTIONS
 
     sim = sub.add_parser("simulate",
                          help="sample a trajectory and summarize it")
-    _add_options(sim.add_argument_group("system"), _SYSTEM_OPTIONS)
+    _add_options(sim.add_argument_group("system"), system)
     _add_options(sim, _SIMULATE_OPTIONS)
     _add_output_flags(sim, "csv")
     sim.set_defaults(handler=cmd_simulate)
 
     cls = sub.add_parser("classify",
                          help="run the recurrence classifier on a system")
-    _add_options(cls.add_argument_group("system"), _SYSTEM_OPTIONS)
+    _add_options(cls.add_argument_group("system"), system)
     _add_options(cls.add_argument_group("classifier"), _CLASSIFY_OPTIONS)
     _add_output_flags(cls, "json")
     cls.set_defaults(handler=cmd_classify)
 
     scn = sub.add_parser("scan", help="sweep a grid of shifts")
-    _add_options(scn.add_argument_group("system"), _SYSTEM_OPTIONS)
+    _add_options(scn.add_argument_group("system"), system)
     _add_options(scn.add_argument_group("scan"), _SCAN_OPTIONS)
     _add_output_flags(scn, "csv")
     scn.set_defaults(handler=cmd_scan)

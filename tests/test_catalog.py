@@ -291,6 +291,10 @@ def test_recommended_resolution_is_self_consistent():
     for entry in catalog().values():
         rec = entry.recommended
         assert rec, f"{entry.name} has no recommended settings"
+        # a trajectory samples at these when no setting is given
+        sampling = {"curve": {"span", "dt"}, "ode": {"span", "dt", "u0"},
+                    "map": {"u0", "steps"}}[entry.kind]
+        assert sampling <= set(rec), entry.name
         if entry.kind == "curve":
             assert rec["span"][1] > rec["span"][0]
         if "windows" in rec:

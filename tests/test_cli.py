@@ -1,10 +1,12 @@
 """End-to-end checks of the command line tool."""
 import concurrent.futures
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,7 +212,7 @@ class TestSampleLimit:
         ("--fn=sin(t)", "--span", "0:1e12"),
         ("--ode=-x+sin(t)", "--span", "0:1e300"),
         ("--ode=-x", "--span", "-1e308:1e308"),
-        ("--bh", "mu=2,K=10", "--horizon", "1e300"),
+        ("--bh", "mu=2,K=10", "--steps", "1" + "0" * 300),
         ("--example", "sine", "--span", "0:1e9"),
         ("--example", "beverton-holt", "--steps", "100000000"),
     ])
@@ -233,32 +235,16 @@ class TestSampleLimit:
         assert code == 2 and "102 samples" in err
 
 
-class TestHorizon:
-    # a horizon is the end time of a sampled span and the step count of a
-    # map; one that leaves nothing to sample is a configuration error
-    @pytest.mark.parametrize("argv, message", [
-        (("--ode=-x", "--span", "5:10", "--horizon", "2"),
-         "horizon 2 must end after the span start 5"),
-        (("--fn=sin(t)", "--span", "5:10", "--horizon", "5"),
-         "horizon 5 must end after the span start 5"),
-        (("--example", "relax-sin", "--span", "5:10", "--horizon", "2"),
-         "horizon 2 must end after the span start 5"),
-        (("--map=x/2", "--horizon", "0.3"),
-         "horizon 0.3 rounds to 0 steps; a map needs at least 1"),
-        (("--example", "beverton-holt", "--horizon", "0.2"),
-         "horizon 0.2 rounds to 0 steps; a map needs at least 1"),
-    ])
-    def test_empty_horizon_is_config_error(self, capsys, argv, message):
-        code, out, err = run(capsys, "simulate", *argv)
+class TestZeroSteps:
+    # a step count that leaves nothing to sample is a configuration error,
+    # not an integration abort (an empty span is refused as it is parsed)
+    @pytest.mark.parametrize("argv", [
+        ("--map=x/2",), ("--bh", "mu=2,K=10"), ("--example", "beverton-holt")])
+    def test_zero_steps_is_config_error(self, capsys, argv):
+        code, out, err = run(capsys, "simulate", *argv, "--steps", "0")
         assert code == 2 and out == ""
-        assert message in err and "integration aborted" not in err
-
-    def test_horizon_sets_the_end_or_the_steps(self, capsys):
-        code, out, _ = run(capsys, "simulate", "--ode=-x", "--span", "5:10",
-                           "--horizon", "6", "--dt", "0.5")
-        assert code == 0 and "samples: 3" in out and "t_end=6" in out
-        code, out, _ = run(capsys, "simulate", "--map=x/2", "--horizon", "0.6")
-        assert code == 0 and "samples: 2" in out
+        assert "steps must be at least 1" in err
+        assert "integration aborted" not in err
 
 
 class TestShiftGridLimit:
@@ -302,7 +288,6 @@ class TestShiftGridLimit:
 
 class TestOptionValues:
     @pytest.mark.parametrize("argv", [
-        ("simulate", "--ode=-x", "--span", "0:5", "--horizon", "inf"),
         ("simulate", "--ode=-x", "--span", "0:5", "--dt", "inf"),
         ("simulate", "--fn", "sin(t)", "--span", "0:5", "--bound", "nan"),
         ("simulate", "--ode=-x", "--span", "0:5", "--u0", "nan"),
@@ -314,7 +299,7 @@ class TestOptionValues:
 
     def test_non_finite_file_value_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "rf.ini"
-        cfg.write_text("[simulate]\nhorizon = inf\n")
+        cfg.write_text("[simulate]\nu0 = inf\n")
         code, err = exit_status(capsys, "simulate", "--ode=-x", "--span", "0:5",
                                 "--config", str(cfg))
         assert code == 2
@@ -354,7 +339,7 @@ _OPTION_SAMPLES = {
     "ode": "-x+sin(t)", "map": "x/2", "fn": "sin(t)", "example": "sine",
     "bh": "mu=2,K=10", "param": "a=2", "u0": "-0.5", "span": "-1:2",
     "steps": "7", "dt": "0.25", "abs_tol": "1e-7",
-    "rel_tol": "1e-6", "source": "curve", "horizon": "50", "bound": "2.5",
+    "rel_tol": "1e-6", "source": "curve", "bound": "2.5",
     "eps": "0.125", "exact_eps": "1e-8", "tau": "-6.25", "tau_max": "20",
     "tau_step": "0.5", "windows": "-150:-100;-100:-10", "seed": "3",
     "mode": "remote", "window": "-50:0", "threads": "2", "out": "o.csv",
@@ -365,8 +350,7 @@ _OPTION_SAMPLES = {
 # one value each converter rejects
 _BAD_SAMPLES = {
     "u0": "nan", "span": "2:1", "steps": "1.5", "dt": "inf", "abs_tol": "-inf",
-    "rel_tol": "nan", "source": "table", "horizon": "inf",
-    "bound": "nan", "eps": "inf", "exact_eps": "nan", "tau": "inf",
+    "rel_tol": "nan", "source": "table", "bound": "nan", "eps": "inf", "exact_eps": "nan", "tau": "inf",
     "tau_max": "inf", "tau_step": "nan", "windows": ";", "seed": "x",
     "mode": "local", "window": "0:inf", "threads": "two", "format": "xml",
 }
@@ -454,6 +438,87 @@ def test_every_config_field_is_set_by_a_flag(monkeypatch, name):
         assert getattr(cfg, field) != getattr(default, field), flag
 
 
+# each system source: its key in cli._SOURCE_FLAGS, its argv, and the
+# system flags it reads, each with a value that changes what it samples
+_SOURCES = {
+    "ode": ("--ode", ["--ode=-a*x+sin(t)", "--param", "a=1"],
+            {"param": "a=2", "u0": "0.5", "span": "0:2", "dt": "0.25",
+             "abs_tol": "1e-3", "rel_tol": "1e-3"}),
+    "map": ("--map", ["--map=a*x", "--param", "a=0.5"],
+            {"param": "a=0.25", "u0": "0.5", "steps": "7"}),
+    "fn": ("--fn", ["--fn=sin(a*t)", "--param", "a=1"],
+           {"param": "a=2", "span": "0:2", "dt": "0.25"}),
+    "bh": ("--bh", ["--bh", "mu=2,K=10"], {"u0": "0.5", "steps": "7"}),
+    "example-ode": ("--example (kind ode)", ["--example", "relax-sin"],
+                    {"u0": "0.5", "span": "0:2", "dt": "0.25",
+                     "abs_tol": "1e-3", "rel_tol": "1e-3", "source": "curve"}),
+    "example-ode-curve": (
+        "--example (kind ode) --source curve",
+        ["--example", "relax-sin", "--source", "curve"],
+        {"span": "0:2", "dt": "0.25", "source": "integrate"}),
+    "example-curve": ("--example (kind curve)", ["--example", "sine"],
+                      {"span": "0:2", "dt": "0.25"}),
+    "example-map": ("--example (kind map)", ["--example", "beverton-holt-const"],
+                    {"u0": "0.5", "steps": "7"}),
+}
+_SYSTEM_SETTINGS = ("param", "u0", "span", "steps", "dt", "abs_tol", "rel_tol",
+                    "source")
+_SETTING_VALUES = {"param": "b=1", "u0": "0.5", "span": "0:2", "steps": "7",
+                   "dt": "0.25", "abs_tol": "1e-3", "rel_tol": "1e-3",
+                   "source": "curve"}
+
+
+def test_every_system_setting_is_sampled():
+    assert _SYSTEM_SETTINGS == tuple(
+        flag[2:].replace("-", "_") for flag, _, _ in cli._SYSTEM_OPTIONS)
+
+
+@pytest.mark.parametrize("source, dest", [
+    (source, dest) for source, (_, _, reads) in _SOURCES.items()
+    for dest in reads])
+def test_a_source_reads_its_flags(capsys, tmp_path, source, dest):
+    _, argv, reads = _SOURCES[source]
+    base, changed = tmp_path / "base.csv", tmp_path / "changed.csv"
+    flag = "--" + dest.replace("_", "-")
+    assert run(capsys, "simulate", *argv, "--out", str(base))[0] == 0
+    code, _, err = run(capsys, "simulate", *argv, flag, reads[dest],
+                       "--out", str(changed))
+    assert code == 0, err
+    assert changed.read_bytes() != base.read_bytes()
+
+
+@pytest.mark.parametrize("how", ["flag", "file"])
+@pytest.mark.parametrize("source, dest", [
+    (source, dest) for source, (_, _, reads) in _SOURCES.items()
+    for dest in _SYSTEM_SETTINGS if dest not in reads])
+def test_a_source_refuses_the_flags_it_does_not_read(capsys, tmp_path, source,
+                                                     dest, how):
+    # each of these was accepted and ignored
+    key, argv, _ = _SOURCES[source]
+    flag = "--" + dest.replace("_", "-")
+    if how == "flag":
+        argv = [*argv, flag, _SETTING_VALUES[dest]]
+    else:
+        cfg = tmp_path / "rf.ini"
+        cfg.write_text(f"[simulate]\n{flag[2:]} = {_SETTING_VALUES[dest]}\n")
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run(capsys, "simulate", *argv)
+    assert code == 2 and out == ""
+    assert f"{flag} is not read by {key}," in err
+
+
+def test_the_digested_commands_run(capsys, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "catalog_digest", Path(__file__).resolve().parents[1] / "tools"
+        / "catalog_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    for argv in [("scan", *digest.ORIGIN_SCAN)] + [
+            ("simulate", *argv) for _, argv in digest.SIMULATE]:
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 0, (argv, err)
+
+
 class TestConfigFile:
     def test_file_fills_in_missing_flags(self, capsys, tmp_path):
         cfg = tmp_path / "rf.ini"
@@ -498,6 +563,18 @@ class TestConfigFile:
                            "--config", str(cfg))
         assert code == 2
         assert "'method'" in err
+
+    def test_horizon_is_neither_a_flag_nor_a_key(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--ode", "-x", "--span", "0:1",
+                  "--horizon", "50"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "rf.ini"
+        cfg.write_text("[simulate]\nhorizon = 50\n")
+        code, _, err = run(capsys, "simulate", "--ode", "-x", "--span", "0:1",
+                           "--config", str(cfg))
+        assert code == 2
+        assert "'horizon'" in err
 
     def test_unknown_section_is_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "rf.ini"
@@ -715,6 +792,17 @@ class TestScanCommand:
         assert len(admitted) > 1
         assert all(float(r[3]) == t0 for r in admitted)
         assert all(r[3] == "" for r in rows if r[2] != "true")
+
+    def test_scan_defaults_are_the_classifier_defaults(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        base = ("scan", "--fn", "sin(t)", "--span", "0:60", "--format", "json")
+        assert run(capsys, *base, "--out", str(a))[0] == 0
+        assert run(capsys, *base, "--eps", "0.05", "--tau-max", "100",
+                   "--tau-step", "0.01", "--out", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["config_hash"] == canonical_hash(
+            {"eps": 0.05, "tau_max": 100.0, "tau_step": 0.01,
+             "mode": "global", "window": None})
 
     def test_summary_lists_admitted_and_gap(self, capsys):
         code, out, _ = run(capsys, "scan", "--fn", "sin(t)", "--span", "0:120",
