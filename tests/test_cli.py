@@ -288,6 +288,7 @@ class TestShiftGridLimit:
 
 class TestOptionValues:
     @pytest.mark.parametrize("argv", [
+        ("simulate", "--ode=-x", "--span", "0:5", "--abs-tol", "inf"),
         ("simulate", "--ode=-x", "--span", "0:5", "--dt", "inf"),
         ("simulate", "--fn", "sin(t)", "--span", "0:5", "--bound", "nan"),
         ("simulate", "--ode=-x", "--span", "0:5", "--u0", "nan"),
