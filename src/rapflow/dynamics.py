@@ -14,7 +14,10 @@ its values; where one is not finite, a central difference is stored
 instead.
 
 Discrete systems x_{n+1} = f(n, x_n) are iterated exactly (no integration
-error); their trajectories use dt = 1 and integer sample times.
+error); their trajectories use dt = 1 and integer sample times.  Both the
+integrator's step loop and the iteration loop are compiled per field with
+the right-hand side written in (:meth:`Expression.loop`), so evaluating it
+makes no Python call.
 
 Integration aborts (it never emits NaN/Inf): when |x| crosses the overflow
 guard 1e12 a :class:`BlowupError` carrying the last good time is raised; when
@@ -28,6 +31,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import struct
+import textwrap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -632,35 +638,42 @@ _DENSE = (-12715105075 / 11282082432, 87487479700 / 32700410799,
           -1453857185 / 822651844, 69997945 / 29380423)
 
 
-def _dopri5_step(f, t, y, h, k1):
-    """One Dormand-Prince 5(4) step from (t, y), given k1 = f(t, y).
-
-    Returns (y5, err, ks): the fifth-order solution at t + h, the embedded
-    error estimate, and ks = (k1, k3, k4, k5, k6, k7), the stages the dense
-    output uses.  k7 = f(t + h, y5) is the next step's k1 (first same as
-    last).  The tableau is written out stage by stage.  Every weighted sum
-    starts from 0.0 and adds its terms left to right, zero weights
-    included, so a step rounds exactly as the loop over the tableau does.
-    """
-    k2 = f(t + 1 / 5 * h, y + h * (0.0 + 1 / 5 * k1))
-    k3 = f(t + 3 / 10 * h, y + h * (0.0 + 3 / 40 * k1 + 9 / 40 * k2))
-    k4 = f(t + 4 / 5 * h,
-           y + h * (0.0 + 44 / 45 * k1 + -56 / 15 * k2 + 32 / 9 * k3))
-    k5 = f(t + 8 / 9 * h,
-           y + h * (0.0 + 19372 / 6561 * k1 + -25360 / 2187 * k2
-                    + 64448 / 6561 * k3 + -212 / 729 * k4))
-    k6 = f(t + 1.0 * h,
-           y + h * (0.0 + 9017 / 3168 * k1 + -355 / 33 * k2
-                    + 46732 / 5247 * k3 + 49 / 176 * k4 + -5103 / 18656 * k5))
-    y5 = y + h * (0.0 + 35 / 384 * k1 + 0.0 * k2 + 500 / 1113 * k3
-                  + 125 / 192 * k4 + -2187 / 6784 * k5 + 11 / 84 * k6)
-    k7 = f(t + 1.0 * h, y5)
-    # the weights are the differences between the fifth- and fourth-order
-    # weights, so this is the embedded local error estimate
-    err = abs(h * (0.0 + 71 / 57600 * k1 + 0.0 * k2 + -71 / 16695 * k3
-                   + 71 / 1920 * k4 + -17253 / 339200 * k5 + 22 / 525 * k6
-                   + -1 / 40 * k7))
-    return y5, err, (k1, k3, k4, k5, k6, k7)
+# One Dormand-Prince 5(4) step from (tn, y) by h, given k1 = f(tn, y): the
+# stages k2..k7, the fifth-order solution y5 at tn + h and the embedded
+# error estimate err.  k7 = f(tn + h, y5) is the next step's k1 (first same
+# as last).  Each line ``k = f(t, x)`` evaluates the rhs, written in place by
+# Expression.loop.  The tableau is written out stage by stage.  Every
+# weighted sum starts from 0.0 and adds its terms left to right, zero
+# weights included, so a step rounds exactly as the loop over the tableau
+# does.
+_DOPRI5_STEP = """\
+t = tn + 1 / 5 * h
+x = y + h * (0.0 + 1 / 5 * k1)
+k2 = f(t, x)
+t = tn + 3 / 10 * h
+x = y + h * (0.0 + 3 / 40 * k1 + 9 / 40 * k2)
+k3 = f(t, x)
+t = tn + 4 / 5 * h
+x = y + h * (0.0 + 44 / 45 * k1 + -56 / 15 * k2 + 32 / 9 * k3)
+k4 = f(t, x)
+t = tn + 8 / 9 * h
+x = y + h * (0.0 + 19372 / 6561 * k1 + -25360 / 2187 * k2
+             + 64448 / 6561 * k3 + -212 / 729 * k4)
+k5 = f(t, x)
+t = tn + 1.0 * h
+x = y + h * (0.0 + 9017 / 3168 * k1 + -355 / 33 * k2
+             + 46732 / 5247 * k3 + 49 / 176 * k4 + -5103 / 18656 * k5)
+k6 = f(t, x)
+y5 = y + h * (0.0 + 35 / 384 * k1 + 0.0 * k2 + 500 / 1113 * k3
+              + 125 / 192 * k4 + -2187 / 6784 * k5 + 11 / 84 * k6)
+x = y5
+k7 = f(t, x)
+# the weights are the differences between the fifth- and fourth-order
+# weights, so this is the embedded local error estimate
+err = abs(h * (0.0 + 71 / 57600 * k1 + 0.0 * k2 + -71 / 16695 * k3
+               + 71 / 1920 * k4 + -17253 / 339200 * k5 + 22 / 525 * k6
+               + -1 / 40 * k7))
+"""
 
 
 def _dense_coefficients(h, y, y5, k1, k3, k4, k5, k6, k7):
@@ -713,12 +726,15 @@ def integrate(fld: ScalarField, u0: float, t_span, config: IntegratorConfig | No
     The values on the grid come from each step's fourth-order dense output,
     and the stored derivatives f(t_k, x_k) from one array evaluation of the
     rhs per chunk of ``_CHUNK`` grid points; one that is not finite raises
-    :class:`DynamicsError` naming its time.  The steps run on Python floats:
-    numpy scalars would run every stage on numpy's slower scalar
-    arithmetic.  ``provenance["stats"]`` counts the stepper's scalar rhs
-    calls, accepted and rejected steps, the smallest accepted step, and
-    the largest sampled defect |psi'(t_k) - f(t_k, psi(t_k))| of the dense
-    output psi on the grid.
+    :class:`DynamicsError` naming its time.  The step loop is compiled
+    once per field with the rhs written in at each stage
+    (:meth:`Expression.loop`), so no stage makes a Python call, and it runs
+    on Python floats: numpy scalars would run every stage on numpy's slower
+    scalar arithmetic.  ``provenance["stats"]`` counts the loop's scalar
+    rhs evaluations (one per stage, six per step, and the first), accepted
+    and rejected steps, the smallest accepted step, and the largest sampled
+    defect |psi'(t_k) - f(t_k, psi(t_k))| of the dense output psi on the
+    grid; the array evaluations of the stored derivatives are not counted.
 
     A step underflow while the solution magnitude already exceeds 1e8 is
     reported as a blow-up, since the step collapse is then driven by the
@@ -749,55 +765,47 @@ def integrate(fld: ScalarField, u0: float, t_span, config: IntegratorConfig | No
                       derivs=derivs, provenance=provenance)
 
 
-def _march_dopri5(fld, y, t0, dt, cfg, values, derivs) -> dict:
-    """Fill ``values`` and ``derivs`` by Dormand-Prince steps; see integrate.
-
-    Each accepted step appends (t, h, y, y5, k1, k3, k4, k5, k6, k7) to a
-    flat buffer of doubles.  The buffer is turned into grid values whenever
-    it holds ``_CHUNK`` steps or its steps reach ``_CHUNK`` grid points past
-    the last ones filled, so memory beside the output is O(``_CHUNK``)
-    whatever the step count.  Returns the stats.
-    """
-    # imported here, not at the top: loading its shared library raised the
-    # resident memory of processes that never integrate by 0.1 to 0.3 MB
-    from array import array
-
-    f = fld.bind()
-    abs_tol = cfg.abs_tol * _STEP_TOL_SHARE
-    rel_tol = cfg.rel_tol * _STEP_TOL_SHARE
-    n = len(values)
-    t_end = t0 + (n - 1) * dt
-    grid = _DenseGrid(fld, t0, dt, values, derivs)
-    steps = array("d")
-    buffer_max = 10 * _CHUNK
-    t_flush = t0 + min(n - 1, _CHUNK) * dt
-    t, h = t0, dt
-    accepted = rejected = 0
-    min_step = math.inf
+# packs a step into the buffer: (tn, h, y, y5, k1, k3, k4, k5, k6, k7)
+_PACK_STEP = struct.Struct("10d").pack_into
+# integrate's step loop, compiled per field by Expression.loop.  t and x are
+# where the rhs is evaluated; the step starts at (tn, y).  Each accepted step
+# packs (tn, h, y, y5, k1, k3, k4, k5, k6, k7) into the float array
+# ``steps``, and ``fill`` turns the steps packed so far into grid values
+# once ``tn`` reaches ``t_flush`` or ``steps`` is full, and returns the next
+# ``t_flush``.  Returns (accepted, rejected, min_step).
+_MARCH = """\
+def march(tn, y, h, t_end, abs_tol, rel_tol, fill, t_flush, steps):
+    t, x = tn, y
     try:
-        k1 = f(t, y)
-    except EvalError as exc:
-        raise DynamicsError(f"rhs evaluation failed at t = {t!r}: {exc}") from exc
+        k1 = f(t, x)
+    except _EvalError as exc:
+        raise _DynamicsError(
+            f"rhs evaluation failed at t = {tn!r}: {exc}") from exc
+    # byte offsets into steps
+    packed = 0
+    full = 8 * len(steps)
+    accepted = rejected = 0
+    min_step = _inf
     last = False
     while not last:
         # stretch a step that would leave less than 1% of itself to go
-        last = t + 1.01 * h >= t_end
+        last = tn + 1.01 * h >= t_end
         if last:
-            h = t_end - t
+            h = t_end - tn
         try:
-            y5, err, ks = _dopri5_step(f, t, y, h, k1)
-        except EvalError as exc:
-            raise DynamicsError(
-                f"rhs evaluation failed inside [{t!r}, {t + h!r}]: {exc}"
+""" + textwrap.indent(_DOPRI5_STEP, " " * 12) + """\
+        except _EvalError as exc:
+            raise _DynamicsError(
+                f"rhs evaluation failed inside [{tn!r}, {tn + h!r}]: {exc}"
             ) from exc
         ay, ay5 = abs(y), abs(y5)
         try:
             ratio = err / (abs_tol + rel_tol * (ay if ay > ay5 else ay5))
         except ZeroDivisionError:  # a tolerance that underflowed to 0
-            ratio = math.inf if err else 0.0
+            ratio = _inf if err else 0.0
         # h*0.9*ratio^(-1/5) clipped to [0.2h, 10h]; a ratio that is not
         # finite shrinks the step as much as allowed
-        if 0.0 < ratio < math.inf:
+        if 0.0 < ratio < _inf:
             grow = 0.9 * ratio ** -0.2
             if grow > 10.0:
                 grow = 10.0
@@ -809,26 +817,47 @@ def _march_dopri5(fld, y, t0, dt, cfg, values, derivs) -> dict:
             accepted += 1
             if h < min_step:
                 min_step = h
-            steps.extend((t, h, y, y5))
-            steps.extend(ks)
-            t_prev, t = t, t_end if last else t + h
-            y, k1 = y5, ks[5]
+            _pack(steps, packed, tn, h, y, y5, k1, k3, k4, k5, k6, k7)
+            packed += 80
+            t_prev, tn = tn, t_end if last else tn + h
+            y, k1 = y5, k7
             # false for inf and NaN as well
-            if not -BLOWUP_GUARD <= y <= BLOWUP_GUARD:
-                raise BlowupError(t_prev, y)
-            if last or t >= t_flush or len(steps) >= buffer_max:
-                grid.fill(steps, t)
-                steps = array("d")
-                t_flush = t0 + min(n - 1, grid.filled + _CHUNK) * dt
+            if not -_GUARD <= y <= _GUARD:
+                raise _BlowupError(t_prev, y)
+            if last or tn >= t_flush or packed == full:
+                t_flush = fill(steps[:packed // 8], tn)
+                packed = 0
             h *= grow
             continue
         rejected += 1
         last = False
         h *= grow
-        if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
-            if abs(y) > 1e8 or not (math.isfinite(err) and math.isfinite(y5)):
-                raise BlowupError(t, y)
-            raise StepUnderflowError(t)
+        if h < _MIN_STEP_FACTOR * max(1.0, abs(tn)):
+            if abs(y) > 1e8 or not (_isfinite(err) and _isfinite(y5)):
+                raise _BlowupError(tn, y)
+            raise _StepUnderflowError(tn)
+    return accepted, rejected, min_step
+"""
+_MARCH_NAMES = {
+    "_pack": _PACK_STEP, "_isfinite": math.isfinite, "_GUARD": BLOWUP_GUARD,
+    "_MIN_STEP_FACTOR": _MIN_STEP_FACTOR, "_DynamicsError": DynamicsError,
+    "_BlowupError": BlowupError, "_StepUnderflowError": StepUnderflowError}
+
+
+def _march_dopri5(fld, y, t0, dt, cfg, values, derivs) -> dict:
+    """Fill ``values`` and ``derivs`` by Dormand-Prince steps; see integrate.
+
+    The step buffer holds ``_CHUNK`` doubles, a tenth as many steps.  It is
+    turned into grid values whenever it is full or its steps reach
+    ``_CHUNK`` grid points past the last ones filled, so memory beside the
+    output is O(``_CHUNK``) whatever the step count.  Returns the stats.
+    """
+    march = fld.rhs.loop(_MARCH, fld.params, _MARCH_NAMES)
+    grid = _DenseGrid(fld, t0, dt, values, derivs)
+    steps = np.empty(10 * max(1, _CHUNK // 10))
+    accepted, rejected, min_step = march(
+        t0, y, dt, t0 + (len(values) - 1) * dt, cfg.abs_tol * _STEP_TOL_SHARE,
+        cfg.rel_tol * _STEP_TOL_SHARE, grid.fill, grid.next_flush(), steps)
     return {"rhs_evals": 1 + 6 * (accepted + rejected), "accepted": accepted,
             "rejected": rejected, "min_step": min_step,
             "defect": grid.defect}
@@ -850,9 +879,16 @@ class _DenseGrid:
         self.filled = 0
         self.defect = 0.0
 
-    def fill(self, steps, t_reached):
-        start, h, y, y5, k1, k3, k4, k5, k6, k7 = np.frombuffer(
-            steps).reshape(-1, 10).T
+    def next_flush(self) -> float:
+        """The time at which the buffered steps reach ``_CHUNK`` grid
+        points past those filled, or the last grid point."""
+        return self.t0 + min(len(self.values) - 1,
+                             self.filled + _CHUNK) * self.dt
+
+    def fill(self, steps, t_reached) -> float:
+        """Write the grid points up to ``t_reached`` from the buffered
+        steps, ten floats each; return :meth:`next_flush`."""
+        start, h, y, y5, k1, k3, k4, k5, k6, k7 = steps.reshape(-1, 10).T
         ends = np.append(start[1:], t_reached)
         r2, r3, r4, r5 = _dense_coefficients(h, y, y5, k1, k3, k4, k5, k6, k7)
         n = len(self.values)
@@ -861,7 +897,7 @@ class _DenseGrid:
             ts = self.t0 + self.dt * np.arange(i, min(n, i + _CHUNK))
             ts = ts[:np.searchsorted(ts, t_reached, side="right")]
             if ts.size == 0:
-                return
+                break
             j = np.searchsorted(ends, ts)
             hj = h[j]
             # the polynomial y + s*w, w = r2 + u*r, r = r3 + s*q,
@@ -897,6 +933,7 @@ class _DenseGrid:
             slope -= d
             self.defect = max(self.defect, float(np.abs(slope, out=slope).max()))
             self.filled = i + ts.size
+        return self.next_flush()
 
     def _rhs(self, ts, xs):
         fld = self.fld
@@ -923,36 +960,61 @@ class _DenseGrid:
         return d
 
 
+# iterate's step loop, compiled per field by Expression.loop: x_{n+1} =
+# f(n, x_n) into ``values[n + 1]``, with t = n
+_MAP_LOOP = """\
+def run(x, n_steps, lo, hi, values):
+    t = 0.0
+    try:
+        for n in range(n_steps):
+            x = f(t, x)
+            # false for inf and NaN as well
+            if not -_GUARD <= x <= _GUARD:
+                raise _IterationAbortError(
+                    n + 1, f"value {x!r} exceeds the overflow guard")
+            if not lo <= x <= hi:
+                raise _IterationAbortError(
+                    n + 1, f"value {x!r} left the state domain [{lo:g}, {hi:g}]")
+            values[n + 1] = x
+            t += 1.0
+    except _EvalError as err:
+        raise _IterationAbortError(n + 1, str(err)) from err
+"""
+_MAP_NAMES = {"_GUARD": BLOWUP_GUARD, "_IterationAbortError": IterationAbortError}
+
+
 def iterate(fld: ScalarField, u0: float, n_steps: int) -> Trajectory:
-    """Iterate a discrete field exactly for n_steps steps from x_0 = u0."""
+    """Iterate a discrete field exactly for n_steps steps from x_0 = u0.
+
+    ``n_steps`` is a whole number (an int or a numpy integer, not a bool).
+    The loop is compiled with the rhs written in (:meth:`Expression.loop`)
+    and runs on Python floats.  It aborts with :class:`IterationAbortError`,
+    naming the step, when an evaluation fails, when a value is not finite
+    or exceeds the overflow guard in magnitude, or when it leaves the state
+    domain.
+    """
     if fld.kind != "discrete":
         raise DynamicsError("iterate expects a discrete field; use integrate")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral):
+        raise DynamicsError(
+            f"n_steps must be a whole number of steps, not {n_steps!r}")
+    n_steps = int(n_steps)
     if n_steps < 1:
         raise DynamicsError("n_steps must be >= 1")
     _grid_cells(0.0, n_steps, 1.0)
     lo, hi = fld.state_domain
     if not (lo <= u0 <= hi) or not math.isfinite(u0):
         raise DynamicsError(f"u0 = {u0!r} outside the state domain")
+    # imported here, not at the top: loading its shared library raised the
+    # resident memory of processes that never iterate by 0.1 to 0.3 MB
+    from array import array
 
-    values = np.empty(n_steps + 1)
-    values[0] = float(u0)
-    f = fld.bind()
-
-    x = float(u0)
-    for n in range(n_steps):
-        try:
-            x = f(float(n), x)
-        except EvalError as err:
-            raise IterationAbortError(n + 1, str(err)) from err
-        if not math.isfinite(x) or abs(x) > BLOWUP_GUARD:
-            raise IterationAbortError(n + 1, f"value {x!r} exceeds the overflow guard")
-        if not (lo <= x <= hi):
-            raise IterationAbortError(
-                n + 1, f"value {x!r} left the state domain [{lo:g}, {hi:g}]")
-        values[n + 1] = x
-
+    values = array("d", [float(u0)]) * (n_steps + 1)
+    run = fld.rhs.loop(_MAP_LOOP, fld.params, _MAP_NAMES)
+    run(float(u0), n_steps, lo, hi, values)
     return Trajectory(
-        kind="discrete", t0=0.0, dt=1.0, values=values, derivs=None,
+        kind="discrete", t0=0.0, dt=1.0, values=np.frombuffer(values),
+        derivs=None,
         provenance={"field": fld.field_id, "name": fld.name, "u0": repr(float(u0)),
                     "config": f"n={n_steps}"})
 
@@ -993,14 +1055,20 @@ def sample_function(fn, t_span, dt: float, params: dict | None = None,
     size = _grid_cells(t0, t1, dt) + 1
     values = np.empty(size)
     derivs = np.empty(size)
+    finite = True
     for c0 in range(0, size, _CHUNK):
         c1 = min(size, c0 + _CHUNK)
         ts = t0 + dt * np.arange(c0, c1)
-        values[c0:c1], derivs[c0:c1] = e.eval_array_dt(ts, params=params)
-        bad = np.flatnonzero(~np.isfinite(derivs[c0:c1]))
+        v, d = e.eval_array_dt(ts, params=params)
+        bad = np.flatnonzero(~np.isfinite(d))
         if bad.size:
-            derivs[c0 + bad] = central(ts[bad])
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivs))):
+            d[bad] = central(ts[bad])
+        # checked while the chunk is in cache, and raised once every chunk
+        # is evaluated, since a later one may raise EvalError
+        finite = finite and np.isfinite(v).all() and np.isfinite(d[bad]).all()
+        values[c0:c1] = v
+        derivs[c0:c1] = d
+    if not finite:
         raise DynamicsError("sampled curve is not finite on the grid")
     return Trajectory(
         kind="continuous", t0=t0, dt=dt, values=values, derivs=derivs,

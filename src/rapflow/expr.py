@@ -22,7 +22,10 @@ Each expression is compiled once per backend into straight-line Python
 source: :meth:`Expression.bind` returns a scalar evaluator built on
 :mod:`math`, :meth:`Expression.eval_array` evaluates over numpy arrays, and
 :meth:`Expression.eval_array_dt` also returns the t-derivative, formed node
-by node in the same pass (forward mode).
+by node in the same pass (forward mode).  :meth:`Expression.loop` compiles
+a loop written around rhs evaluations with the scalar evaluator's
+statements in place of each, so a loop that evaluates the rhs at every
+step makes no Python call for it.
 The scalar evaluator computes each distinct subexpression once, in the order
 the tree evaluates it, and reuses its value where it recurs; one of
 parameters alone is computed once per binding, by the factory.  When a power
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 import re
+import textwrap
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -278,7 +282,8 @@ def _respan(node: Node, span: tuple) -> Node:
 # All keep the domain guards, messages, spans and evaluation order of the
 # tree.  The source is compiled once per expression and backend as a
 # factory whose arguments are the parameter values; binding parameters only
-# calls the factory.
+# calls the factory.  The scalar statements are also written into loop
+# templates (Expression.loop), once at each rhs evaluation the loop marks.
 # ---------------------------------------------------------------------------
 
 def _pow_scalar(b: float, e: float, span: tuple) -> float:
@@ -623,12 +628,22 @@ class _Emitter:
         return l, r
 
 
-def _build(root: Node, backend: str, fold: bool = True):
+# a line of a loop template that evaluates the rhs at t and x into a name
+_RHS_LINE = re.compile(r"^( *)(\w+) = f\(t, x\)$", re.M)
+
+
+def _build(root: Node, backend: str, fold: bool = True,
+           template: str | None = None, names: dict | None = None):
     """Compile root for a backend: (factory, parameter names, their spans).
 
     ``factory(*values)`` takes the parameter values in the order of the
     names and returns the evaluator ``f(t, x)``.  Names are in order of
     first occurrence, left to right, and each span is that occurrence's.
+    With a ``template`` (scalar backend only) the factory returns the
+    function the template defines instead, each of its lines
+    ``<name> = f(t, x)`` replaced by the evaluator's statements and
+    ``<name> = <value>``, and ``names`` joins its globals; see
+    :meth:`Expression.loop`.
     """
     first: dict = {}
     for p in _param_nodes(root):
@@ -637,15 +652,23 @@ def _build(root: Node, backend: str, fold: bool = True):
 
     def evaluator(hoist: bool, indent: str):
         em = _Emitter(backend, args, fold, hoist)
-        if backend == "scalar":
+        if backend == "scalar" and template is None:
             em.lines += [f"{v} = _float({v})" for v in _power_vars(root)]
         result = em.emit(root)
         if em.deriv:
             result += f", {em.dt.get(result, '0.0')}"
-        body = "".join(f"{indent}    {line}\n" for line in em.lines)
         pre = "".join(f"{indent}    {line}\n" for line in em.pre)
-        return (f"{indent}def f(t, x):\n{body}{indent}    return {result}\n"
-                f"{indent}return f\n"), pre
+        if template is None:
+            body = "".join(f"{indent}    {line}\n" for line in em.lines)
+            return (f"{indent}def f(t, x):\n{body}"
+                    f"{indent}    return {result}\n{indent}return f\n"), pre
+
+        def rhs(m):
+            return "\n".join(f"{m[1]}{line}"
+                             for line in [*em.lines, f"{m[2]} = {result}"])
+        name = re.match(r"def (\w+)\(", template)[1]
+        body = _RHS_LINE.sub(rhs, textwrap.indent(template, indent))
+        return f"{body}{indent}return {name}\n", pre
 
     source = f"def _make({', '.join(args.values())}):\n"
     f, pre = evaluator(backend == "scalar", "    ")
@@ -657,7 +680,7 @@ def _build(root: Node, backend: str, fold: bool = True):
         source += (f"    try:\n{pre}"
                    f"    except (ArithmeticError, ValueError):\n{plain}")
     source += f
-    namespace = dict(_NAMESPACES[backend])
+    namespace = dict(_NAMESPACES[backend], **(names or {}))
     exec(compile(source, f"<expression, {backend}>", "exec"), namespace)
     return namespace["_make"], tuple(first), tuple(first.values())
 
@@ -716,21 +739,48 @@ class Expression:
         """Names of free parameters (everything that is not t, x, pi or e)."""
         return self._params
 
-    def _compiled(self, backend: str):
-        built = self._code.get(backend)
+    def _compiled(self, backend: str, template: str | None = None,
+                  names: dict | None = None):
+        key = backend if template is None else (template, *names.items())
+        built = self._code.get(key)
         if built is None:
-            built = self._code[backend] = _build(self.root, backend)
+            built = self._code[key] = _build(self.root, backend,
+                                             template=template, names=names)
         return built
 
-    def bind(self, params: dict | None = None) -> Callable[[float, float], float]:
-        """Scalar callable ``f(t, x)`` with all parameters fixed."""
-        make, names, spans = self._compiled("scalar")
+    @staticmethod
+    def _scalar_factory(built, params: dict | None):
+        make, names, spans = built
         params = params or {}
         try:
             return make(*[float(params[n]) for n in names])
         except KeyError:
             i = next(i for i, n in enumerate(names) if n not in params)
             raise EvalError(f"unbound parameter {names[i]!r}", spans[i]) from None
+
+    def bind(self, params: dict | None = None) -> Callable[[float, float], float]:
+        """Scalar callable ``f(t, x)`` with all parameters fixed."""
+        return self._scalar_factory(self._compiled("scalar"), params)
+
+    def loop(self, template: str, params: dict | None = None,
+             names: dict | None = None) -> Callable:
+        """The function ``template`` defines, with this expression written in.
+
+        ``template`` is the source of one function, starting at column 0
+        with ``def``.  Each of its lines ``<name> = f(t, x)`` becomes the
+        statements of :meth:`bind`'s evaluator, reading the template's
+        variables ``t`` and ``x``, followed by ``<name> = <value>``.  So the
+        rhs is evaluated without a call, with the values, errors and spans
+        of :meth:`bind`'s evaluator, provided ``t`` and ``x`` hold Python
+        floats: unlike it, the statements do not convert them.  The
+        template's own names must not be those of the statements'
+        temporaries (``v`` or ``p`` followed by digits).  ``names`` are
+        further globals the template reads.  Parameters are bound as by
+        :meth:`bind`; the template is compiled once per expression,
+        template and names.
+        """
+        return self._scalar_factory(
+            self._compiled("scalar", template, names or {}), params)
 
     def eval_array(self, t, x=0.0, params: dict | None = None) -> np.ndarray:
         """Vectorized evaluation; t and x broadcast against each other."""

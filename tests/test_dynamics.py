@@ -2,16 +2,17 @@
 
 import math
 import re
+import textwrap
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from rapflow import dynamics
+from rapflow import dynamics, expr
 from rapflow.catalog import get as get_example
 from rapflow.catalog import oracle_value
 from rapflow.catalog import BH_DRIFTING_RHS, BH_RHS, CHIRP_RHS, make_beverton_holt
@@ -25,7 +26,6 @@ from rapflow.dynamics import (
     StepUnderflowError,
     Trajectory,
     _dense_coefficients,
-    _dopri5_step,
     boundedness,
     check_lipschitz_one,
     check_monotone_in_x,
@@ -34,7 +34,8 @@ from rapflow.dynamics import (
     iterate,
     sample_function,
 )
-from rapflow.expr import EvalError, Expression, parse
+from rapflow.expr import (BinOp, Call, Const, EvalError, Expression, Neg,
+                          Param, Var, parse)
 
 
 def chirp_field():
@@ -200,15 +201,27 @@ def _tableau_dense(h, y, y5, k):
     return y, ydiff, bspl, ydiff - h * k[6] - bspl, h * acc
 
 
+class _GridFailure(Exception):
+    """The rhs fails or is not finite at a grid point."""
+
+
 def _tableau_integrate(fld, u0, t0, t1, cfg):
-    """integrate's dopri5 march, on the tableau-driven step, one grid
-    point at a time; returns (values, derivs, stats)."""
+    """integrate's dopri5 march, on the tableau-driven step and the field's
+    bind(), one grid point at a time; returns (values, derivs, stats).
+
+    It aborts as integrate does, with the same errors and messages; where
+    the stored derivatives fail it raises _GridFailure.
+    """
     f = fld.bind()
     n_cells = max(1, math.ceil((t1 - t0) / cfg.dt_out - 1e-9))
     grid = [t0 + cfg.dt_out * i for i in range(n_cells + 1)]
     t_end = grid[-1]
     abs_tol, rel_tol = cfg.abs_tol * 1e-2, cfg.rel_tol * 1e-2
-    t, y, h, k1 = t0, float(u0), cfg.dt_out, f(t0, float(u0))
+    t, y, h = t0, float(u0), cfg.dt_out
+    try:
+        k1 = f(t0, y)
+    except EvalError as exc:
+        raise DynamicsError(f"rhs evaluation failed at t = {t!r}: {exc}")
     values, slopes = [], []
     accepted = rejected = 0
     min_step = math.inf
@@ -216,13 +229,25 @@ def _tableau_integrate(fld, u0, t0, t1, cfg):
         last = t + 1.01 * h >= t_end
         if last:
             h = t_end - t
-        y5, err, k = _tableau_step(f, t, y, h, k1)
-        ratio = err / (abs_tol + rel_tol * max(abs(y), abs(y5)))
+        try:
+            y5, err, k = _tableau_step(f, t, y, h, k1)
+        except EvalError as exc:
+            raise DynamicsError(
+                f"rhs evaluation failed inside [{t!r}, {t + h!r}]: {exc}")
+        try:
+            ratio = err / (abs_tol + rel_tol * max(abs(y5), abs(y)))
+        except ZeroDivisionError:
+            ratio = math.inf if err else 0.0
         grow = 10.0 if ratio == 0.0 else min(10.0, max(0.2, 0.9 * ratio ** -0.2))
         h_next = h * grow
-        if ratio > 1.0:
+        if not ratio <= 1.0:
             rejected += 1
             h = h_next
+            if h < 1e-13 * max(1.0, abs(t)):
+                if abs(y) > 1e8 or not (math.isfinite(err)
+                                        and math.isfinite(y5)):
+                    raise BlowupError(t, y)
+                raise StepUnderflowError(t)
             continue
         accepted += 1
         min_step = min(min_step, h)
@@ -240,13 +265,38 @@ def _tableau_integrate(fld, u0, t0, t1, cfg):
             else:
                 values.append(y if s == 0.0 else y + s * w)
             slopes.append((w + s * (u * (q - s * r5) - r)) / h)
+        if not abs(y5) <= 1e12:
+            raise BlowupError(t, y5)
         t, y, k1, h = t_next, y5, k[6], h_next
     values = np.array(values)
-    derivs = fld.rhs.eval_array(np.array(grid), values, params=fld.params)
+    try:
+        with np.errstate(all="ignore"):
+            derivs = fld.rhs.eval_array(np.array(grid), values,
+                                        params=fld.params)
+    except EvalError as exc:
+        raise _GridFailure(exc)
+    if not np.all(np.isfinite(derivs)):
+        raise _GridFailure("not finite")
+    with np.errstate(all="ignore"):
+        defect = float(np.abs(np.array(slopes) - derivs).max())
     stats = {"rhs_evals": 1 + 6 * (accepted + rejected), "accepted": accepted,
-             "rejected": rejected, "min_step": min_step,
-             "defect": float(np.abs(np.array(slopes) - derivs).max())}
+             "rejected": rejected, "min_step": min_step, "defect": defect}
     return values, derivs, stats
+
+
+def _step_function(rhs=None):
+    """step(tn, y, h, k1) -> (y5, err, (k1, ..., k7)): the march's step
+    template in a function of its own.  With an expression the rhs is
+    written in by Expression.loop; without one each stage calls the
+    function ``f`` of the returned namespace."""
+    source = ("def step(tn, y, h, k1):\n"
+              + textwrap.indent(dynamics._DOPRI5_STEP, "    ")
+              + "    return y5, err, (k1, k2, k3, k4, k5, k6, k7)\n")
+    if rhs is not None:
+        return rhs.loop(source)
+    namespace = {}
+    exec(source, namespace)
+    return namespace
 
 
 @pytest.mark.parametrize("rhs", ["-x+sin(t)", CHIRP_RHS])
@@ -254,14 +304,14 @@ def _tableau_integrate(fld, u0, t0, t1, cfg):
        h=st.floats(1e-6, 0.5))
 @settings(max_examples=300, deadline=None)
 def test_dopri5_step_matches_the_tableau_bit_for_bit(rhs, t, y, h):
-    f = ScalarField(kind="continuous", rhs=rhs).bind()
+    fld = ScalarField(kind="continuous", rhs=rhs)
+    f = fld.bind()
     k1 = f(t, y)
-    y5, err, ks = _dopri5_step(f, t, y, h, k1)
+    y5, err, ks = _step_function(fld.rhs)(t, y, h, k1)
     want_y5, want_err, k = _tableau_step(f, t, y, h, k1)
-    stages = [k[0]] + k[2:]
     assert np.array([y5, err, *ks]).tobytes() == np.array(
-        [want_y5, want_err, *stages]).tobytes()
-    dense = _dense_coefficients(h, y, y5, *ks)
+        [want_y5, want_err, *k]).tobytes()
+    dense = _dense_coefficients(h, y, y5, ks[0], *ks[2:])
     assert np.array(dense).tobytes() == np.array(
         _tableau_dense(h, y, y5, k)[1:]).tobytes()
 
@@ -279,6 +329,7 @@ def _same_bits(a, b):
 @settings(max_examples=300, deadline=None)
 def test_dopri5_step_sums_match_the_tableau_on_signed_zeros_and_non_finite(
         ks, y, h):
+    # the step template's own sums, with each stage's rhs value preset
     def stages(calls):
         values = iter(ks[1:])
 
@@ -288,16 +339,17 @@ def test_dopri5_step_sums_match_the_tableau_on_signed_zeros_and_non_finite(
         return f
 
     got_calls, want_calls = [], []
-    y5, err, got = _dopri5_step(stages(got_calls), 0.0, y, h, ks[0])
+    step = _step_function()
+    step["f"] = stages(got_calls)
+    y5, err, got = step["step"](0.0, y, h, ks[0])
     want_y5, want_err, k = _tableau_step(stages(want_calls), 0.0, y, h, ks[0])
-    want = [k[0]] + k[2:]
     assert _same_bits(y5, want_y5) and _same_bits(err, want_err)
-    assert all(_same_bits(a, b) for a, b in zip(got, want))
+    assert all(_same_bits(a, b) for a, b in zip(got, k))
     assert len(got_calls) == len(want_calls) == 6
     for (ta, xa), (tb, xb) in zip(got_calls, want_calls):
         assert _same_bits(ta, tb) and _same_bits(xa, xb)
     with np.errstate(all="ignore"):
-        dense = _dense_coefficients(*np.array([h, y, y5, *got]))
+        dense = _dense_coefficients(*np.array([h, y, y5, got[0], *got[2:]]))
     assert all(_same_bits(a, b) for a, b in zip(
         dense, _tableau_dense(h, y, y5, k)[1:]))
 
@@ -343,25 +395,124 @@ def test_chunked_dense_output_matches_the_tableau_loop(monkeypatch, case,
     assert traj.derivs.tobytes() == derivs.tobytes()
 
 
-@pytest.mark.parametrize("u0", [1, 0.75, np.float64(0.75)],
-                         ids=["int", "float", "float64"])
-@pytest.mark.parametrize("case", ["rejected-steps"])
-def test_integrate_calls_the_rhs_on_python_floats(monkeypatch, case, u0):
-    fld, cfg, span, _ = _LOOP_CASES[case]
-    seen = set()
-    bind = ScalarField.bind
-
-    def recording_bind(self):
-        f = bind(self)
+def _loop_with_calls(seen):
+    """Expression.loop that runs the template as written: each rhs line
+    calls bind()'s evaluator, which records the types it is given."""
+    def loop(self, template, params=None, names=None):
+        f = self.bind(params)
 
         def g(t, x):
             seen.add((type(t), type(x)))
             return f(t, x)
-        return g
+        namespace = dict(expr._NAMESPACES["scalar"], **(names or {}), f=g)
+        exec(template, namespace)
+        return namespace[re.match(r"def (\w+)", template)[1]]
+    return loop
 
-    monkeypatch.setattr(ScalarField, "bind", recording_bind)
-    integrate(fld, u0, span, cfg)
+
+@pytest.mark.parametrize("u0", [1, 1.0, np.float64(1.0)],
+                         ids=["int", "float", "float64"])
+@pytest.mark.parametrize("case", ["rejected-steps"])
+def test_integrate_calls_the_rhs_on_python_floats(monkeypatch, case, u0):
+    # the march runs on Python floats whatever the type of u0: the same
+    # bits and stats, and the rhs, called where the compiled loop writes it
+    # in, sees floats only
+    fld, cfg, span, _ = _LOOP_CASES[case]
+    want = integrate(fld, 1.0, span, cfg)
+    seen = set()
+    got = [integrate(fld, u0, span, cfg)]
+    monkeypatch.setattr(Expression, "loop", _loop_with_calls(seen))
+    got.append(integrate(fld, u0, span, cfg))
     assert seen == {(float, float)}
+    for traj in got:
+        assert traj.values.tobytes() == want.values.tobytes()
+        assert traj.derivs.tobytes() == want.derivs.tobytes()
+        assert traj.provenance == want.provenance
+
+
+# random right-hand sides: small constants, so that steps stay few
+_leaf = st.one_of(
+    st.floats(0.0, 3.0).map(Const),
+    st.sampled_from([Var("t"), Var("x"), Param("a"), Const(math.pi)]))
+_tree = st.recursive(_leaf, lambda children: st.one_of(
+    children.map(Neg),
+    st.tuples(st.sampled_from(sorted(expr.FUNCTIONS)), children).map(
+        lambda p: Call(p[0], (p[1],))),
+    st.tuples(st.sampled_from("+-*/^"), children, children).map(
+        lambda p: BinOp(*p))), max_leaves=8)
+
+
+def _field(kind, root, a, low):
+    """A field of a random tree, or none if it fails its spot check.  With
+    ``low`` 0 the state domain is [0, inf), which the spot check samples
+    from 0 up, so roots of x pass it and fail below 0."""
+    try:
+        return ScalarField(kind=kind, rhs=Expression(root, "<synthetic>"),
+                           params={"a": a}, state_domain=(low, math.inf))
+    except FieldValidationError:
+        assume(False)
+
+
+def _case(src, **kwargs):
+    return dict(dict(root=parse(src).root, a=0.0, low=-math.inf, u0=0.0,
+                     t0=0.0, length=1.0, dt=0.05, abs_tol=1e-9, rel_tol=1e-9),
+                **kwargs)
+
+
+@given(root=_tree, a=st.floats(-3.0, 3.0),
+       low=st.sampled_from([-math.inf, 0.0]), u0=st.floats(0.0, 3.0),
+       t0=st.floats(-20.0, 20.0), length=st.floats(0.05, 3.0),
+       dt=st.floats(0.02, 0.5), abs_tol=st.floats(1e-10, 1e-4),
+       rel_tol=st.sampled_from([0.0, 1e-9, 1e-6]))
+@example(**_case("-x+sin(t)", u0=0.75, length=2.0))
+@example(**_case("sqrt(x)-1", low=0.0))  # a stage fails
+@example(**_case("1/(t-1/4)", t0=0.25))  # the first evaluation fails
+@example(**_case("x^2", u0=3.0))  # blow-up
+@example(**_case("1/(t-1/2)"))  # step underflow
+@example(**_case("-x", abs_tol=5e-324, rel_tol=0.0))  # a zero tolerance
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_compiled_march_matches_the_tableau_loop_on_random_fields(
+        root, a, low, u0, t0, length, dt, abs_tol, rel_tol):
+    fld = _field("continuous", root, a, low)
+    cfg = IntegratorConfig(abs_tol=abs_tol, rel_tol=rel_tol, dt_out=dt)
+    span = (t0, t0 + length)
+    try:
+        values, derivs, stats = _tableau_integrate(fld, u0, *span, cfg)
+    except DynamicsError as want:
+        with pytest.raises(DynamicsError) as got:
+            integrate(fld, u0, span, cfg)
+        assert type(got.value) is type(want)
+        assert str(got.value) == str(want)
+        return
+    except _GridFailure:
+        with pytest.raises(DynamicsError, match="^rhs (evaluation failed|is "
+                                                "not finite)"):
+            integrate(fld, u0, span, cfg)
+        return
+    traj = integrate(fld, u0, span, cfg)
+    assert traj.values.tobytes() == values.tobytes()
+    assert traj.derivs.tobytes() == derivs.tobytes()
+    assert _same_bits(traj.provenance["stats"].pop("defect"),
+                      stats.pop("defect"))
+    assert traj.provenance["stats"] == stats
+
+
+@pytest.mark.parametrize("rhs, domain, u0, span, message", [
+    ("sqrt(x)-1", (0.0, math.inf), 0.0, (0.0, 1.0),
+     "rhs evaluation failed inside [0.0, 0.01]: square root of negative "
+     "value -0.002 at bytes 0..7"),
+    ("1/(t-1/4)", (-math.inf, math.inf), 0.0, (0.25, 1.0),
+     "rhs evaluation failed at t = 0.25: division by zero at bytes 0..9"),
+])
+def test_a_failing_rhs_evaluation_names_where_it_failed(rhs, domain, u0, span,
+                                                        message):
+    fld = ScalarField(kind="continuous", rhs=rhs, state_domain=domain)
+    with pytest.raises(DynamicsError) as err:
+        integrate(fld, u0, span)
+    assert type(err.value) is DynamicsError
+    assert str(err.value) == message
+    assert isinstance(err.value.__cause__, EvalError)
 
 
 def test_blowup_emits_no_numpy_warning():
@@ -527,14 +678,91 @@ def test_iterate_domain_abort():
     with pytest.raises(IterationAbortError) as err:
         iterate(fld, 0.5, 10)
     assert err.value.step == 1
-    assert "state domain" in str(err.value)
+    assert str(err.value) == ("iteration aborted at step 1: value -0.5 left "
+                              "the state domain [0, inf]")
+    with pytest.raises(IterationAbortError) as err:
+        iterate(fld, 3.5, 10)
+    assert err.value.step == 4
 
 
 def test_iterate_overflow_abort():
     fld = ScalarField(kind="discrete", rhs="x^2", time_domain="half-line")
     with pytest.raises(IterationAbortError) as err:
         iterate(fld, 2.0, 100)
-    assert 1 < err.value.step < 20
+    # 2, 4, 16, 256, 65536, 2^32, then 2^64 > 1e12
+    assert err.value.step == 6
+    assert str(err.value) == ("iteration aborted at step 6: value "
+                              "1.8446744073709552e+19 exceeds the overflow "
+                              "guard")
+
+
+def test_iterate_names_the_step_whose_evaluation_fails():
+    fld = ScalarField(kind="discrete", rhs="1/(5-t)+0*x")
+    with pytest.raises(IterationAbortError) as err:
+        iterate(fld, 1.0, 10)
+    # x_6 = f(5, x_5) divides by zero
+    assert err.value.step == 6
+    assert str(err.value) == ("iteration aborted at step 6: division by zero "
+                              "at bytes 0..7")
+    assert isinstance(err.value.__cause__, EvalError)
+
+
+@pytest.mark.parametrize("n_steps", [10.0, True, "10", None],
+                         ids=["float", "bool", "str", "None"])
+def test_iterate_takes_a_whole_step_count_only(n_steps):
+    fld = ScalarField(kind="discrete", rhs="x/2")
+    with pytest.raises(DynamicsError, match="n_steps must be a whole number"):
+        iterate(fld, 1.0, n_steps)
+
+
+def test_iterate_takes_numpy_integers():
+    fld = ScalarField(kind="discrete", rhs="x/2")
+    traj = iterate(fld, 1.0, np.int64(3))
+    assert list(traj.values) == [1.0, 0.5, 0.25, 0.125]
+    assert traj.provenance["config"] == "n=3"
+
+
+def _bind_iterate(fld, u0, n_steps):
+    """iterate as a loop of bind() calls: the values, or the abort's step
+    and message."""
+    f = fld.bind()
+    lo, hi = fld.state_domain
+    x, values = float(u0), [float(u0)]
+    for n in range(n_steps):
+        try:
+            x = f(float(n), x)
+        except EvalError as err:
+            return n + 1, str(err)
+        if not math.isfinite(x) or abs(x) > 1e12:
+            return n + 1, f"value {x!r} exceeds the overflow guard"
+        if not lo <= x <= hi:
+            return n + 1, f"value {x!r} left the state domain [{lo:g}, {hi:g}]"
+        values.append(x)
+    return np.array(values)
+
+
+@given(root=_tree, a=st.floats(-3.0, 3.0),
+       low=st.sampled_from([-math.inf, 0.0]), u0=st.floats(0.0, 3.0),
+       n_steps=st.integers(1, 60))
+@example(root=parse("1/(5-t)+0*x").root, a=0.0, low=-math.inf, u0=1.0,
+         n_steps=10)
+@example(root=parse("x^2").root, a=0.0, low=-math.inf, u0=2.0, n_steps=10)
+@example(root=parse("x-1").root, a=0.0, low=0.0, u0=3.5, n_steps=10)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_compiled_map_loop_matches_a_loop_of_bind_calls(root, a, low, u0,
+                                                        n_steps):
+    fld = _field("discrete", root, a, low)
+    want = _bind_iterate(fld, u0, n_steps)
+    if isinstance(want, tuple):
+        with pytest.raises(IterationAbortError) as err:
+            iterate(fld, u0, n_steps)
+        assert err.value.step == want[0]
+        assert str(err.value) == (f"iteration aborted at step {want[0]}: "
+                                  f"{want[1]}")
+        return
+    traj = iterate(fld, u0, n_steps)
+    assert traj.values.tobytes() == want.tobytes()
 
 
 def test_sequence_coefficients_are_expressions_in_n():
@@ -1102,6 +1330,18 @@ def test_sample_function_takes_expressions_only(fn):
         sample_function(fn, (0.0, 1.0), 0.1)
     traj = sample_function(parse("t"), (0.0, 1.0), 0.1, name="ramp")
     assert traj.provenance["function"] == "ramp"
+
+
+def test_chunked_sampling_raises_what_the_whole_grid_raises(monkeypatch):
+    # chunk [0, 0.3] overflows to inf and chunk [1.6, 1.9] takes the log of
+    # a negative value: the evaluation error wins, as on one whole chunk
+    monkeypatch.setattr(dynamics, "_CHUNK", 4)
+    # the central difference there is inf - inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(EvalError, match="log of non-positive"):
+            sample_function("exp(1000*(1-t)) + ln(1.5-t)", (0.0, 2.0), 0.1)
+        with pytest.raises(DynamicsError, match="not finite on the grid"):
+            sample_function("exp(1000*(1-t)) + ln(2.5-t)", (0.0, 2.0), 0.1)
 
 
 @pytest.mark.parametrize("size", [5, 11, 12, 23])

@@ -488,6 +488,15 @@ def _variables(node):
     return read, powered
 
 
+# a loop template that evaluates the expression twice
+_TWICE = """\
+def twice(t, x):
+    first = f(t, x)
+    second = f(t, x)
+    return first, second
+"""
+
+
 def _check_against_reference(e, t, x, params):
     def outcome(fn):
         try:
@@ -498,11 +507,15 @@ def _check_against_reference(e, t, x, params):
     want = outcome(lambda: _reference(e.root, t, x, params))
     f = e.bind(params)
     got = outcome(lambda: f(t, x))
+    # written into a loop at two marks, on floats
+    twice = outcome(lambda: e.loop(_TWICE, params)(float(t), float(x)))
     if isinstance(want, EvalError):
-        assert isinstance(got, EvalError), got
-        assert (got.span, str(got)) == (want.span, str(want))
+        for err in (got, twice):
+            assert isinstance(err, EvalError), err
+            assert (err.span, str(err)) == (want.span, str(want))
     else:
         assert type(got) is float and _bits(got) == _bits(want)
+        assert [_bits(v) for v in twice] == [_bits(want)] * 2
     if not all(float(v).is_integer() and abs(v) <= 3 for v in (t, x)):
         return
     # small whole t and x given as ints and as numpy scalars: int
@@ -774,6 +787,17 @@ def test_eval_array_dt_raises_nothing_where_the_derivative_is_not_finite():
         value, deriv = parse("sqrt(t)").eval_array_dt(np.array([0.0, 4.0]))
     assert value.tolist() == [0.0, 2.0]
     assert deriv[0] == math.inf and deriv[1] == 0.25
+
+
+def test_a_loop_is_compiled_once_per_template_and_names():
+    e = parse("mu*x + sin(t)")
+    loop = "def run(t, x):\n    y = f(t, x)\n    return y + c\n"
+    assert e.loop(loop, {"mu": 2.0}, {"c": 1.0})(0.0, 3.0) == 7.0
+    assert e.loop(loop, {"mu": 3.0}, {"c": 1.0})(0.0, 3.0) == 10.0
+    assert e.loop(loop, {"mu": 3.0}, {"c": 2.0})(0.0, 3.0) == 11.0
+    assert len(e._code) == 2
+    with pytest.raises(EvalError, match="unbound parameter 'mu'"):
+        e.loop(loop, {}, {"c": 1.0})
 
 
 def test_eval_array_dt_is_compiled_once_beside_eval_array():
