@@ -9,6 +9,7 @@ with a known closed form also expose exact values through
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +25,13 @@ CHIRP_CURVE = "sin((t^2+pi^3)^(1/3))"
 BH_RHS = "mu*K*x/(K+(mu-1)*x)"
 DEFAULT_CAPACITY = "10+sin(ln(1+t))"
 BH_DRIFTING_RHS = BH_RHS.replace("K", f"({DEFAULT_CAPACITY})")
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed(text: str):
+    """The catalog's expression texts, each parsed once, so that its
+    compiled back ends and loops are built once per process."""
+    return parse(text)
 
 
 @dataclass
@@ -53,7 +61,7 @@ class AnalyticExample:
             raise ValueError(f"{self.name!r} is a plain curve, not a system")
         return ScalarField(
             kind="continuous" if self.kind == "ode" else "discrete",
-            rhs=self.rhs, params=dict(self.params),
+            rhs=_parsed(self.rhs), params=dict(self.params),
             state_domain=self.state_domain, name=self.name)
 
     def trajectory(self, u0: float | None = None, span=None, dt: float | None = None,
@@ -82,7 +90,8 @@ class AnalyticExample:
         if self.kind == "curve" or source == "curve":
             if self.curve is None or self.kind == "map":
                 raise ValueError(f"{self.name!r} has no known solution curve")
-            return sample_function(self.curve, span, dt, name=self.name)
+            return sample_function(_parsed(self.curve), span, dt,
+                                   name=self.name)
         if self.kind == "ode":
             return integrate(self.system(), u0, span,
                              config or IntegratorConfig(dt_out=dt))

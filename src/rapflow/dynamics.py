@@ -257,6 +257,92 @@ def _row_reader(stride: int, size: int):
     return row
 
 
+class _IncrementBound:
+    """Proves that a chunk of a shift cannot raise the sups of its windows.
+
+    For base index i and a shift of m whole steps, |phi(i + m) - phi(i)| is
+    at most m*M on the grid, M the largest sample increment |v[j+1] - v[j]|
+    over [i, i + m].  Off the grid the shifted value is the Hermite sum
+    v[p] + h01*(v[p+1] - v[p]) + dt*(h10*d[p] + h11*d[p+1]), p = i + m, with
+    h01 in [0, 1] and |h10| + |h11| <= 1/4, so the comparison is at most
+    m*M + M + dt/4*D, D the largest |d| over [p, p + 1].  The bound is
+    scaled by 1 + 1e-12 and raised by 1e-13*(|v| + dt*|d|) for the
+    kernel's round-off.
+
+    M, D (when some shift is off the grid) and a bound on |v| are kept per
+    segment of ``_CHUNK`` indices from ``origin``, each filled once per
+    call, through the kernel's scratch row, when a chunk first needs it.
+    Filling a segment costs about as much as comparing one shift over a
+    chunk, so a block of one shift never tries, and a call stops trying
+    once its segment fills outnumber the shift-chunks it skipped by more
+    than one.
+    """
+
+    def __init__(self, traj, origin: int, derivs, scratch):
+        self.v, self.d, self.dt = traj.values, derivs, traj.dt
+        self.origin = origin
+        self.scratch = scratch
+        segments = -(-(len(self.v) - origin) // _CHUNK)
+        # per segment: largest |increment|, |derivative| and |value|
+        self.stats = np.zeros((segments, 3))
+        self.known = np.zeros(segments, bool)
+        self.filled = self.skipped = 0
+
+    def _fill(self, q0: int, q1: int):
+        v, d, n, buf = self.v, self.d, len(self.v), self.scratch
+        for q in range(q0, q1):
+            if self.known[q]:
+                continue
+            x0 = self.origin + q * _CHUNK
+            x1 = min(n, x0 + _CHUNK)
+            tops = []
+            for a in range(x0, x1, buf.size):
+                b = min(x1, a + buf.size)
+                # increments v[j+1] - v[j] for j in [a, b), j + 1 < n
+                inc = buf[:min(b, n - 1) - a]
+                np.subtract(v[a + 1:a + 1 + inc.size], v[a:a + inc.size],
+                            out=inc)
+                np.abs(inc, out=inc)
+                tops.append((inc.max() if inc.size else 0.0, 0.0 if d is None
+                             else np.maximum(d[a:b].max(), -d[a:b].min())))
+            # a NaN derivative stays NaN
+            m, dv = np.max(tops, axis=0)
+            # every |v[j]| in the segment is at most |v[x0]| + (j - x0)*M
+            self.stats[q] = m, dv, abs(v[x0]) + (x1 - x0) * m
+            self.known[q] = True
+            self.filled += 1
+
+    def block(self, edges, shifts, exact):
+        """Prepares the chunks ``edges`` of a block of shifts."""
+        # a shift's comparisons over base indices [e0, e1) read up to e1 + m
+        self.q0 = ((edges[:-1] - self.origin) // _CHUNK).tolist()
+        self.q1 = (np.minimum(len(self.v) - 1, edges[1:, None] + shifts)
+                   - self.origin) // _CHUNK
+        self.top = (self.q1.max(axis=1) + 1).tolist()
+        grow = 1.0 + 1e-12
+        self.coef_m = (shifts + ~exact) * grow
+        self.coef_d = np.where(exact, 0.0, self.dt * (0.25 * grow + 1e-13))
+
+    def worth(self) -> bool:
+        return self.filled <= self.skipped + 1
+
+    def skips(self, c: int, floor) -> list:
+        """Per shift, whether all it forms over chunk c is at most ``floor``.
+
+        A NaN or infinite M or D proves nothing, and neither does a |v|
+        above 1e300, where the kernel's sums may overflow.
+        """
+        q0, top = self.q0[c], self.top[c]
+        self._fill(q0, top)
+        inc, dv, vmax = np.maximum.accumulate(
+            self.stats[q0:top], axis=0)[self.q1[c] - q0].T
+        with np.errstate(invalid="ignore", over="ignore"):
+            ub = self.coef_m * inc + self.coef_d * dv + 1e-13 * vmax
+        skip = (ub <= floor) & np.isfinite(ub) & (vmax <= 1e300)
+        self.skipped += int(np.count_nonzero(skip))
+        return skip.tolist()
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Uniformly sampled solution curve.
@@ -388,6 +474,20 @@ class Trajectory:
         or the derivatives, is gathered into contiguous scratch once per
         chunk and offset and read from there by every shift that needs it.
 
+        A chunk of a shift is skipped, its pieces left at -inf, when a
+        bound on every value it would form is at most the largest value
+        already formed in each window its pieces belong to
+        (:class:`_IncrementBound`: m whole steps of the largest sample
+        increment M, plus M + dt/4 times the largest |derivative| off the
+        grid, over the indices the chunk reads; a Lipschitz bound of the
+        samples in the manner of Piyavskii and Shubert's branch and bound).
+        A window's sup is the max over its pieces, and a skipped piece is
+        at most a value the window already holds, so every sup, NaN
+        included, is the one forming every piece gives: a window's first
+        chunk is always formed, and a bound that is NaN or infinite, or
+        a |value| above 1e300, skips nothing.  Only blocks of more than one
+        shift over more than one chunk try it.
+
         On a uniform grid every t_i + tau sits at the same fractional cell
         offset s = frac(tau/dt), so the four cubic Hermite weights are
         scalars for the whole shift and the shifted series is four slice
@@ -454,6 +554,7 @@ class Trajectory:
                             self.dt * ((s - 2) * s + 1) * s,
                             self.dt * (s - 1) * s * s)).T
         width = _CHUNK * stride
+        ceiling = None
         # shifts go 512 at a time, so a scan over many shifts holds the
         # setup of one block only
         for b0 in range(0, cols.size, 512):
@@ -485,15 +586,36 @@ class Trajectory:
             p0 = rank[len(edges):len(edges) + len(first), :, None]
             p1 = rank[len(edges) + len(first):, :, None]
             piece = np.full(cuts.shape, -np.inf)
+            col = np.arange(cuts.shape[1])
+            inside = (col >= p0) & (col < p1)
             setup = list(zip(i_lo.tolist(), shift[js].tolist(),
                              on_grid[js].tolist(), hermite[js].tolist()))
             bounds = elem.tolist()
+            no_skip = [False] * js.size
+            tries = len(edges) > 2 and js.size > 1
+            if tries:
+                if ceiling is None:
+                    ceiling = _IncrementBound(self, int(lo[cols].min()), d,
+                                              buf)
+                ceiling.block(edges, shift[js], on_grid[js])
+                opened = p0 < p1
             for c in range(len(edges) - 1):
+                skip = no_skip
+                if c and tries and ceiling.worth():
+                    # per shift, the least over the windows that the chunk's
+                    # pieces belong to of the largest value formed so far in
+                    # each; a window that has none yet makes it -inf
+                    q0, q1 = rank[c][:, None], rank[c + 1][:, None]
+                    held = np.where(inside & (col < q0), piece,
+                                    -np.inf).max(axis=2)
+                    meets = opened & (p0 < q1) & (p1 > q0)
+                    floor = np.where(meets[..., 0], held, np.inf).min(axis=0)
+                    skip = ceiling.skips(c, floor)
                 local = cuts - elem[c][:, None]
                 for r, (m0, m1, g0, g1, (i0, sh, exact, wts)) in enumerate(
                         zip(bounds[c], bounds[c + 1], at[c], at[c + 1],
                             setup)):
-                    if m0 == m1:
+                    if m0 == m1 or skip[r]:
                         continue
                     n_c = m1 - m0
                     seg, term = buf[:n_c], tmp[:n_c]
@@ -515,8 +637,6 @@ class Trajectory:
                     # window does
                     np.maximum.reduceat(seg, local[r, g0:g1],
                                         out=piece[r, g0:g1])
-            col = np.arange(cuts.shape[1])
-            inside = (col >= p0) & (col < p1)
             sups = np.where(inside, piece, -np.inf).max(axis=2)
             out[:, js] = np.where(use[:, blk], sups, np.nan)
         return out
@@ -1049,8 +1169,11 @@ def sample_function(fn, t_span, dt: float, params: dict | None = None,
 
     def central(ts):
         h = 1e-6 * (1.0 + np.abs(ts))
-        return (e.eval_array(ts + h, 0.0, params=params)
-                - e.eval_array(ts - h, 0.0, params=params)) / (2 * h)
+        ahead = e.eval_array(ts + h, 0.0, params=params)
+        behind = e.eval_array(ts - h, 0.0, params=params)
+        # inf - inf is NaN, and a curve that is not finite raises below
+        with np.errstate(invalid="ignore", over="ignore"):
+            return (ahead - behind) / (2 * h)
 
     size = _grid_cells(t0, t1, dt) + 1
     values = np.empty(size)

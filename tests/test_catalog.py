@@ -300,3 +300,24 @@ def test_recommended_resolution_is_self_consistent():
         if "windows" in rec:
             for lo, hi in rec["windows"]:
                 assert hi > lo > 0
+
+
+@pytest.mark.parametrize("name, span", [("relax-sin", (0.0, 0.02)),
+                                        ("beverton-holt", None),
+                                        ("sin-log", (0.0, 1.0))])
+def test_a_catalog_text_is_compiled_once(monkeypatch, name, span):
+    # the second trajectory builds no back end and no loop again
+    from rapflow import expr
+    built = []
+    real = expr._build
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(expr, "_build", counted)
+    ex = get(name)
+    first = ex.trajectory(span=span, steps=50)
+    count = len(built)
+    again = get(name).trajectory(span=span, steps=50)
+    assert len(built) == count
+    assert np.array_equal(first.values, again.values)

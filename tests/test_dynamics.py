@@ -864,6 +864,15 @@ def _sine_trajectory(t0, dt, n, rate=0.3, phase=0.4):
                       derivs=rate / dt * np.cos(rate * i + phase))
 
 
+def _log_clock_trajectory(t0, dt, n, rate=1.0, scale=1.0):
+    """scale*(2 + sin(ln(1 + rate*i))): it varies ever more slowly, so late
+    chunks of a shift fall below the sup found near a window's start."""
+    clock = np.log1p(rate * np.arange(n))
+    return Trajectory(kind="continuous", t0=t0, dt=dt,
+                      values=scale * (2.0 + np.sin(clock)),
+                      derivs=scale * rate / dt * np.cos(clock) / np.exp(clock))
+
+
 @settings(max_examples=100, deadline=None)
 @given(t0=st.floats(-50.0, 50.0), dt=st.floats(0.05, 1.0),
        n=st.integers(8, 120), chunk=st.integers(1, 9),
@@ -982,15 +991,24 @@ def _kernel_calls(draw):
     """A valid shift_sups call, with the _CHUNK to run it under."""
     n = draw(st.integers(8, 80))
     dt = draw(st.sampled_from([0.1, 0.25, 1.0 / 3.0]))
-    traj = _sine_trajectory(draw(st.floats(-20.0, 20.0)), dt, n)
+    t0 = draw(st.floats(-20.0, 20.0))
+    slow = draw(st.booleans())
+    if slow:
+        # slowly varying over many chunks, and compared at two shifts or
+        # more: the increment bound skips chunks often
+        traj = _log_clock_trajectory(t0, dt, n, draw(st.floats(0.05, 3.0)))
+    else:
+        traj = _sine_trajectory(t0, dt, n)
     if draw(st.booleans()):
-        traj.derivs[draw(st.integers(0, n - 1))] = np.nan
+        traj.derivs[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
     stride = draw(st.integers(1, 4))
     # few whole steps, so shifts share offsets (and row p + 1 of one shift
     # is row p of another); unsorted, on, near and off the grid
     frac = st.sampled_from([0.0, 1e-11, -1e-11, 0.25, 0.6])
     taus = [max(0.0, (whole + draw(frac)) * dt) for whole in
-            draw(st.lists(st.integers(0, n // 3), min_size=1, max_size=8))]
+            draw(st.lists(st.integers(0, n // 3), min_size=1 + slow,
+                          max_size=8))]
     k = np.array(taus) / dt
     on_grid = np.abs(k - np.rint(k)) <= 1e-9 * np.maximum(1.0, k)
     last = np.where(on_grid, n - 1 - np.rint(k), n - 2 - np.floor(k))
@@ -1024,6 +1042,102 @@ def test_shift_sups_match_the_per_shift_loop_bit_for_bit(call):
     want = _shift_sups_loop(traj, taus, starts, ends, stride, where, chunk)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _skips_counted(monkeypatch):
+    """A list that each shift_sups call's bound appends its skips to."""
+    skips = []
+    real = dynamics._IncrementBound.skips
+
+    def counted(self, c, floor):
+        out = real(self, c, floor)
+        skips.append(sum(out))
+        return out
+    monkeypatch.setattr(dynamics._IncrementBound, "skips", counted)
+    return skips
+
+
+def _all_windows(taus, starts, ends):
+    taus = np.asarray(taus, float)
+    shape = (len(starts), taus.size)
+    return (taus, np.broadcast_to(np.array(starts)[:, None], shape),
+            np.broadcast_to(np.array(ends)[:, None], shape),
+            np.ones(shape, bool))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_derivative_in_a_skippable_chunk_keeps_the_sup(
+        monkeypatch, bad):
+    # the shifts 2.5 and 5.5 steps read derivs[150] from base indices 147,
+    # 148 and 144, 145, in chunks 9 and 8 of 16 indices from 2.  Without
+    # the bad derivative both chunks are skipped for both shifts; with it
+    # they are compared, and the sups are the per-shift loop's
+    monkeypatch.setattr(dynamics, "_CHUNK", 16)
+    skips = _skips_counted(monkeypatch)
+    traj = _log_clock_trajectory(0.0, 0.1, 200, rate=0.5)
+    call = _all_windows([0.25, 0.55], [2], [190])
+    clean = traj.shift_sups(*call[:3], where=call[3])
+    # skips[c - 1] counts the skips of chunk c
+    assert skips[7:9] == [2, 2] and np.all(np.isfinite(clean))
+    traj.derivs[150] = bad
+    got = traj.shift_sups(*call[:3], where=call[3])
+    want = _shift_sups_loop(traj, *call[:3], 1, call[3], 16)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert not np.all(np.isfinite(got))
+
+
+def test_values_near_1e300_are_never_skipped(monkeypatch):
+    # the same curve skips chunks at scale 1 and none at scale 1e300, where
+    # the kernel's sums may overflow; both give the per-shift loop's sups
+    monkeypatch.setattr(dynamics, "_CHUNK", 16)
+    for scale, skipping in ((1.0, True), (1e300, False)):
+        skips = _skips_counted(monkeypatch)
+        traj = _log_clock_trajectory(0.0, 0.1, 200, rate=0.5, scale=scale)
+        call = _all_windows([0.25, 0.5, 0.55], [2], [190])
+        got = traj.shift_sups(*call[:3], where=call[3])
+        want = _shift_sups_loop(traj, *call[:3], 1, call[3], 16)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert (sum(skips) > 0) == skipping
+
+
+def test_the_bound_reads_increments_past_the_hull(monkeypatch):
+    # the window [0, 4] compares v[i + 4] and v[i + 5]; v is flat over the
+    # window and jumps between indices 6 and 7, past it.  A bound that saw
+    # the window's increments only would skip chunks 1.. and keep sup 0
+    monkeypatch.setattr(dynamics, "_CHUNK", 1)
+    values = np.where(np.arange(11) >= 7, 1.0, 0.0)
+    traj = Trajectory(kind="continuous", t0=0.0, dt=1.0, values=values,
+                      derivs=np.zeros(11))
+    got = traj.shift_sups([4.0, 5.0], [[0]], [[4]])
+    assert got.tolist() == [[1.0, 1.0]]
+
+
+def test_shift_sups_skip_chunks_of_a_log_clock_rung(monkeypatch):
+    # a late window of sin(ln(1 + t)), compared at 20 shifts over 6 chunks,
+    # reads far fewer rows than 2 per shift and chunk, and every sup is the
+    # one a call per shift gives; a call within one chunk skips nothing
+    reads = []
+    real = dynamics._row_reader
+
+    def counted(stride, size):
+        row = real(stride, size)
+
+        def read(arr, start, n):
+            reads.append(n)
+            return row(arr, start, n)
+        return read
+    monkeypatch.setattr(dynamics, "_row_reader", counted)
+    traj = sample_function("sin(ln(1+abs(t)))", (0.0, 2.2e4), 0.05)
+    taus = 0.1 * np.arange(1, 21)
+    i0, i1 = 20_000, 400_000
+    chunks = -(-(i1 - i0 + 1) // dynamics._CHUNK)
+    got = traj.shift_sups(taus, [[i0]], [[i1]])[0]
+    assert chunks == 6 and len(reads) < 2 * taus.size * chunks // 2
+    assert got.tolist() == [traj.shift_sups([tau], [[i0]], [[i1]])[0, 0]
+                            for tau in taus]
+    reads.clear()
+    traj.shift_sups(taus, [[i0]], [[i0 + 1000]])
+    assert len(reads) == 2 * taus.size
 
 
 @pytest.mark.parametrize("size", [1, 7, 8, 13, 1000])
@@ -1336,10 +1450,17 @@ def test_chunked_sampling_raises_what_the_whole_grid_raises(monkeypatch):
     # chunk [0, 0.3] overflows to inf and chunk [1.6, 1.9] takes the log of
     # a negative value: the evaluation error wins, as on one whole chunk
     monkeypatch.setattr(dynamics, "_CHUNK", 4)
-    # the central difference there is inf - inf
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(EvalError, match="log of non-positive"):
-            sample_function("exp(1000*(1-t)) + ln(1.5-t)", (0.0, 2.0), 0.1)
+    with pytest.raises(EvalError, match="log of non-positive"):
+        sample_function("exp(1000*(1-t)) + ln(1.5-t)", (0.0, 2.0), 0.1)
+    with pytest.raises(DynamicsError, match="not finite on the grid"):
+        sample_function("exp(1000*(1-t)) + ln(2.5-t)", (0.0, 2.0), 0.1)
+
+
+def test_a_curve_that_is_not_finite_raises_without_a_warning():
+    # the central difference at t = 0 is inf - inf; the NaN it gives is
+    # reported as the curve not being finite, not as a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(DynamicsError, match="not finite on the grid"):
             sample_function("exp(1000*(1-t)) + ln(2.5-t)", (0.0, 2.0), 0.1)
 

@@ -22,8 +22,9 @@ byte.  One line per artifact, ``<sha256>  <name>``:
 * the ``rapflow simulate --out`` CSV of one command per system source:
   ``--ode``, ``--map``, ``--fn``, ``--bh``, and ``--example`` for an ode, a
   curve and a map;
-* the artifacts of the evolve-pairs benchmark workload, which run scalar
-  ``bind()`` evaluators under ``integrate`` and ``iterate``: the slow-chirp
+* the artifacts of the evolve-pairs benchmark workload, which run the
+  step and map loops that ``integrate`` and ``iterate`` compile with the
+  rhs written in (``Expression.loop``): the slow-chirp
   ``trajectory_csv`` integrated on [0, 1000] at dt 0.05, the drifting
   Beverton-Holt orbit over 102000 steps as float64 bytes, and the times,
   gaps and report of one ``-x+sin(t)`` contraction pair.
