@@ -192,8 +192,108 @@ def _shift_error(traj: Trajectory, tau: float) -> ValueError | None:
     return None
 
 
-def _tail_sups(traj: Trajectory, pairs) -> list:
-    """:func:`tail_sup` of each (tau, window) pair, in one kernel call."""
+def _shared_sups(traj: Trajectory, requests):
+    """Each request's :meth:`Trajectory.shift_sups` result from one call,
+    or None when that call raises.
+
+    A shift that several requests ask for is one column of the call,
+    each request's windows in rows of their own, so it is compared once
+    over the hull of all of them.  A shift's sups do not depend on the
+    other shifts or windows of a call, so each request reads the sups its
+    own call gives; and a call raises only where some request's own call
+    would.
+    """
+    column: dict = {}
+    height: list = []
+    placed = []
+    for taus, starts, ends, where in requests:
+        starts, ends, where = np.broadcast_arrays(
+            np.asarray(starts, np.int64), np.asarray(ends, np.int64),
+            np.asarray(where, bool))
+        shape = (starts.shape[0], len(taus))
+        spots = []
+        for tau in np.asarray(taus, float).tolist():
+            c = column.setdefault(tau, len(column))
+            if c == len(height):
+                height.append(0)
+            spots.append((c, height[c]))
+            height[c] += shape[0]
+        placed.append((spots, *(np.broadcast_to(a, shape)
+                                for a in (starts, ends, where))))
+    shape = (max(height, default=0), len(column))
+    all_starts, all_ends = np.zeros((2, *shape), np.int64)
+    all_where = np.zeros(shape, bool)
+    for spots, starts, ends, where in placed:
+        for j, (c, h) in enumerate(spots):
+            rows = slice(h, h + len(starts))
+            all_starts[rows, c], all_ends[rows, c] = starts[:, j], ends[:, j]
+            all_where[rows, c] = where[:, j]
+    try:
+        sups = traj.shift_sups(list(column), all_starts, all_ends,
+                               where=all_where)
+    except (ValueError, DynamicsError):
+        return None
+    out = []
+    for spots, starts, _, _ in placed:
+        got = np.full(starts.shape, np.nan)
+        for j, (c, h) in enumerate(spots):
+            got[:, j] = sups[h:h + len(starts), c]
+        out.append(got)
+    return out
+
+
+def _run(traj: Trajectory, *tests) -> list:
+    """What each test returns, its kernel comparisons shared in one call.
+
+    A test is a generator that yields at most one request, the arguments
+    (taus, starts, ends, where) of a :meth:`Trajectory.shift_sups` call,
+    and is sent that call's sups.  The requests of several tests are
+    compared in one call (:func:`_shared_sups`); if it raises, each is
+    compared by a call of its own, and a test whose own call raises is
+    thrown that error at its yield.  A ValueError or DynamicsError that a
+    test raises is returned in its place.
+    """
+    out: list = [None] * len(tests)
+    asked = {}
+    for i, test in enumerate(tests):
+        try:
+            asked[i] = next(test)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except (ValueError, DynamicsError) as exc:
+            out[i] = exc
+    shared = _shared_sups(traj, asked.values()) if len(asked) > 1 else None
+    for n, (i, (taus, starts, ends, where)) in enumerate(asked.items()):
+        try:
+            try:
+                sups = shared[n] if shared is not None else traj.shift_sups(
+                    taus, starts, ends, where=where)
+            except (ValueError, DynamicsError) as exc:
+                tests[i].throw(exc)
+            else:
+                tests[i].send(sups)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except (ValueError, DynamicsError) as exc:
+            out[i] = exc
+    return out
+
+
+def _unwrap(outcome):
+    """A test's outcome from :func:`_run`: raised if it is an error."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _alone(traj: Trajectory, test):
+    """What a test returns, or raises, with a kernel call of its own."""
+    return _unwrap(_run(traj, test)[0])
+
+
+def _tail_sups(traj: Trajectory, pairs):
+    """:func:`tail_sup` of each (tau, window) pair, in one kernel call; a
+    test for :func:`_run`."""
     taus = [tau for tau, _ in pairs]
     wins = [(float(w[0]), float(w[1])) for _, w in pairs]
     # a window is checked to leave room for its shift, up to tol, and
@@ -213,8 +313,8 @@ def _tail_sups(traj: Trajectory, pairs) -> list:
             raise ValueError(f"window start {lo} precedes the sampled span")
         if not where[q, 0]:
             raise ValueError("window contains no grid points")
-    diag = np.eye(len(taus), dtype=bool)
-    return np.diagonal(traj.shift_sups(taus, starts, ends, where=diag)).tolist()
+    sups = yield taus, starts, ends, np.eye(len(taus), dtype=bool)
+    return np.diagonal(sups).tolist()
 
 
 def tail_sup(traj: Trajectory, tau: float,
@@ -227,7 +327,7 @@ def tail_sup(traj: Trajectory, tau: float,
     trajectories are evaluated with the trajectory's own dense interpolant
     (:meth:`Trajectory.shift_sups`).
     """
-    return _tail_sups(traj, [(tau, window)])[0]
+    return _alone(traj, _tail_sups(traj, [(tau, window)]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +356,9 @@ class TailSupCurve:
     notes: list[str] = field(default_factory=list)
 
 
-def _remote_curves(traj: Trajectory, taus, eps: float, windows) -> list:
-    """:func:`remote_tau_periodic_test` of each shift, in one kernel call.
+def _remote_curves(traj: Trajectory, taus, eps: float, windows):
+    """:func:`remote_tau_periodic_test` of each shift, in one kernel call;
+    a test for :func:`_run`.
 
     Returns, per shift, its TailSupCurve or the ValueError or DynamicsError
     that the test raises for it: the first one that comparing its windows
@@ -279,12 +380,12 @@ def _remote_curves(traj: Trajectory, taus, eps: float, windows) -> list:
     cols = np.flatnonzero([e is None for e in out])
     use = where[:, cols] & (np.arange(len(bounds))[:, None] < cut[cols])
     try:
-        sups = traj.shift_sups(taus[cols], starts[:, cols], ends[:, cols],
-                               where=use)
+        sups = yield taus[cols], starts[:, cols], ends[:, cols], use
     except (ValueError, DynamicsError) as exc:
         # some shift's comparison raises; test each alone to learn which
         return [exc] if taus.size == 1 else [
-            _remote_curves(traj, [tau], eps, windows)[0] for tau in taus]
+            _alone(traj, _remote_curves(traj, [tau], eps, windows))[0]
+            for tau in taus]
     lo, hi = lo.tolist(), hi.tolist()
     for j, sup in zip(cols.tolist(), sups.T):
         w = int(cut[j])
@@ -326,7 +427,7 @@ def remote_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
     window is clamped to the sampled span, leaving room for the shift; a
     window left empty is dropped, and both are recorded in the notes.
     """
-    (curve,) = _remote_curves(traj, [tau], eps, windows)
+    (curve,) = _alone(traj, _remote_curves(traj, [tau], eps, windows))
     if isinstance(curve, Exception):
         raise curve
     return curve
@@ -350,7 +451,7 @@ class StationaryBattery:
 
 def _battery(traj: Trajectory, eps: float, windows, probes, taus=()):
     """:func:`remote_stationary_test` over probes, and the remote curves of
-    the shifts taus, in one kernel call.
+    the shifts taus, in one kernel call; a test for :func:`_run`.
 
     Returns (curves, battery): per shift in taus what
     :func:`_remote_curves` gives for it, and the StationaryBattery or the
@@ -358,7 +459,7 @@ def _battery(traj: Trajectory, eps: float, windows, probes, taus=()):
     """
     span = traj.dt * (len(traj.values) - 1)
     fits = [p for p in probes if not p > span / 3.0]
-    found = _remote_curves(traj, [*taus, *fits], eps, windows)
+    found = yield from _remote_curves(traj, [*taus, *fits], eps, windows)
     own, found = found[:len(taus)], iter(found[len(taus):])
     curves: dict = {}
     notes: list[str] = []
@@ -395,7 +496,7 @@ def remote_stationary_test(traj: Trajectory, eps: float, windows,
     """
     if probes is None:
         probes = default_probes(traj.kind, seed)
-    _, battery = _battery(traj, eps, windows, probes)
+    _, battery = _alone(traj, _battery(traj, eps, windows, probes))
     if isinstance(battery, DynamicsError):
         raise battery
     return battery
@@ -774,6 +875,12 @@ def asymptotic_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
     pointwise part stops a sparse residue sample from missing a moving
     feature between residues.
     """
+    return _alone(traj, _asymptotic_tau_test(traj, tau, eps, tail_fraction))
+
+
+def _asymptotic_tau_test(traj: Trajectory, tau: float, eps: float,
+                         tail_fraction: float = 0.25):
+    """:func:`asymptotic_tau_periodic_test` as a test for :func:`_run`."""
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
     if not (tau > 0 and math.isfinite(tau)):
@@ -807,7 +914,7 @@ def asymptotic_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
         tail = traj.values_at(r + tau * np.arange(k0, k_max + 1))
         worst = max(worst, float(np.max(tail) - np.min(tail)))
     dense_lo = t_end - tau - tail_fraction * (span - tau)
-    dense = tail_sup(traj, tau, (dense_lo, t_end - tau))
+    (dense,) = yield from _tail_sups(traj, [(tau, (dense_lo, t_end - tau))])
     stat = max(worst, dense)
     tail_from = traj.t0 + (1.0 - tail_fraction) * span
     return AsymptoticReport(kind="tau-periodic", tau=float(tau),
@@ -912,6 +1019,19 @@ def _refine_candidate(traj: Trajectory, tau: float, step: float,
     it.  Long windows are strided down to at most about fifty thousand
     probe points; this only steers the search, every reported verdict is
     recomputed on the full grid.
+
+    The first candidate, in order, with the least sup wins, and a NaN sup
+    never wins; the second round starts from the first one's best.  In a
+    window of q >= 2 times _WITNESS_POINTS probe points a round is pruned
+    first: one witness call compares its candidates at every q-th probe
+    point from the window's first, so each witness sup is a sup over some
+    of the candidate's probe points, a lower bound of its sup that is NaN
+    wherever some of those points is.  The least-bound candidate is
+    compared in full first, when its bound is below the running best, to
+    lower that best.  A candidate whose bound is NaN, above the running
+    best, or equal to it where the best comes earlier in order, cannot
+    win, and is not compared in full; the rest are, in one call.  So the
+    shift returned is the one that comparing every candidate gives.
     """
     if tau < floor - _POS_TOL:
         floor = 0.0
@@ -923,6 +1043,32 @@ def _refine_candidate(traj: Trajectory, tau: float, step: float,
         return tau
     stride = max(1, (i1 - i0 + 1) // 50_000)
     t_last = traj.t0 + traj.dt * (i0 + stride * ((i1 - i0) // stride))
+    q = ((i1 - i0) // stride + 1) // _WITNESS_POINTS
+
+    def compare(cands, every):
+        return traj.shift_sups(cands, [[i0]], [[i1]], every)[0]
+
+    def round_sups(cands, top):
+        # the candidates' sups, NaN where a candidate cannot win against
+        # the running best top
+        if q < 2:
+            return compare(cands, stride)
+        bound = compare(cands, stride * q)
+        sups = np.full(cands.size, np.nan)
+        # the least bound's candidate first, to lower the running best
+        lead = int(np.argmin(np.where(np.isnan(bound), np.inf, bound)))
+        holder = -1
+        if bound[lead] < top:
+            sups[lead] = compare(cands[lead:lead + 1], stride)[0]
+            if sups[lead] < top:
+                top, holder = sups[lead], lead
+        order = np.arange(cands.size)
+        rest = ((bound < top) | ((bound == top) & (order < holder))) & (
+            order != lead)
+        if rest.any():
+            sups[rest] = compare(cands[rest], stride)
+        return sups
+
     best_tau, best = tau, math.inf
     centre, width = tau, step
     for _ in range(2):
@@ -930,7 +1076,7 @@ def _refine_candidate(traj: Trajectory, tau: float, step: float,
         cands = cands[(cands > 0) & (cands >= floor)
                       & (t_last + cands <= t_end + _POS_TOL)]
         if cands.size:
-            sups = traj.shift_sups(cands, [[i0]], [[i1]], stride)[0]
+            sups = round_sups(cands, best)
             for cand, s in zip(cands.tolist(), sups.tolist()):
                 if s < best:
                     best, best_tau = s, cand
@@ -970,34 +1116,41 @@ def _candidate_from_scan(scan: AlmostPeriodSet,
     return None
 
 
-def _triangle_check(traj: Trajectory, tau: float, window,
-                    budget: float) -> list:
+def _triangle_check(traj: Trajectory, tau: float, window):
     """For k = 2 and 3, sup over W of the k-fold shift comparison against
     k times the single-shift comparison over the window stretched by
-    (k - 1) shifts, all in one kernel call.  This is a triangle inequality
-    for the sampled interpolant, so a violation beyond the slack is an
-    implementation bug.  The slack is ten times ``budget`` (the
-    trajectory's interp_budget), round-off and, since the k - 1 middle
-    points t + j*tau fall between grid points for a shift off the grid,
-    k - 1 times :meth:`Trajectory.shift_rise`.  A window that starts
-    before the sampled span is clamped to its start, as the remote tests
-    clamp it; one that ends by that start skips both checks."""
+    (k - 1) shifts, all in one kernel call; a test for :func:`_run`.  This
+    is a triangle inequality for the sampled interpolant, so a violation
+    beyond the slack is an implementation bug.  The slack is ten times the
+    trajectory's :meth:`Trajectory.interp_budget`, round-off and, since
+    the k - 1 middle points t + j*tau fall between grid points for a shift
+    off the grid, k - 1 times :meth:`Trajectory.shift_rise`.  Those two
+    terms are never negative, so a check that holds with the round-off
+    alone holds with them, and they are computed only for one that does
+    not.  A window that starts before the sampled span is clamped to its
+    start, as the remote tests clamp it; one that ends by that start skips
+    both checks."""
     lo, hi = window
     before = hi <= traj.t0
     lo = max(lo, traj.t0)
     ks = [k for k in (2, 3)
           if not (before or hi + k * tau > traj.t_end + _POS_TOL)]
-    sups = iter(_tail_sups(traj, [pair for k in ks for pair in (
-        (k * tau, (lo, hi)), (tau, (lo, hi + (k - 1) * tau)))]))
-    rise = traj.shift_rise(tau, lo, hi + ks[-1] * tau) if ks else 0.0
+    sups = iter((yield from _tail_sups(traj, [pair for k in ks for pair in (
+        (k * tau, (lo, hi)), (tau, (lo, hi + (k - 1) * tau)))])))
     reason = ("window lies before the sampled span" if before else
               "span too short for the stretched window")
     checks = [{"name": f"triangle k={k}", "status": "skipped",
                "detail": reason} for k in (2, 3)]
+    terms = None
     for check, k in zip(checks, (2, 3)):
         if k not in ks:
             continue
         lhs, rhs = next(sups), next(sups)
+        if terms is None and not lhs <= k * rhs + (1e-6 * max(1.0, rhs)
+                                                   + 1e-12):
+            terms = (traj.interp_budget(),
+                     traj.shift_rise(tau, lo, hi + ks[-1] * tau))
+        budget, rise = terms or (0.0, 0.0)
         slack = (10.0 * budget + (k - 1) * rise + 1e-6 * max(1.0, rhs)
                  + 1e-12)
         ok = lhs <= k * rhs + slack
@@ -1117,9 +1270,25 @@ def classify_trajectory(traj: Trajectory,
                 refined = candidate
         reports["candidate"] = {"initial": candidate, "refined": refined}
 
+    # the candidate's own comparisons share one kernel call: its exact sup,
+    # its asymptotic test's dense tail, its ladder beside the probe
+    # battery's, and the triangle checks' k-fold shifts and windows
+    tests: dict = {}
+    if refined is not None:
+        tests["exact"] = _tail_sups(traj, [(refined, (traj.t0,
+                                                      t_end - refined))])
+        tests["asymptotic"] = _asymptotic_tau_test(traj, refined, cfg.eps)
+    if windows is not None:
+        tests["remote"] = _battery(traj, cfg.eps, windows, probes,
+                                   [] if refined is None else [refined])
+        if refined is not None:
+            tests["triangle"] = _triangle_check(traj, refined, windows[-1])
+    done = dict(zip(tests, _run(traj, *tests.values())))
+
+    if refined is not None:
         # exact tau-periodicity uses the supremum over the whole span
         try:
-            full_sup = tail_sup(traj, refined, (traj.t0, t_end - refined))
+            (full_sup,) = _unwrap(done["exact"])
             verdicts["tau-periodic"] = (
                 "pass" if full_sup <= cfg.exact_eps else "fail")
             reports["tau-periodic"] = {"tau": refined, "sup": full_sup,
@@ -1139,17 +1308,15 @@ def classify_trajectory(traj: Trajectory,
 
     if refined is not None:
         try:
-            rep = asymptotic_tau_periodic_test(traj, refined, cfg.eps)
+            rep = _unwrap(done["asymptotic"])
             verdicts["asymptotically-tau-periodic"] = rep.verdict
             reports["asymptotically-tau-periodic"] = rep
         except (ValueError, DynamicsError) as exc:
             notes.append(f"asymptotic periodicity untestable: {exc}")
 
-    # remote settling: the candidate's ladder and the probe battery share
-    # one kernel call
+    # remote settling
     if windows is not None:
-        own, battery = _battery(traj, cfg.eps, windows, probes,
-                                [] if refined is None else [refined])
+        own, battery = _unwrap(done["remote"])
         for curve in own:
             if isinstance(curve, Exception):
                 notes.append(f"remote periodicity untestable: {curve}")
@@ -1202,8 +1369,7 @@ def classify_trajectory(traj: Trajectory,
         if windows[-1][0] < traj.t0 < windows[-1][1]:
             notes.append(f"triangle checks clamp window {windows[-1]} to "
                          f"start at {traj.t0}")
-        hierarchy += _triangle_check(traj, refined, windows[-1],
-                                     traj.interp_budget())
+        hierarchy += _unwrap(done["triangle"])
     else:
         hierarchy.append({"name": "triangle k=2", "status": "skipped",
                           "detail": "no candidate shift or windows"})

@@ -31,11 +31,14 @@ from rapflow.classify import (
     tail_sup,
 )
 from rapflow.classify import (
+    _alone,
+    _asymptotic_tau_test,
     _auto_windows,
     _battery,
     _geometric_windows,
     _scan,
     _scan_grid,
+    _tail_sups,
     _triangle_check,
 )
 from rapflow.dynamics import (
@@ -1074,15 +1077,18 @@ class TestStructuralProperties:
         # the added slack must not swallow a k-fold sup 10% too large
         tr, cfg = self._off_grid_chirp()
         res = classify_trajectory(tr, cfg)
-        tail_sups = classify_module._tail_sups
+        kernel = Trajectory.shift_sups
 
-        def inflated(traj, pairs):
-            sups = tail_sups(traj, pairs)
-            return [s * 1.1 if i % 2 == 0 else s for i, s in enumerate(sups)]
+        def inflated(self, *args, **kwargs):
+            # the triangle check's pairs alternate: k-fold shift, then tau
+            # over the stretched window
+            sups = kernel(self, *args, **kwargs)
+            sups[:, ::2] *= 1.1
+            return sups
 
-        monkeypatch.setattr(classify_module, "_tail_sups", inflated)
-        checks = _triangle_check(tr, res.candidate_tau, res.windows[-1],
-                                 tr.interp_budget())
+        monkeypatch.setattr(Trajectory, "shift_sups", inflated)
+        checks = _alone(tr, _triangle_check(tr, res.candidate_tau,
+                                            res.windows[-1]))
         assert [c["status"] for c in checks] == ["violation", "violation"]
 
 
@@ -1303,7 +1309,7 @@ def test_remote_tests_match_the_per_window_loop(kind, t0, dt, n, seed, drawn,
     want = _outcome(_battery_by_probes, traj, eps, windows, probes)
     # classify_trajectory compares the shifts' ladders and the battery in
     # one call
-    own, shared = _battery(traj, eps, windows, probes, probes)
+    own, shared = _alone(traj, _battery(traj, eps, windows, probes, probes))
     for tau, curve in zip(probes, own):
         _assert_same_curve(
             curve, _outcome(_curve_by_windows, traj, tau, eps, windows))
@@ -1319,9 +1325,10 @@ def test_remote_tests_match_the_per_window_loop(kind, t0, dt, n, seed, drawn,
                 assert got.curves[p] is None
             else:
                 _assert_same_curve(got.curves[p], curve)
-    budget = traj.interp_budget()
-    got = _outcome(_triangle_check, traj, probes[0], windows[-1], budget)
-    want = _outcome(_triangle_by_pairs, traj, probes[0], windows[-1], budget)
+    got = _outcome(lambda *args: _alone(traj, _triangle_check(*args)),
+                   traj, probes[0], windows[-1])
+    want = _outcome(_triangle_by_pairs, traj, probes[0], windows[-1],
+                    traj.interp_budget())
     if isinstance(want, Exception):
         _assert_same_error(got, want)
     else:
@@ -1358,3 +1365,335 @@ def test_classify_sine_makes_at_most_eight_kernel_calls(monkeypatch):
     res = classify_trajectory(tr, catalog.recommended_config(ex))
     assert res.label == "tau-periodic"
     assert len(calls) <= 8
+
+
+def test_a_catalog_pass_makes_at_most_57_kernel_calls(monkeypatch):
+    # as the classify-catalog benchmark workload runs it, slow-chirp
+    # sampled from its solution curve
+    calls = _count_kernel_calls(monkeypatch)
+    for ex in catalog.catalog().values():
+        traj = ex.trajectory(
+            source="curve" if ex.name == "slow-chirp" else None)
+        res = classify_trajectory(traj, catalog.recommended_config(ex))
+        assert res.label == ex.expected_class
+    assert len(calls) <= 57
+
+
+# ---------------------------------------------------------------------------
+# refinement pruned by strided lower bounds
+
+
+def _refine_by_loop(traj, tau, step, window, floor):
+    """_refine_candidate without pruning: each round compares every
+    candidate in full, and the first least sup wins."""
+    if tau < floor - 1e-9:
+        floor = 0.0
+    lo = max(window[0], traj.t0)
+    hi = min(window[1], traj.t_end - (tau + 1.1 * step))
+    i0, i1 = _grid_range(traj, lo, hi)
+    if not (hi > lo and i1 > i0):
+        return tau
+    stride = max(1, (i1 - i0 + 1) // 50_000)
+    t_last = traj.t0 + traj.dt * (i0 + stride * ((i1 - i0) // stride))
+    best_tau, best = tau, math.inf
+    centre, width = tau, step
+    for _ in range(2):
+        cands = centre + np.linspace(-width, width, 41)
+        cands = cands[(cands > 0) & (cands >= floor)
+                      & (t_last + cands <= traj.t_end + 1e-9)]
+        if cands.size:
+            sups = traj.shift_sups(cands, [[i0]], [[i1]], stride)[0]
+            for cand, s in zip(cands.tolist(), sups.tolist()):
+                if s < best:
+                    best, best_tau = s, cand
+        centre, width = best_tau, width / 20.0
+    return best_tau
+
+
+def _assert_same_refinement(traj, tau, step, window, floor, points):
+    """The pruned search, with _WITNESS_POINTS set to points, returns the
+    loop's shift bit for bit, or raises what it raises."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_module, "_WITNESS_POINTS", points)
+        got = _outcome(classify_module._refine_candidate, traj, tau, step,
+                       window, floor)
+    want = _outcome(_refine_by_loop, traj, tau, step, window, floor)
+    if isinstance(want, Exception):
+        _assert_same_error(got, want)
+    else:
+        assert type(got) is type(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(["wave", "flat", "steps", "nan-derivative"]),
+       n=st.integers(40, 5000), dt=st.floats(0.01, 1.0),
+       t0=st.floats(-50.0, 50.0), seed=st.integers(0, 2**32 - 1),
+       period=st.floats(0.02, 0.45), drift=st.floats(-0.05, 0.05),
+       step=st.floats(0.01, 0.4), lo=st.floats(0.0, 0.9),
+       length=st.floats(0.05, 1.2),
+       floor=st.sampled_from(["none", "cuts", "above"]),
+       points=st.sampled_from([1024, 64, 8, 2]))
+def test_pruned_refinement_returns_the_exhaustive_shift(shape, n, dt, t0,
+                                                        seed, period, drift,
+                                                        step, lo, length,
+                                                        floor, points):
+    # a curve of period ``period`` of the span, searched from a start
+    # ``drift`` periods off it; flat curves tie every sup, quantized ones
+    # searched on the grid tie many, and a NaN derivative makes some sups
+    # NaN.  points below 1024 make short windows prune through strided
+    # witness calls, as windows of more than 2048 probe points do
+    rng = np.random.default_rng(seed)
+    span = (n - 1) * dt
+    period *= span
+    t = dt * np.arange(n)
+    values = np.sin(2 * math.pi * t / period)
+    derivs = 2 * math.pi / period * np.cos(2 * math.pi * t / period)
+    tau, step = period * (1 + drift), step * period
+    if shape == "flat":
+        values, derivs = np.full(n, 0.5), np.zeros(n)
+    elif shape == "steps":
+        values, derivs = np.round(2 * values) / 2, None
+        tau = max(1, round(tau / dt)) * dt
+        step = 20 * max(1, round(step / (20 * dt))) * dt
+    elif shape == "nan-derivative":
+        derivs[rng.integers(n)] = np.nan
+    traj = Trajectory(kind="continuous", t0=t0, dt=dt, values=values,
+                      derivs=derivs)
+    window = (t0 + lo * span, t0 + (lo + length) * span)
+    # "cuts" drops the candidates below tau; "above" pins tau below the
+    # floor, which lifts it
+    floor = {"none": 0.0, "cuts": tau, "above": tau + 2 * step}[floor]
+    _assert_same_refinement(traj, tau, step, window, floor, points)
+
+
+def test_pruned_refinement_of_a_long_trajectory_returns_the_exhaustive_shift():
+    # more than _WITNESS_MIN samples: the search is strided, and its
+    # witness calls stride further, at the real _WITNESS_POINTS
+    n = classify_module._WITNESS_MIN + 40_000
+    tr = sample_function("sin(t) + 0.3*sin(ln(1 + t))", (0.0, (n - 1) * 0.01),
+                         0.01)
+    assert len(tr) == n
+    for tau, window in ((6.2, (100.0, 2900.0)), (6.35, (10.0, 2000.0))):
+        _assert_same_refinement(tr, tau, 0.1, window, 1.0,
+                                classify_module._WITNESS_POINTS)
+
+
+@pytest.mark.parametrize("points", [1024, 2])
+def test_pruned_refinement_raises_what_the_exhaustive_loop_raises(points):
+    # on a grid finer than the spacing of floats near t0 a candidate's last
+    # comparable index falls before the window's first, and the kernel
+    # raises for it
+    tr = Trajectory(kind="continuous", t0=22.729529581726936,
+                    dt=1.823255760944835e-15,
+                    values=np.sin(0.3 * np.arange(88)))
+    args = (tr, 5.105116130645538e-14, 1.2333471317669705e-16,
+            (22.729529581727043, 22.72952958172708), 0.0)
+    with pytest.raises(ValueError, match="no comparable grid points"):
+        _refine_by_loop(*args)
+    _assert_same_refinement(*args, points)
+
+
+def test_refinement_compares_few_candidates_in_full_on_sin_log_drift(
+        monkeypatch):
+    ex = catalog.get("sin-log-drift")
+    traj = ex.trajectory()
+    refine, seen = classify_module._refine_candidate, []
+    monkeypatch.setattr(classify_module, "_refine_candidate",
+                        lambda *args: seen.append(args) or refine(*args))
+    res = classify_trajectory(traj, catalog.recommended_config(ex))
+    (args,) = seen
+    assert _refine_by_loop(*args) == res.candidate_tau
+    kernel, calls = Trajectory.shift_sups, []
+
+    def recorded(self, taus, starts, ends, stride=1, where=None):
+        calls.append((len(taus), stride))
+        return kernel(self, taus, starts, ends, stride, where)
+
+    monkeypatch.setattr(Trajectory, "shift_sups", recorded)
+    assert refine(*args) == res.candidate_tau
+    # each round opens with one witness call over all of its candidates,
+    # at a wider stride than the full comparisons that follow it
+    full_stride = min(stride for _, stride in calls)
+    rounds = []
+    for count, stride in calls:
+        if stride > full_stride:
+            assert count == 41
+            rounds.append(0)
+        else:
+            rounds[-1] += count
+    assert len(rounds) == 2 and max(rounds) <= 3, calls
+
+
+# ---------------------------------------------------------------------------
+# the candidate's comparisons after the scan, in one kernel call
+
+
+def _candidate_tests(traj, tau, eps, windows, probes):
+    """The tests classify_trajectory runs on a refined shift tau, in its
+    order, as generators for _run."""
+    return [_tail_sups(traj, [(tau, (traj.t0, traj.t_end - tau))]),
+            _asymptotic_tau_test(traj, tau, eps),
+            _battery(traj, eps, windows, probes, [tau]),
+            _triangle_check(traj, tau, windows[-1])]
+
+
+def _described(outcome):
+    """An outcome of _run as comparable text: every float by its repr."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return repr(outcome)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["continuous", "continuous", "discrete"]),
+       t0=st.floats(-60.0, 60.0), dt=st.floats(0.01, 1.0),
+       n=st.integers(12, 400), seed=st.integers(0, 2**32 - 1),
+       drawn=st.lists(_window_strategy(), min_size=1, max_size=4),
+       shift=st.tuples(st.one_of(st.floats(0.002, 0.05), st.floats(0.0, 0.6)),
+                       st.sampled_from([0.0, 0.0, 0.37, 0.5])),
+       probes=st.lists(st.tuples(st.floats(0.0, 0.6),
+                                 st.sampled_from([0.0, 0.0, 0.37, 0.5])),
+                       max_size=6),
+       eps=st.one_of(st.floats(1e-3, 2.0), st.sampled_from([0.0, math.nan])),
+       with_derivs=st.booleans())
+def test_one_call_for_the_candidate_gives_each_tests_own_sups(
+        kind, t0, dt, n, seed, drawn, shift, probes, eps, with_derivs):
+    # shifts on the grid and between samples, half steps that a discrete
+    # trajectory of step 2 refuses, probes past a third of the span,
+    # windows in, across and past the span
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    rate = rng.uniform(0.05, 1.0)
+    values = np.sin(rate * i) + 0.05 * rng.standard_normal(n)
+    if kind == "discrete":
+        traj = Trajectory(kind="discrete", t0=float(round(t0)),
+                          dt=float(1 + seed % 2), values=values)
+    else:
+        derivs = rate / dt * np.cos(rate * i) if with_derivs else None
+        traj = Trajectory(kind="continuous", t0=t0, dt=dt, values=values,
+                          derivs=derivs)
+    windows = _windows_in(traj, drawn)
+    span = traj.t_end - traj.t0
+    tau, *probes = (float(round(f * span / traj.dt) + frac) * traj.dt
+                    for f, frac in [shift, *probes])
+    # the requests as the tests yield them, in one call and one by one
+    requests = []
+    for test in _candidate_tests(traj, tau, eps, windows, probes):
+        try:
+            requests.append(next(test))
+        except (StopIteration, ValueError, DynamicsError):
+            pass
+    shared = classify_module._shared_sups(traj, requests)
+    for k, (taus, starts, ends, where) in enumerate(requests):
+        own = _outcome(traj.shift_sups, taus, starts, ends, 1, where)
+        if shared is None:
+            continue
+        assert not isinstance(own, Exception), own
+        assert own.shape == shared[k].shape
+        assert own.tobytes() == shared[k].tobytes()
+    if shared is None:
+        assert any(isinstance(_outcome(traj.shift_sups, taus, starts, ends,
+                                       1, where), Exception)
+                   for taus, starts, ends, where in requests)
+    # and what each test makes of its sups
+    together = classify_module._run(
+        traj, *_candidate_tests(traj, tau, eps, windows, probes))
+    alone = [classify_module._run(traj, test)[0]
+             for test in _candidate_tests(traj, tau, eps, windows, probes)]
+    for k, (got, want) in enumerate(zip(together, alone)):
+        # compared as one bool: a diff of two long reprs is slow to shrink
+        same = _described(got) == _described(want)
+        assert same, (k, got, want)
+
+
+def _sine60():
+    return sample_function("sin(t)", (0.0, 60.0), 0.05)
+
+
+def _triangle_rows(res):
+    return [(h["status"], h["detail"]) for h in res.hierarchy
+            if h["name"].startswith("triangle")]
+
+
+def test_a_ladder_before_the_span_reads_as_the_separate_tests_do():
+    tr = _sine60()
+    cfg = ClassifyConfig(tau_range=(0.0, 20.0), windows=((-50.0, -10.0),))
+    res = classify_trajectory(tr, cfg)
+    assert res.notes == [
+        "remote scan unavailable: remote window must lie inside the sampled "
+        "span",
+        "remote periodicity untestable: no window fits inside the sampled "
+        "span"]
+    assert _triangle_rows(res) == [
+        ("skipped", "window lies before the sampled span")] * 2
+    battery = res.reports["remotely-stationary"]
+    assert battery == remote_stationary_test(tr, cfg.eps, cfg.windows)
+    assert battery.notes[-1] == "fewer than three probes could be tested"
+
+
+def test_a_probe_past_a_third_of_the_span_is_skipped_in_the_battery():
+    tr = _sine60()
+    res = classify_trajectory(tr, ClassifyConfig(tau_range=(0.0, 20.0)))
+    battery = res.reports["remotely-stationary"]
+    assert battery.notes == [
+        "probe 63.6962 skipped: larger than a third of the span"]
+    assert battery == remote_stationary_test(tr, 0.05, res.windows)
+    assert res.reports["asymptotically-tau-periodic"] == (
+        asymptotic_tau_periodic_test(tr, res.candidate_tau, 0.05))
+    assert res.reports["tau-periodic"]["sup"] == tail_sup(
+        tr, res.candidate_tau, (0.0, 60.0 - res.candidate_tau))
+    assert _triangle_rows(res) == [
+        ("ok", "sup(2*tau)=2.061e-05 <= 2*sup(tau)+slack"),
+        ("ok", "sup(3*tau)=3.092e-05 <= 3*sup(tau)+slack")]
+
+
+def test_an_exact_window_that_fails_validation_leaves_a_note(monkeypatch):
+    # a refined shift past the span, which refinement never returns, so
+    # the exact sup's window is empty and every other test carries on
+    tr = _sine60()
+    monkeypatch.setattr(classify_module, "_refine_candidate",
+                        lambda traj, tau, *args: 90.0)
+    res = classify_trajectory(tr, ClassifyConfig(tau=6.0,
+                                                 tau_range=(0.0, 20.0)))
+    assert res.candidate_tau == 90.0
+    assert res.notes == [
+        "exact periodicity untestable: bad window (0.0, -30.0)",
+        "remote periodicity untestable: no window fits inside the sampled "
+        "span"]
+    assert res.reports["asymptotically-tau-periodic"].notes == [
+        "span holds only 0 multiples of the shift; 20 needed"]
+    assert _triangle_rows(res) == [
+        ("skipped", "span too short for the stretched window")] * 2
+
+
+@pytest.mark.parametrize("tau", [8.0, 2.5])
+def test_a_discrete_step_of_two_reads_as_the_separate_tests_do(tau):
+    # odd probes fall between the samples of a discrete trajectory of step
+    # 2, so the one call raises and each test is compared alone; a pinned
+    # 2.5 is no whole number and gives way to the scan's candidate 8
+    tr = Trajectory(kind="discrete", t0=0.0, dt=2.0,
+                    values=np.cos(np.arange(200) * math.pi / 2))
+    res = classify_trajectory(tr, ClassifyConfig(tau=tau, tau_range=(0, 50),
+                                                 tau_step=2))
+    assert res.candidate_tau == 8.0 and res.label == "tau-periodic"
+    pinned = ([] if tau == 8.0 else
+              ["pinned shift is not a whole number of steps; ignored"])
+    assert res.notes == pinned + [
+        "asymptotic periodicity untestable: discrete trajectories are "
+        "sampled at integer steps only",
+        "remote stationarity untestable: discrete trajectories are sampled "
+        "at integer steps only"]
+    assert res.reports["remotely-tau-periodic"] == remote_tau_periodic_test(
+        tr, 8.0, 0.05, res.windows)
+    assert [s for s, _ in _triangle_rows(res)] == ["ok", "ok"]
+
+
+def test_an_odd_pinned_shift_on_a_discrete_step_of_two_raises():
+    # the exact sup's comparison raises DynamicsError, which
+    # classify_trajectory does not catch
+    tr = Trajectory(kind="discrete", t0=0.0, dt=2.0,
+                    values=np.cos(np.arange(200) * math.pi / 2))
+    with pytest.raises(DynamicsError, match="integer steps only"):
+        classify_trajectory(tr, ClassifyConfig(tau=3.0, tau_range=(0, 50),
+                                               tau_step=2))
