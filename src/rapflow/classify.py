@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _CHUNK, DynamicsError, Trajectory
+from .dynamics import _CHUNK, _GRID_TOL, DynamicsError, Trajectory
 
 __all__ = [
     "CLASS_ORDER",
@@ -84,6 +84,8 @@ _WITNESS_POINTS = 1024
 # asymptotic_tau_periodic_test needs a span of this many shifts; on fewer
 # its verdict is inconclusive
 _MIN_MULTIPLES = 20
+# the share of the span, at its end, that the asymptotic tests measure
+_TAIL_FRACTION = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +104,6 @@ class ClassifyConfig:
                    discrete trajectories)
     windows        late comparison windows ((lo, hi), ...) in increasing
                    order; None derives a geometric ladder from the span
-    seed           seed for the randomized probe of the remote-stationarity
-                   battery (:func:`default_probes`)
     """
 
     eps: float = 0.05
@@ -112,7 +112,6 @@ class ClassifyConfig:
     tau_range: tuple[float, float] = (0.0, 100.0)
     tau_step: float = 0.01
     windows: tuple[tuple[float, float], ...] | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.eps > 0 and math.isfinite(self.eps)):
@@ -139,18 +138,17 @@ class ClassifyConfig:
                 raise ValueError("windows must be None or non-empty")
 
 
-def default_probes(kind: str, seed: int = 0) -> tuple[float, ...]:
+def default_probes(kind: str) -> tuple[float, ...]:
     """Shift battery for remote-stationarity tests.
 
-    Four fixed spread-out shifts plus one seeded draw, so reruns with the
-    same seed are reproducible but the battery is not tuned to any example.
-    Discrete probes are whole numbers of steps.
+    Five fixed spread-out shifts, none tuned to an example, so no verdict
+    rests on a random draw.  The largest also sets where the automatic
+    window ladder ends.  Discrete probes are whole numbers of steps.
     """
-    rng = np.random.default_rng(seed)
     if kind == "discrete":
-        return (1.0, 2.0, 5.0, 17.0, float(int(rng.integers(1, 101))))
+        return (1.0, 2.0, 5.0, 17.0, 86.0)
     if kind == "continuous":
-        return (1.0, math.sqrt(2.0), 5.0, 17.3, 100.0 * float(rng.uniform()))
+        return (1.0, math.sqrt(2.0), 5.0, 17.3, 63.69616873214543)
     raise ValueError(f"unknown trajectory kind {kind!r}")
 
 
@@ -486,7 +484,7 @@ def _battery(traj: Trajectory, eps: float, windows, probes, taus=()):
 
 
 def remote_stationary_test(traj: Trajectory, eps: float, windows,
-                           probes=None, seed: int = 0) -> StationaryBattery:
+                           probes=None) -> StationaryBattery:
     """Test whether every fixed shift is eventually an almost period.
 
     Runs :func:`remote_tau_periodic_test` over a battery of spread-out
@@ -495,7 +493,7 @@ def remote_stationary_test(traj: Trajectory, eps: float, windows,
     claim; it refutes it outright when a single probe fails.
     """
     if probes is None:
-        probes = default_probes(traj.kind, seed)
+        probes = default_probes(traj.kind)
     _, battery = _alone(traj, _battery(traj, eps, windows, probes))
     if isinstance(battery, DynamicsError):
         raise battery
@@ -840,20 +838,17 @@ def _verdict_near(stat: float, eps: float) -> str:
     return "inconclusive"
 
 
-def asymptotic_stationary_test(traj: Trajectory, eps: float,
-                               tail_fraction: float = 0.25) -> AsymptoticReport:
+def asymptotic_stationary_test(traj: Trajectory, eps: float) -> AsymptoticReport:
     """Test convergence to a constant: tail oscillation at most eps.
 
-    The statistic is max - min of the samples over the final tail_fraction
-    of the span.  Convergence makes it drop below any eps eventually; a
+    The statistic is max - min of the samples over the final quarter of
+    the span.  Convergence makes it drop below any eps eventually; a
     persistent oscillation keeps it bounded away from zero.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
-    if not (0 < tail_fraction < 1):
-        raise ValueError("tail_fraction must lie in (0, 1)")
     t_end = traj.t_end
-    tail_from = t_end - tail_fraction * (t_end - traj.t0)
+    tail_from = t_end - _TAIL_FRACTION * (t_end - traj.t0)
     tail = _tail(traj, traj.values, tail_from)
     stat = float(np.max(tail) - np.min(tail))
     return AsymptoticReport(kind="stationary", tau=None, eps=float(eps),
@@ -861,8 +856,8 @@ def asymptotic_stationary_test(traj: Trajectory, eps: float,
                             verdict=_verdict_near(stat, eps))
 
 
-def asymptotic_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
-                                 tail_fraction: float = 0.25) -> AsymptoticReport:
+def asymptotic_tau_periodic_test(traj: Trajectory, tau: float,
+                                 eps: float) -> AsymptoticReport:
     """Test convergence to a tau-periodic limit.
 
     Convergence onto a tau-periodic function means every residue sequence
@@ -875,11 +870,10 @@ def asymptotic_tau_periodic_test(traj: Trajectory, tau: float, eps: float,
     pointwise part stops a sparse residue sample from missing a moving
     feature between residues.
     """
-    return _alone(traj, _asymptotic_tau_test(traj, tau, eps, tail_fraction))
+    return _alone(traj, _asymptotic_tau_test(traj, tau, eps))
 
 
-def _asymptotic_tau_test(traj: Trajectory, tau: float, eps: float,
-                         tail_fraction: float = 0.25):
+def _asymptotic_tau_test(traj: Trajectory, tau: float, eps: float):
     """:func:`asymptotic_tau_periodic_test` as a test for :func:`_run`."""
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
@@ -905,18 +899,18 @@ def _asymptotic_tau_test(traj: Trajectory, tau: float, eps: float,
         residues = traj.t0 + (np.arange(n_res) / n_res) * tau
     worst = 0.0
     for r in residues:
-        # only the last tail_fraction of the sequence is looked up, in one
+        # only the last _TAIL_FRACTION of the sequence is looked up, in one
         # values_at call, which decides grid alignment over its whole query
         k_max = int(math.floor((t_end - r) / tau + _POS_TOL))
-        k0 = int(math.floor((1.0 - tail_fraction) * (k_max + 1)))
+        k0 = int(math.floor((1.0 - _TAIL_FRACTION) * (k_max + 1)))
         if k_max - k0 < 1:
             continue
         tail = traj.values_at(r + tau * np.arange(k0, k_max + 1))
         worst = max(worst, float(np.max(tail) - np.min(tail)))
-    dense_lo = t_end - tau - tail_fraction * (span - tau)
+    dense_lo = t_end - tau - _TAIL_FRACTION * (span - tau)
     (dense,) = yield from _tail_sups(traj, [(tau, (dense_lo, t_end - tau))])
     stat = max(worst, dense)
-    tail_from = traj.t0 + (1.0 - tail_fraction) * span
+    tail_from = traj.t0 + (1.0 - _TAIL_FRACTION) * span
     return AsymptoticReport(kind="tau-periodic", tau=float(tau),
                             eps=float(eps), statistic=stat,
                             tail_from=float(tail_from),
@@ -1194,7 +1188,7 @@ def classify_trajectory(traj: Trajectory,
     reports["stationary"] = {"oscillation": osc_full, "eps": cfg.exact_eps}
 
     # window ladder
-    probes = default_probes(traj.kind, cfg.seed)
+    probes = default_probes(traj.kind)
     tau_big = max(probes + ((cfg.tau,) if cfg.tau is not None else ()))
     windows = cfg.windows if cfg.windows is not None else _auto_windows(
         traj, min(tau_big, span / 3.0))
@@ -1245,7 +1239,10 @@ def classify_trajectory(traj: Trajectory,
     candidate = None
     if cfg.tau is not None:
         candidate = float(cfg.tau)
-        if discrete and abs(candidate - round(candidate)) > _POS_TOL:
+        # whole steps as the kernel counts them
+        steps = candidate / traj.dt
+        if discrete and (abs(steps - round(steps))
+                         > _GRID_TOL * max(1.0, steps)):
             notes.append("pinned shift is not a whole number of steps; ignored")
             candidate = None
         elif candidate > span / 2.0:
@@ -1365,16 +1362,20 @@ def classify_trajectory(traj: Trajectory,
                           "status": "skipped", "detail": "no tail statistic"})
 
     # (c)-(d) triangle inequality for repeated shifts.
+    skipped = "no candidate shift or windows"
     if refined is not None and windows is not None:
         if windows[-1][0] < traj.t0 < windows[-1][1]:
             notes.append(f"triangle checks clamp window {windows[-1]} to "
                          f"start at {traj.t0}")
-        hierarchy += _unwrap(done["triangle"])
-    else:
-        hierarchy.append({"name": "triangle k=2", "status": "skipped",
-                          "detail": "no candidate shift or windows"})
-        hierarchy.append({"name": "triangle k=3", "status": "skipped",
-                          "detail": "no candidate shift or windows"})
+        try:
+            hierarchy += _unwrap(done["triangle"])
+            skipped = None
+        except (ValueError, DynamicsError) as exc:
+            notes.append(f"triangle checks untestable: {exc}")
+            skipped = str(exc)
+    if skipped is not None:
+        hierarchy += [{"name": f"triangle k={k}", "status": "skipped",
+                       "detail": skipped} for k in (2, 3)]
 
     label = "unclassified"
     for name in CLASS_ORDER:

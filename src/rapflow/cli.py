@@ -254,7 +254,6 @@ _CLASSIFY_OPTIONS = (
     ("--tau-step", _parse_float, dict(help="scan grid spacing")),
     ("--windows", _parse_windows,
      dict(metavar="LO:HI;LO:HI", help="late comparison windows")),
-    ("--seed", _parse_int, dict(help="seed for the probe battery")),
 )
 
 _SCAN_OPTIONS = (
@@ -511,8 +510,6 @@ def cmd_classify(args) -> int:
         over["tau_step"] = o.tau_step
     if o.windows is not None:
         over["windows"] = o.windows
-    if o.seed is not None:
-        over["seed"] = o.seed
     try:
         cfg = dataclasses.replace(base, **over) if over else base
     except ValueError as exc:

@@ -342,7 +342,7 @@ _OPTION_SAMPLES = {
     "steps": "7", "dt": "0.25", "abs_tol": "1e-7",
     "rel_tol": "1e-6", "source": "curve", "bound": "2.5",
     "eps": "0.125", "exact_eps": "1e-8", "tau": "-6.25", "tau_max": "20",
-    "tau_step": "0.5", "windows": "-150:-100;-100:-10", "seed": "3",
+    "tau_step": "0.5", "windows": "-150:-100;-100:-10",
     "mode": "remote", "window": "-50:0", "threads": "2", "out": "o.csv",
     "format": "json",
 }
@@ -352,7 +352,7 @@ _OPTION_SAMPLES = {
 _BAD_SAMPLES = {
     "u0": "nan", "span": "2:1", "steps": "1.5", "dt": "inf", "abs_tol": "-inf",
     "rel_tol": "nan", "source": "table", "bound": "nan", "eps": "inf", "exact_eps": "nan", "tau": "inf",
-    "tau_max": "inf", "tau_step": "nan", "windows": ";", "seed": "x",
+    "tau_max": "inf", "tau_step": "nan", "windows": ";",
     "mode": "local", "window": "0:inf", "threads": "two", "format": "xml",
 }
 _COMMANDS = ("simulate", "classify", "scan")
@@ -413,7 +413,7 @@ _CONFIG_CALLERS = {
         {"eps": ("--eps", "0.125"), "exact_eps": ("--exact-eps", "1e-8"),
          "tau": ("--tau", "1.5"), "tau_range": ("--tau-max", "4"),
          "tau_step": ("--tau-step", "0.5"),
-         "windows": ("--windows", "10:20;20:40"), "seed": ("--seed", "3")}),
+         "windows": ("--windows", "10:20;20:40")}),
     "IntegratorConfig": (
         IntegratorConfig, ["simulate", "--ode", "-x", "--span", "0:1"],
         "integrate", 3,
@@ -577,6 +577,18 @@ class TestConfigFile:
         assert code == 2
         assert "'horizon'" in err
 
+    def test_seed_is_neither_a_flag_nor_a_key(self, capsys, tmp_path):
+        # the probe battery is fixed, so nothing draws from a seed
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--fn", "sin(t)", "--seed", "3"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "rf.ini"
+        cfg.write_text("[classify]\nseed = 3\n")
+        code, _, err = run(capsys, "classify", "--fn", "sin(t)",
+                           "--config", str(cfg))
+        assert code == 2
+        assert "'seed'" in err
+
     def test_unknown_section_is_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "rf.ini"
         cfg.write_text("[notacommand]\neps = 0.2\n")
@@ -658,6 +670,18 @@ class TestClassifyCommand:
                              "--windows", "-5:60")
         assert code == 0, err
         assert "note: triangle checks clamp window (-5.0, 60.0)" in out
+        assert "hierarchy consistency: ok" in out
+
+    def test_an_empty_last_window_skips_the_triangle_checks(self, capsys):
+        # the window holds no grid point; the remote tests and the
+        # triangle checks note it and the classification goes on
+        code, out, err = run(capsys, "classify", "--fn", "sin(t)",
+                             "--span", "0:60", "--tau-max", "20",
+                             "--windows", "40.001:40.002")
+        assert code == 0, err
+        assert out.startswith("label: unclassified\n")
+        assert ("note: triangle checks untestable: window contains no grid "
+                "points") in out
         assert "hierarchy consistency: ok" in out
 
     def test_long_sine_with_its_period_pinned_is_tau_periodic(self, capsys):

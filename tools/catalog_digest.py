@@ -16,8 +16,6 @@ byte.  One line per artifact, ``<sha256>  <name>``:
   ``--mode remote --window 200:360``, at ``--tau-step`` 0.01 and 0.0137
   and ``--threads`` 1 and 2, and of one global ``rapflow scan`` on a span
   that starts below 0, so its ``level`` column is the nonzero origin;
-* the JSON of ``rapflow classify --example sine --seed 8``, whose
-  randomized fifth probe differs from seed 0's;
 * the stdout of ``rapflow verify all``;
 * the ``rapflow simulate --out`` CSV of one command per system source:
   ``--ode``, ``--map``, ``--fn``, ``--bh``, and ``--example`` for an ode, a
@@ -106,9 +104,6 @@ def scan_digests(workdir: Path):
 
 
 def command_digests(workdir: Path):
-    out = workdir / "classify-sine-seed-8.json"
-    _run(["classify", "--example", "sine", "--seed", "8", "--out", str(out)])
-    yield _sha(out.read_bytes()), "classify --example sine --seed 8"
     yield _sha(_run(["verify", "all"])), "verify all stdout"
     for name, argv in SIMULATE:
         out = workdir / f"simulate-{name}.csv"
