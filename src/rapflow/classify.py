@@ -25,12 +25,11 @@ the requested tolerance; anything thinner stays inconclusive.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _CHUNK, _GRID_TOL, DynamicsError, Trajectory
+from .dynamics import _CHUNK, _GRID_TOL, DynamicsError, Trajectory, _fan_out
 
 __all__ = [
     "CLASS_ORDER",
@@ -143,13 +142,23 @@ def default_probes(kind: str) -> tuple[float, ...]:
 
     Five fixed spread-out shifts, none tuned to an example, so no verdict
     rests on a random draw.  The largest also sets where the automatic
-    window ladder ends.  Discrete probes are whole numbers of steps.
+    window ladder ends.  Discrete probes count steps: a trajectory of step
+    dt is probed at dt times them (:func:`_probes`).
     """
     if kind == "discrete":
         return (1.0, 2.0, 5.0, 17.0, 86.0)
     if kind == "continuous":
         return (1.0, math.sqrt(2.0), 5.0, 17.3, 63.69616873214543)
     raise ValueError(f"unknown trajectory kind {kind!r}")
+
+
+def _probes(traj: Trajectory) -> tuple[float, ...]:
+    """:func:`default_probes` in traj's time units, so every discrete probe
+    is a whole number of its steps."""
+    probes = default_probes(traj.kind)
+    if traj.kind == "discrete":
+        return tuple(p * traj.dt for p in probes)
+    return probes
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +502,7 @@ def remote_stationary_test(traj: Trajectory, eps: float, windows,
     claim; it refutes it outright when a single probe fails.
     """
     if probes is None:
-        probes = default_probes(traj.kind)
+        probes = _probes(traj)
     _, battery = _alone(traj, _battery(traj, eps, windows, probes))
     if isinstance(battery, DynamicsError):
         raise battery
@@ -603,9 +612,10 @@ def almost_period_scan(traj: Trajectory, eps: float, tau_range,
     over one late window (clamped to fit), so admission only claims the
     comparison is small late, not everywhere.
 
-    ``threads`` fans the comparisons out over at most that many workers,
-    one per CPU core and one per shift at most; the scan is the same bit
-    for bit at any count, and so is the error raised for a failing grid.
+    ``threads`` fans the comparisons out over at most that many threads,
+    the calling one included, one per usable CPU and one per shift at most
+    (:func:`_fanned_sups`); the scan is the same bit for bit at any count,
+    and so is the error raised for a failing grid.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
@@ -717,22 +727,15 @@ def _witnessed_sups(traj: Trajectory, eps: float, taus: np.ndarray, starts,
 def _fanned_sups(traj: Trajectory, taus: np.ndarray, starts, ends, where,
                  threads: int) -> np.ndarray:
     """:meth:`Trajectory.shift_sups` of the shifts split into contiguous
-    runs, min(threads, shifts, CPU cores) of them, each on its own worker;
-    one run is compared in the calling thread.  The runs' sups are stacked
-    in grid order and the first failing run's error is raised, so the
-    result is the single call's."""
-    workers = min(threads, taus.size, os.cpu_count() or 1)
-    if workers == 1:
-        return traj.shift_sups(taus, starts, ends, where=where)
-    # imported here, not at the top: it loads threading and logging,
-    # which one-worker scans and every other use of rapflow leave unused
-    from concurrent.futures import ThreadPoolExecutor
-    edges = [taus.size * k // workers for k in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda run: traj.shift_sups(
-            taus[run], starts[:, run], ends[:, run], where=where[:, run]),
-            [slice(a, b) for a, b in zip(edges, edges[1:])])
-        return np.hstack(list(parts))
+    runs, one per usable CPU and at most ``threads`` of them
+    (:func:`~rapflow.dynamics._fan_out`); one run is compared in the
+    calling thread and each other on a worker thread.  The runs' sups are
+    stacked in grid order and the first failing run's error is raised, so
+    the result is the single call's."""
+    parts = _fan_out(lambda run: traj.shift_sups(
+        taus[run], starts[:, run], ends[:, run], where=where[:, run]),
+        taus.size, threads)
+    return parts[0] if len(parts) == 1 else np.hstack(parts)
 
 
 def _scan(traj: Trajectory, eps: float, taus: np.ndarray, windows,
@@ -873,6 +876,18 @@ def asymptotic_tau_periodic_test(traj: Trajectory, tau: float,
     return _alone(traj, _asymptotic_tau_test(traj, tau, eps))
 
 
+def _tail_oscillations(traj: Trajectory, tau: float, runs) -> list:
+    """max - min of the values at r + tau*k, k0 <= k < k1, for each run
+    (r, k0, k1), all looked up in one call."""
+    r, k0, k1 = (np.array(a) for a in zip(*runs))
+    counts = k1 - k0
+    starts = np.cumsum(counts) - counts
+    ks = np.arange(counts.sum()) - np.repeat(starts - k0, counts)
+    tails = traj.values_in_runs(np.repeat(r, counts) + tau * ks, starts)
+    return (np.maximum.reduceat(tails, starts)
+            - np.minimum.reduceat(tails, starts)).tolist()
+
+
 def _asymptotic_tau_test(traj: Trajectory, tau: float, eps: float):
     """:func:`asymptotic_tau_periodic_test` as a test for :func:`_run`."""
     if not (eps > 0 and math.isfinite(eps)):
@@ -892,21 +907,32 @@ def _asymptotic_tau_test(traj: Trajectory, tau: float, eps: float):
                    f"{_MIN_MULTIPLES} needed"])
     if traj.kind == "discrete":
         tau = float(round(tau))
-        n_res = int(min(tau, 4))
-        residues = traj.t0 + np.arange(n_res, dtype=float)
+        # one residue per step of the shift, at least 1 and at most 4
+        n_res = min(4, max(1, round(tau / traj.dt)))
+        residues = traj.t0 + traj.dt * np.arange(n_res, dtype=float)
     else:
         n_res = int(min(64, max(4, math.ceil(tau / (4.0 * traj.dt)))))
         residues = traj.t0 + (np.arange(n_res) / n_res) * tau
-    worst = 0.0
-    for r in residues:
-        # only the last _TAIL_FRACTION of the sequence is looked up, in one
-        # values_at call, which decides grid alignment over its whole query
+    # only the last _TAIL_FRACTION of each residue sequence is looked up.
+    # Sequences share a call, which decides grid alignment per residue,
+    # until it holds a sixteenth of a chunk: past that a call's fixed cost
+    # no longer shows, and its scratch stays near one residue's
+    runs, points, oscs = [], 0, []
+    for r in residues.tolist():
         k_max = int(math.floor((t_end - r) / tau + _POS_TOL))
         k0 = int(math.floor((1.0 - _TAIL_FRACTION) * (k_max + 1)))
         if k_max - k0 < 1:
             continue
-        tail = traj.values_at(r + tau * np.arange(k0, k_max + 1))
-        worst = max(worst, float(np.max(tail) - np.min(tail)))
+        runs.append((r, k0, k_max + 1))
+        points += k_max + 1 - k0
+        if points >= _CHUNK // 16:
+            oscs += _tail_oscillations(traj, tau, runs)
+            runs, points = [], 0
+    if runs:
+        oscs += _tail_oscillations(traj, tau, runs)
+    worst = 0.0
+    for osc in oscs:
+        worst = max(worst, osc)
     dense_lo = t_end - tau - _TAIL_FRACTION * (span - tau)
     (dense,) = yield from _tail_sups(traj, [(tau, (dense_lo, t_end - tau))])
     stat = max(worst, dense)
@@ -1188,7 +1214,7 @@ def classify_trajectory(traj: Trajectory,
     reports["stationary"] = {"oscillation": osc_full, "eps": cfg.exact_eps}
 
     # window ladder
-    probes = default_probes(traj.kind)
+    probes = _probes(traj)
     tau_big = max(probes + ((cfg.tau,) if cfg.tau is not None else ()))
     windows = cfg.windows if cfg.windows is not None else _auto_windows(
         traj, min(tau_big, span / 3.0))

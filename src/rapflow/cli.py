@@ -265,7 +265,8 @@ _SCAN_OPTIONS = (
     ("--window", _parse_window,
      dict(metavar="LO:HI", help="late window for --mode remote")),
     ("--threads", _parse_int,
-     dict(help="worker threads; results are identical at any count")),
+     dict(help="threads comparing shifts, the calling one included; "
+               "results are identical at any count")),
 )
 
 _OUTPUT_OPTIONS = (

@@ -32,6 +32,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import struct
 import textwrap
 from dataclasses import dataclass, field
@@ -394,29 +395,58 @@ class Trajectory:
     def values_at(self, ts) -> np.ndarray:
         """Dense-output values at arbitrary times inside the sampled span."""
         ts = np.atleast_1d(np.asarray(ts, float))
+        if not ts.size:
+            return np.empty(ts.shape)
+        flat = ts.reshape(-1)
+        return self.values_in_runs(flat, np.zeros(1, int)).reshape(ts.shape)
+
+    def values_in_runs(self, ts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """:meth:`values_at` of several queries, concatenated, in one pass.
+
+        ``ts`` is a flat array of times and ``starts`` the increasing
+        indices where its runs start, the first 0; no run is empty.  Each
+        run is read as its own ``values_at`` call reads it: a run whose
+        every point is within 1e-9 steps of the grid returns the stored
+        values exactly, since Hermite at such a point is not bit-equal to
+        them, and any other run the Hermite formula.  The first run in
+        order that such a call would reject raises its error: a time
+        outside the sampled span, or a discrete run off the grid.
+        """
         pos = (ts - self.t0) / self.dt
         n = len(self.values)
         tol = 1e-9
-        if np.any(pos < -tol) or np.any(pos > n - 1 + tol):
-            bad = float(ts[np.argmax((pos < -tol) | (pos > n - 1 + tol))])
-            raise DynamicsError(
-                f"query at t = {bad!r} outside sampled span "
-                f"[{self.t0!r}, {self.t_end!r}]")
-        # the choice is made over the whole query: Hermite at a point
-        # within tol of the grid is not bit-equal to the stored value
+        outside = (pos < -tol) | (pos > n - 1 + tol)
         nearest = np.rint(pos)
-        if np.all(np.abs(pos - nearest) <= tol):
-            # aligned with the grid: return stored values exactly
-            idx = np.clip(nearest.astype(int), 0, n - 1)
-            return self.values[idx]
+        aligned = np.logical_and.reduceat(np.abs(pos - nearest) <= tol, starts)
+        rejected = np.logical_or.reduceat(outside, starts)
         if self.kind == "discrete":
+            rejected |= ~aligned
+        if rejected.any():
+            run = int(np.argmax(rejected))
+            a = int(starts[run])
+            b = int(starts[run + 1]) if run + 1 < len(starts) else ts.size
+            if outside[a:b].any():
+                bad = float(ts[a + np.argmax(outside[a:b])])
+                raise DynamicsError(
+                    f"query at t = {bad!r} outside sampled span "
+                    f"[{self.t0!r}, {self.t_end!r}]")
             raise DynamicsError(
                 "discrete trajectories are sampled at integer steps only")
+        if not aligned.any():
+            return self._hermite(pos)
+        out = self.values[np.clip(nearest.astype(int), 0, n - 1)]
+        if not aligned.all():
+            off = np.repeat(~aligned, np.diff(starts, append=ts.size))
+            out[off] = self._hermite(pos[off])
+        return out
+
+    def _hermite(self, pos: np.ndarray) -> np.ndarray:
+        """The cubic Hermite values at grid positions pos, _CHUNK at a time."""
+        n, tol = len(self.values), 1e-9
         v, d = self.values, self._hermite_derivs()
-        flat = pos.reshape(-1)
-        out = np.empty(flat.size)
-        for c0 in range(0, flat.size, _CHUNK):
-            p = flat[c0:c0 + _CHUNK]
+        out = np.empty(pos.size)
+        for c0 in range(0, pos.size, _CHUNK):
+            p = pos[c0:c0 + _CHUNK]
             idx = np.clip(np.floor(p + tol).astype(int), 0, n - 2)
             s = p - idx
             s2 = s * s
@@ -428,7 +458,7 @@ class Trajectory:
             out[c0:c0 + _CHUNK] = (
                 h00 * v[idx] + h01 * v[idx + 1]
                 + self.dt * (h10 * d[idx] + h11 * d[idx + 1]))
-        return out.reshape(pos.shape)
+        return out
 
     def _shift_cells(self, taus):
         """(k, whole, on_grid, last) of each shift, as the kernel reads it.
@@ -1080,25 +1110,28 @@ class _DenseGrid:
         return d
 
 
-# iterate's step loop, compiled per field by Expression.loop: x_{n+1} =
-# f(n, x_n) into ``values[n + 1]``, with t = n
+# iterate's step loop, compiled per field by Expression.loop: step n
+# computes x_n = f(n - 1, x_{n-1}) into ``values[n]``.  One range test per
+# step, against the state domain clipped to the overflow guard; only a value
+# that fails it is told apart as past the guard or outside the domain
 _MAP_LOOP = """\
 def run(x, n_steps, lo, hi, values):
+    low, high = max(lo, -_GUARD), min(hi, _GUARD)
     t = 0.0
     try:
-        for n in range(n_steps):
+        for n in range(1, n_steps + 1):
             x = f(t, x)
             # false for inf and NaN as well
-            if not -_GUARD <= x <= _GUARD:
+            if not low <= x <= high:
+                if not -_GUARD <= x <= _GUARD:
+                    raise _IterationAbortError(
+                        n, f"value {x!r} exceeds the overflow guard")
                 raise _IterationAbortError(
-                    n + 1, f"value {x!r} exceeds the overflow guard")
-            if not lo <= x <= hi:
-                raise _IterationAbortError(
-                    n + 1, f"value {x!r} left the state domain [{lo:g}, {hi:g}]")
-            values[n + 1] = x
+                    n, f"value {x!r} left the state domain [{lo:g}, {hi:g}]")
+            values[n] = x
             t += 1.0
     except _EvalError as err:
-        raise _IterationAbortError(n + 1, str(err)) from err
+        raise _IterationAbortError(n, str(err)) from err
 """
 _MAP_NAMES = {"_GUARD": BLOWUP_GUARD, "_IterationAbortError": IterationAbortError}
 
@@ -1139,6 +1172,56 @@ def iterate(fld: ScalarField, u0: float, n_steps: int) -> Trajectory:
                     "config": f"n={n_steps}"})
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fan_out(task, size: int, most: int | None = None) -> list:
+    """[task(run) for each run], the runs contiguous slices of range(size).
+
+    There is one run per usable CPU, and at most ``most`` and ``size`` of
+    them.  Run 0 is done in the calling thread, each other run on a worker
+    thread started for this call, in a copy of the caller's context, so
+    numpy's error state there is the caller's.  Once every run has
+    finished, the error of the first run in order that raised is raised,
+    so a task that raises at its first failing index raises what one run
+    over the whole range would.  One run is done as a plain call.
+    """
+    workers = max(1, min(size, _usable_cpus(), most or size))
+    edges = [size * k // workers for k in range(workers + 1)]
+    runs = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    if workers == 1:
+        return [task(runs[0])]
+    import contextvars
+    import threading
+    results: list = [None] * workers
+    errors: list = [None] * workers
+
+    def work(k):
+        try:
+            results[k] = task(runs[k])
+        except BaseException as exc:  # raised in the calling thread below
+            errors[k] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(work, k)) for k in range(1, workers)]
+    for th in threads:
+        th.start()
+    try:
+        results[0] = task(runs[0])
+    finally:
+        for th in threads:
+            th.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def sample_function(fn, t_span, dt: float, params: dict | None = None,
                     name: str = "") -> Trajectory:
     """Sample a closed-form curve of t into a continuous trajectory.
@@ -1150,8 +1233,13 @@ def sample_function(fn, t_span, dt: float, params: dict | None = None,
     jumps, and abs has 0 at its kink.  Where that derivative is not finite,
     as for sqrt(t) at t = 0, it is a central difference with step
     1e-6 * (1 + |t|), so the curve must be defined at t +- h there.  The
-    grid is evaluated ``_CHUNK`` samples at a time, so memory is the output
-    values and derivatives plus O(``_CHUNK``) scratch.
+    grid is evaluated ``_CHUNK`` samples at a time, in contiguous runs of
+    chunks, one per usable CPU (:func:`_fan_out`); each chunk writes only
+    its own slice, so the samples are those of one pass over the grid, bit
+    for bit.  Memory is the output values and derivatives plus
+    O(workers * ``_CHUNK``) scratch.  Errors are those of one pass: the
+    first chunk's evaluation error in grid order, and a curve that is not
+    finite on the grid is reported only once every chunk is evaluated.
     """
     if not isinstance(fn, (str, Expression)):
         raise TypeError("sample_function takes an expression in t, as text "
@@ -1178,20 +1266,31 @@ def sample_function(fn, t_span, dt: float, params: dict | None = None,
     size = _grid_cells(t0, t1, dt) + 1
     values = np.empty(size)
     derivs = np.empty(size)
-    finite = True
-    for c0 in range(0, size, _CHUNK):
-        c1 = min(size, c0 + _CHUNK)
-        ts = t0 + dt * np.arange(c0, c1)
-        v, d = e.eval_array_dt(ts, params=params)
-        bad = np.flatnonzero(~np.isfinite(d))
-        if bad.size:
-            d[bad] = central(ts[bad])
-        # checked while the chunk is in cache, and raised once every chunk
-        # is evaluated, since a later one may raise EvalError
-        finite = finite and np.isfinite(v).all() and np.isfinite(d[bad]).all()
-        values[c0:c1] = v
-        derivs[c0:c1] = d
-    if not finite:
+
+    def fill(run):
+        """Evaluates the chunks of run in order; False if one is not finite."""
+        finite = True
+        for c0 in range(run.start * _CHUNK, min(size, run.stop * _CHUNK),
+                        _CHUNK):
+            c1 = min(size, c0 + _CHUNK)
+            ts = t0 + dt * np.arange(c0, c1)
+            v, d = e.eval_array_dt(ts, params=params)
+            bad = np.flatnonzero(~np.isfinite(d))
+            if bad.size:
+                d[bad] = central(ts[bad])
+            # checked while the chunk is in cache, and raised once every
+            # chunk is evaluated, since a later one may raise EvalError
+            finite = (finite and np.isfinite(v).all()
+                      and np.isfinite(d[bad]).all())
+            values[c0:c1] = v
+            derivs[c0:c1] = d
+        return finite
+
+    chunks = -(-size // _CHUNK)
+    if chunks > 1:
+        # the evaluators are compiled here, once, not by each worker
+        e.prepare_arrays()
+    if not all(_fan_out(fill, chunks)):
         raise DynamicsError("sampled curve is not finite on the grid")
     return Trajectory(
         kind="continuous", t0=t0, dt=dt, values=values, derivs=derivs,

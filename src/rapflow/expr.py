@@ -811,6 +811,13 @@ class Expression:
         return tuple(np.broadcast_to(np.asarray(v, dtype=float), t.shape).copy()
                      for v in out)
 
+    def prepare_arrays(self) -> None:
+        """Compile the evaluators of :meth:`eval_array` and
+        :meth:`eval_array_dt` now, so threads that call them later share
+        one compilation instead of each making its own."""
+        self._compiled("array")
+        self._compiled("array_dt")
+
     def to_text(self) -> str:
         return _print(self.root)
 

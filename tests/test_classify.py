@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from rapflow import catalog
 from rapflow import classify as classify_module
+from rapflow import dynamics as dynamics_module
 from rapflow.classify import (
     CLASS_ORDER,
     ClassifyConfig,
@@ -373,7 +374,7 @@ class TestAlmostPeriodScan:
                                                   window, step):
         # seven workers on any machine: every run of the grid is its own
         # kernel call, on- and off-grid
-        monkeypatch.setattr(classify_module.os, "cpu_count", lambda: 7)
+        monkeypatch.setattr(dynamics_module, "_usable_cpus", lambda: 7)
         tr = sample_function("sin(t)+0.3*sin(3.7*t)", (-5.0, 50.0), 0.01)
         one = almost_period_scan(tr, 0.25, (0.0, 20.0), step, mode=mode,
                                  window=window)
@@ -389,7 +390,7 @@ class TestAlmostPeriodScan:
         # steps, so every run of the grid raises; the run holding the
         # shift 1, the first in grid order, is held back until the others
         # have raised, and its error is still the one reported
-        monkeypatch.setattr(classify_module.os, "cpu_count", lambda: 7)
+        monkeypatch.setattr(dynamics_module, "_usable_cpus", lambda: 7)
         tr = Trajectory(kind="discrete", t0=0.0, dt=2.0,
                         values=np.sin(np.arange(20.0)))
         kernel, raised = Trajectory.shift_sups, {}
@@ -1671,10 +1672,9 @@ def test_an_exact_window_that_fails_validation_leaves_a_note(monkeypatch):
 
 @pytest.mark.parametrize("tau", [8.0, 2.5, 3.0])
 def test_a_discrete_step_of_two_reads_as_the_separate_tests_do(tau):
-    # odd probes fall between the samples of a discrete trajectory of step
-    # 2, so the one call raises and each test is compared alone; a pinned
-    # 2.5 or 3 is no whole number of steps and gives way to the scan's
-    # candidate 8
+    # the residues and the probes are whole numbers of steps of 2, so every
+    # test is compared in the one call; a pinned 2.5 or 3 is no whole
+    # number of steps and gives way to the scan's candidate 8
     tr = Trajectory(kind="discrete", t0=0.0, dt=2.0,
                     values=np.cos(np.arange(200) * math.pi / 2))
     res = classify_trajectory(tr, ClassifyConfig(tau=tau, tau_range=(0, 50),
@@ -1682,11 +1682,19 @@ def test_a_discrete_step_of_two_reads_as_the_separate_tests_do(tau):
     assert res.candidate_tau == 8.0 and res.label == "tau-periodic"
     pinned = ([] if tau == 8.0 else
               ["pinned shift is not a whole number of steps; ignored"])
-    assert res.notes == pinned + [
-        "asymptotic periodicity untestable: discrete trajectories are "
-        "sampled at integer steps only",
-        "remote stationarity untestable: discrete trajectories are sampled "
-        "at integer steps only"]
+    assert res.notes == pinned
+    # the probes are 2, 4, 10, 34 and 172 time units; the largest, capped
+    # at a third of the span 398, sets where the window ladder ends
+    assert res.windows == _auto_windows(tr, 398.0 / 3.0)
+    assert res.verdicts["asymptotically-tau-periodic"] == "pass"
+    assert res.reports["asymptotically-tau-periodic"] == (
+        asymptotic_tau_periodic_test(tr, 8.0, 0.05))
+    battery = res.reports["remotely-stationary"]
+    assert battery == remote_stationary_test(tr, 0.05, res.windows)
+    assert battery.probes == (2.0, 4.0, 10.0, 34.0, 172.0)
+    assert battery.notes == ["probe 172 skipped: larger than a third of the "
+                             "span"]
+    assert res.verdicts["remotely-stationary"] == battery.verdict == "fail"
     assert res.reports["remotely-tau-periodic"] == remote_tau_periodic_test(
         tr, 8.0, 0.05, res.windows)
     assert [s for s, _ in _triangle_rows(res)] == ["ok", "ok"]

@@ -1,18 +1,18 @@
 """End-to-end checks of the command line tool."""
-import concurrent.futures
 import dataclasses
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rapflow
-from rapflow import cli
+from rapflow import cli, dynamics
 from rapflow.cli import (
     _CONVERTERS,
     ConfigError,
@@ -745,35 +745,49 @@ class TestScanCommand:
     @pytest.mark.parametrize("cores,workers", [(3, 3), (10**6, 6)])
     def test_thread_count_is_capped_by_cores_and_shifts(
             self, capsys, tmp_path, monkeypatch, cores, workers):
-        pools = []
+        started = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
+        class SerialThread:
+            def __init__(self, target, args):
+                self.run = lambda: target(*args)
 
-            def __enter__(self):
-                return self
+            def start(self):
+                started.append(self)
+                self.run()
 
-            def __exit__(self, *exc):
-                return False
+            def join(self):
+                pass
 
-            def map(self, fn, chunks):
-                chunks = list(chunks)
-                pools.append((self.max_workers, len(chunks)))
-                return map(fn, chunks)
-
-        # the fake pool starts no thread, so the huge request is safe
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        # the fake threads run in the caller, so the huge request is safe;
+        # the calling thread compares one run itself
+        monkeypatch.setattr(threading, "Thread", SerialThread)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cores)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ("scan", "--fn", "sin(t)", "--span", "0:120", "--eps", "0.5",
                 "--tau-max", "0.05", "--tau-step", "0.01")
         assert run(capsys, *base, "--threads", "1", "--out", str(a))[0] == 0
+        assert not started
         assert run(capsys, *base, "--threads", "100000",
                    "--out", str(b))[0] == 0
-        assert pools == [(workers, workers)]
+        assert len(started) == workers - 1
         assert a.read_bytes() == b.read_bytes()
+
+    def test_two_threads_start_one_worker(self, capsys, tmp_path,
+                                          monkeypatch):
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        out = tmp_path / "o.csv"
+        assert run(capsys, "scan", "--fn", "sin(t)", "--span", "0:120",
+                   "--tau-max", "4", "--threads", "2",
+                   "--out", str(out))[0] == 0
+        assert len(started) == 1
 
     def test_thread_count_below_one_exits_2(self, capsys):
         code, _, err = run(capsys, "scan", "--fn", "sin(t)", "--span", "0:120",

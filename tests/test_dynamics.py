@@ -2,7 +2,9 @@
 
 import math
 import re
+import sys
 import textwrap
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -694,6 +696,24 @@ def test_iterate_overflow_abort():
     assert str(err.value) == ("iteration aborted at step 6: value "
                               "1.8446744073709552e+19 exceeds the overflow "
                               "guard")
+
+
+@pytest.mark.parametrize("u0,step,past_guard", [
+    (2e-11, 1, False), (1e-12, 2, False), (2.0, 1, True), (3e-12, 2, True)])
+def test_iterate_reports_the_guard_before_the_domain(u0, step, past_guard):
+    # one range test per step against [0, 10]; a value that fails it is
+    # past the guard first, and outside the domain otherwise
+    fld = ScalarField(kind="discrete", rhs="x*1e12", state_domain=(0.0, 10.0),
+                      time_domain="half-line")
+    with pytest.raises(IterationAbortError) as err:
+        iterate(fld, u0, 5)
+    for _ in range(step):
+        u0 *= 1e12
+    why = ("exceeds the overflow guard" if past_guard
+           else "left the state domain [0, 10]")
+    assert err.value.step == step
+    assert str(err.value) == (f"iteration aborted at step {step}: "
+                              f"value {u0!r} {why}")
 
 
 def test_iterate_names_the_step_whose_evaluation_fails():
@@ -1448,12 +1468,112 @@ def test_sample_function_takes_expressions_only(fn):
 
 def test_chunked_sampling_raises_what_the_whole_grid_raises(monkeypatch):
     # chunk [0, 0.3] overflows to inf and chunk [1.6, 1.9] takes the log of
-    # a negative value: the evaluation error wins, as on one whole chunk
+    # a negative value: the evaluation error wins, as on one whole chunk,
+    # also when a later run of chunks, on its own worker, raises it
     monkeypatch.setattr(dynamics, "_CHUNK", 4)
-    with pytest.raises(EvalError, match="log of non-positive"):
-        sample_function("exp(1000*(1-t)) + ln(1.5-t)", (0.0, 2.0), 0.1)
-    with pytest.raises(DynamicsError, match="not finite on the grid"):
-        sample_function("exp(1000*(1-t)) + ln(2.5-t)", (0.0, 2.0), 0.1)
+    for cpus in (1, 2, 3, 7):
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+        with pytest.raises(EvalError, match="log of non-positive"):
+            sample_function("exp(1000*(1-t)) + ln(1.5-t)", (0.0, 2.0), 0.1)
+        with pytest.raises(DynamicsError, match="not finite on the grid"):
+            sample_function("exp(1000*(1-t)) + ln(2.5-t)", (0.0, 2.0), 0.1)
+
+
+# Sampling fans its chunks out in contiguous runs, one per usable CPU.
+# Each run writes only its own slices, so any split gives the samples of one
+# pass over the grid.
+
+_SEAM_CURVES = (
+    "sin({a}*t)*exp(-t/{b})",
+    "cos({a}*t*t/{b}) + {a}*ln(1+abs(t))",
+    # not differentiable at the grid time s, where the central difference
+    # stands in for the derivative
+    "sqrt(abs(t-{s}))*{a}",
+    "{a}*abs(t-{s})^0.5 + sin(t/{b})",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(curve=st.sampled_from(_SEAM_CURVES),
+       a=st.floats(0.1, 3.0), b=st.floats(1.0, 9.0),
+       t0=st.floats(-20.0, 5.0), dt=st.sampled_from([0.01, 0.05, 0.1, 0.37]),
+       size=st.integers(2, 120), chunk=st.integers(3, 17),
+       cpus=st.sampled_from([1, 2, 3, 7]), kink=st.integers(0, 8))
+def test_fanned_sampling_equals_one_whole_array_pass(curve, a, b, t0, dt, size,
+                                                      chunk, cpus, kink):
+    grid = t0 + dt * np.arange(size)
+    # the kink sits on a chunk seam, or on the last sample when there is none
+    s = float(grid[min(size - 1, kink * chunk)])
+    fn = curve.format(a=repr(a), b=repr(b), s=repr(s))
+    span = (t0, float(grid[-1]))
+    # more workers than cores, switching threads as often as it can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(dynamics, "_CHUNK", chunk), \
+                mock.patch.object(dynamics, "_usable_cpus", lambda: cpus):
+            traj = sample_function(fn, span, dt)
+    finally:
+        sys.setswitchinterval(interval)
+    e = parse(fn)
+    values, derivs = e.eval_array_dt(grid)
+    bad = ~np.isfinite(derivs)
+    h = 1e-6 * (1.0 + np.abs(grid[bad]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        derivs[bad] = (e.eval_array(grid[bad] + h)
+                       - e.eval_array(grid[bad] - h)) / (2 * h)
+    assert len(traj) == size
+    assert _bits(traj.values) == _bits(values)
+    assert _bits(traj.derivs) == _bits(derivs)
+
+
+def test_fan_out_raises_the_first_failing_runs_error(monkeypatch):
+    # runs 2 to 6 of 7 fail, run 2 last of them; its error is raised once
+    # every run has finished
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 7)
+    finished = []
+
+    def task(run):
+        if run.start == 2:
+            time.sleep(0.2)
+        finished.append(run.start)
+        if run.start >= 2:
+            raise ValueError(run.start)
+        return run.start
+
+    with pytest.raises(ValueError) as info:
+        dynamics._fan_out(task, 7)
+    assert info.value.args == (2,)
+    assert sorted(finished) == list(range(7))
+    # contiguous runs, at most ``most`` of them
+    assert dynamics._fan_out(lambda run: (run.start, run.stop), 10, 3) == [
+        (0, 3), (3, 6), (6, 10)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fanned_sampling_keeps_the_callers_numpy_error_state(monkeypatch,
+                                                             cpus):
+    # exp(1000*t) overflows only in the last run, where sin(inf) is an
+    # invalid operation; the workers run in the caller's context
+    monkeypatch.setattr(dynamics, "_CHUNK", 16)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+    with np.errstate(invalid="raise", over="ignore"):
+        with pytest.raises(FloatingPointError, match="invalid value"):
+            sample_function("sin(exp(1000*t))", (-2.0, 1.0), 0.01)
+
+
+def test_a_one_chunk_grid_starts_no_thread(monkeypatch):
+    import threading
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 7)
+    monkeypatch.setattr(threading, "Thread", refuse)
+    traj = sample_function("sin(t)+0.3*sin(3.7*t)", (0.0, 400.0), 0.01)
+    assert len(traj) == 40001 <= dynamics._CHUNK
+    with pytest.raises(AssertionError, match="thread"):
+        sample_function("sin(t)", (0.0, 1.0), 1.0 / dynamics._CHUNK)
 
 
 def test_a_curve_that_is_not_finite_raises_without_a_warning():
@@ -1511,6 +1631,37 @@ def test_chunked_values_at_matches_the_whole_array_formula(monkeypatch):
     near = np.concatenate([grid[20:35] + 3e-11, grid[3:19]])
     assert _bits(traj.values_at(near)) == _bits(
         np.concatenate([v[20:35], v[3:19]]))
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except DynamicsError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["continuous", "discrete"]),
+       runs=st.lists(st.tuples(st.floats(-2.0, 6.0), st.sampled_from(
+           [0.1, 0.2, 0.35, 1.0, 1e-11]), st.integers(1, 9)),
+           min_size=1, max_size=6))
+def test_values_in_runs_reads_each_run_as_values_at(kind, runs):
+    # each run (start, spacing, count) is one values_at query: on the grid,
+    # within 1e-9 steps of it, off it, or leaving the span [-1, 4]; the
+    # batch gives their concatenation or the first run's error
+    dt = 0.1 if kind == "continuous" else 1.0
+    traj = Trajectory(kind=kind, t0=-1.0, dt=dt,
+                      values=np.sin(np.arange(round(5.0 / dt) + 1)),
+                      derivs=None if kind == "discrete" else np.cos(
+                          np.arange(round(5.0 / dt) + 1)))
+    queries = [np.round(a / dt) * dt + step * np.arange(count)
+               for a, step, count in runs]
+    starts = np.cumsum([0] + [q.size for q in queries])[:-1]
+    each = [_outcome(traj.values_at, q) for q in queries]
+    failed = [o for o in each if isinstance(o, str)]
+    want = failed[0] if failed else b"".join(each)
+    assert _outcome(traj.values_in_runs, np.concatenate(queries),
+                    starts) == want
 
 
 def test_sampling_peak_memory_stays_near_the_output():

@@ -6,12 +6,16 @@ Run from the root of a checkout:
 
 It imports rapflow from ``src/`` of the checkout it sits in, so running it
 in two checkouts and diffing the outputs compares their artifacts byte for
-byte.  One line per artifact, ``<sha256>  <name>``:
+byte.  One line per artifact, ``<sha256>  <name>``, 30 lines in all:
 
 * the classification JSON of each catalog entry, built as the
   classify-catalog benchmark workload builds it: the entry's trajectory
   (slow-chirp sampled from its solution curve), ``classify_trajectory``
   with ``recommended_config`` and ``classification_json``;
+* the ``values`` and ``derivs`` of the sin-log and slow-chirp curves,
+  sampled as that workload samples them, as float64 bytes: these grids of
+  2,040,001 samples are sampled in runs of chunks on every usable CPU, so
+  their lines compare the fanned-out sampling byte for byte;
 * the CSV of ``rapflow scan --example two-tone``, global and
   ``--mode remote --window 200:360``, at ``--tau-step`` 0.01 and 0.0137
   and ``--threads`` 1 and 2, and of one global ``rapflow scan`` on a span
@@ -43,6 +47,8 @@ from rapflow import catalog, classify, cli, dynamics, serialize  # noqa: E402
 
 # entries sampled from their solution curve, as the benchmark samples them
 CURVE_SOURCED = frozenset({"slow-chirp"})
+# the longest sampled curves, whose samples are digested themselves
+SAMPLED_CURVES = ("sin-log", "slow-chirp")
 SCAN_MODES = (("global", []), ("remote", ["--window", "200:360"]))
 TAU_STEPS = ("0.01", "0.0137")
 THREADS = ("1", "2")
@@ -75,6 +81,13 @@ def catalog_digests():
                                            catalog.recommended_config(ex))
         text = serialize.classification_json(res)
         yield _sha(text.encode("utf-8")), f"classify {ex.name}"
+
+
+def curve_digests():
+    for name in SAMPLED_CURVES:
+        traj = catalog.get(name).trajectory(source="curve")
+        yield (_sha(traj.values.tobytes() + traj.derivs.tobytes()),
+               f"sample {name} values and derivs")
 
 
 def _run(argv) -> bytes:
@@ -125,7 +138,7 @@ def evolve_digests():
 
 
 def main() -> int:
-    for digest, name in catalog_digests():
+    for digest, name in (*catalog_digests(), *curve_digests()):
         print(f"{digest}  {name}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for digest, name in (*scan_digests(Path(tmp)),
